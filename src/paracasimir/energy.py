@@ -33,16 +33,9 @@ from scipy.optimize import brentq
 
 from ._quad import expmap_grid, panel_grid
 from .specfun import DomainError, bateman_m_log
-from .scattering import BoundaryMode, Geometry, plane_amplitude
-from .roundtrip import (
-    _body_block_theta0,
-    _body_block_tilted,
-    _body_half_logs,
-    _knife_block_from_gram,
-    _knife_block_from_k,
-    logdet_one_minus,
-)
-from .translation import AccuracyError, _gram, tilted_matrix_log
+from .scattering import BoundaryMode, Geometry
+from .roundtrip import kernel_blocks, logdet_one_minus
+from .translation import AccuracyError
 
 __all__ = [
     "FitRejectedError",
@@ -166,55 +159,18 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str,
 
     Returns an array of shape (len(orders), len(x)); entry [j, i] is
     g at scaled frequency x[i] truncated at order orders[j].  The
-    kernel is assembled once per node at the largest order and the
-    smaller truncations are its leading submatrices, which is exact
-    because entries do not depend on the truncation.
+    kernel's blocks are assembled once per node at the largest order
+    and the smaller truncations are their leading blocks, which is
+    exact because entries do not depend on the truncation; each block
+    then yields every rung of the ladder from `logdet_one_minus`.
     """
     x = np.asarray(x, dtype=float)
-    nbig = orders[-1]
-    modes = _modes(channel)
     out = np.zeros((len(orders), x.size))
-    logm_all = None
-    if geom.theta == 0.0:
-        logm_all = bateman_m_log(nbig, 2.0 * x * geom.d / geom.H)
-    nu_sets = {}
-    for mode in modes:
-        if geom.R == 0.0:
-            start = 0 if mode is BoundaryMode.DIRICHLET else 1
-            idx = np.arange(start, nbig + 1, 2)
-        else:
-            idx = np.arange(nbig + 1)
-        nu_sets[mode] = (idx, np.searchsorted(idx, np.asarray(orders), side="right"))
-    parity = (-1.0) ** np.arange(nbig + 1)
-    for i, xi in enumerate(x):
-        q = xi / geom.H
-        G = w = sT = lT = None
-        if geom.theta != 0.0:
-            if geom.R == 0.0:
-                G, w = _gram(q, geom.H, geom.theta, nbig, u_node_count)
-            else:
-                sT, lT = tilted_matrix_log(nbig, q, geom.d, geom.theta,
-                                           u_node_count)
-        for mode in modes:
-            idx, cuts = nu_sets[mode]
-            if geom.R == 0.0:
-                if geom.theta == 0.0:
-                    k = parity * np.exp(logm_all[:, i])
-                    block = _knife_block_from_k(idx, k, mode)
-                else:
-                    block = _knife_block_from_gram(idx, G, w)
-            else:
-                sigma, half = _body_half_logs(
-                    nbig, mode, geom.mu0 * math.sqrt(2.0 * q))
-                if geom.theta == 0.0:
-                    block = _body_block_theta0(sigma, half,
-                                               plane_amplitude(mode),
-                                               logm_all[:, i])
-                else:
-                    block = _body_block_tilted(sigma, half,
-                                               plane_amplitude(mode), sT, lT)
-            for j, cut in enumerate(cuts):
-                out[j, i] += logdet_one_minus(block[:cut, :cut])
+    nodes = kernel_blocks(geom, x / geom.H, orders[-1], _modes(channel), u_node_count)
+    for i, node in enumerate(nodes):
+        for idx, entries in (b for blocks in node.values() for b in blocks):
+            cuts = np.searchsorted(idx, orders, side="right")
+            out[:, i] += logdet_one_minus(entries, cuts)
     return out
 
 
@@ -306,6 +262,35 @@ def extrapolate_numax(series) -> tuple:
     return float(limit), float(err)
 
 
+def _finish(evaluate, spec: QuadratureSpec, orders: list, channel: str) -> EnergyResult:
+    """Energy result with its error budget from one ladder evaluation.
+
+    ``evaluate(spec, orders)`` returns the energy at each truncation
+    order.  The ladder is extrapolated (falling back to the top rung,
+    with the last increment as its error, when the fit is rejected) and
+    the lowest rung is recomputed with doubled frequency nodes for the
+    quadrature error.  A nonfinite value, or a quadrature error above
+    1e-3 of the value, raises `AccuracyError`: the frequency grid, not
+    the physics, would be setting the answer.
+    """
+    values = evaluate(spec, orders)
+    series = [(o, float(val)) for o, val in zip(orders, values)]
+    value = float(values[-1])
+    try:
+        extrapolated, fit_err = extrapolate_numax(series)
+        trunc_error = abs(extrapolated - value) + fit_err
+    except FitRejectedError:
+        extrapolated = value
+        trunc_error = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
+    fine = replace(spec, node_count=2 * spec.node_count)
+    check = float(evaluate(fine, orders[:1])[0])
+    quad_error = abs(check - float(values[0]))
+    if not math.isfinite(value) or quad_error > 1e-3 * max(abs(value), 1e-30):
+        raise AccuracyError("frequency quadrature did not converge", quad_error)
+    return EnergyResult(value, series, float(extrapolated), float(trunc_error),
+                        quad_error, channel)
+
+
 def energy_per_length(geom: Geometry, spec: QuadratureSpec | None = None,
                       nu_max=100, channel: str = "em") -> EnergyResult:
     """Casimir interaction energy per unit length, E/(hbar c L).
@@ -321,28 +306,13 @@ def energy_per_length(geom: Geometry, spec: QuadratureSpec | None = None,
     _modes(channel)
     if spec is None:
         spec = default_quadrature(geom)
-    orders = _series_orders(nu_max)
-    x, wq = _grid(spec)
-    g = _g_series(geom, x, orders, channel)
     h2 = geom.H * geom.H
-    values = (g @ (wq * x)) / (4.0 * math.pi * h2)
-    series = [(o, float(val)) for o, val in zip(orders, values)]
-    value = float(values[-1])
-    try:
-        extrapolated, fit_err = extrapolate_numax(series)
-        trunc_error = abs(extrapolated - value) + fit_err
-    except FitRejectedError:
-        extrapolated = value
-        trunc_error = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
-    fine = replace(spec, node_count=2 * spec.node_count)
-    x2, wq2 = _grid(fine)
-    g2 = _g_series(geom, x2, orders[:1], channel)
-    check = float((g2 @ (wq2 * x2))[0] / (4.0 * math.pi * h2))
-    quad_error = abs(check - float(values[0]))
-    if not math.isfinite(value) or quad_error > 1e-3 * max(abs(value), 1e-30):
-        raise AccuracyError("frequency quadrature did not converge", quad_error)
-    return EnergyResult(value, series, float(extrapolated), float(trunc_error),
-                        quad_error, channel)
+
+    def evaluate(spec: QuadratureSpec, orders: list) -> np.ndarray:
+        x, wq = _grid(spec)
+        return (_g_series(geom, x, orders, channel) @ (wq * x)) / (4.0 * math.pi * h2)
+
+    return _finish(evaluate, spec, _series_orders(nu_max), channel)
 
 
 def c_theta(theta: float, nu_max=100, spec: QuadratureSpec | None = None,
@@ -481,7 +451,8 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     tolerance.  As T_scaled grows only n = 0 survives and the energy
     approaches -(T_scaled/H^2) times the classical coefficient; as
     T_scaled -> 0 the sum goes over into the zero-temperature
-    frequency integral.
+    frequency integral.  The error budget, and the `AccuracyError` on
+    a failed node-doubling check, are those of `energy_per_length`.
     """
     if T_scaled < 0.0 or not math.isfinite(T_scaled):
         raise DomainError("T_scaled must be nonnegative and finite")
@@ -490,21 +461,9 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
         spec = default_quadrature(geom)
     if T_scaled == 0.0:
         return energy_per_length(geom, spec, nu_max, channel)
-    orders = _series_orders(nu_max)
     h2 = geom.H * geom.H
-    totals = _matsubara_sum(geom, T_scaled, orders, channel, spec)
-    values = T_scaled * totals / h2
-    series = [(o, float(val)) for o, val in zip(orders, values)]
-    value = float(values[-1])
-    try:
-        extrapolated, fit_err = extrapolate_numax(series)
-        trunc_error = abs(extrapolated - value) + fit_err
-    except FitRejectedError:
-        extrapolated = value
-        trunc_error = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
-    fine = replace(spec, node_count=2 * spec.node_count)
-    check = float(T_scaled * _matsubara_sum(geom, T_scaled, orders[:1],
-                                            channel, fine)[0] / h2)
-    quad_error = abs(check - float(values[0]))
-    return EnergyResult(value, series, float(extrapolated), float(trunc_error),
-                        quad_error, channel)
+
+    def evaluate(spec: QuadratureSpec, orders: list) -> np.ndarray:
+        return T_scaled * _matsubara_sum(geom, T_scaled, orders, channel, spec) / h2
+
+    return _finish(evaluate, spec, _series_orders(nu_max), channel)

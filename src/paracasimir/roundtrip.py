@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor
+from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from .specfun import DomainError, bateman_k_table, bateman_m_log
+from .specfun import DomainError, bateman_m_log
 from .scattering import (
     BoundaryMode,
     Geometry,
@@ -40,6 +41,7 @@ from .translation import _gram, tilted_matrix_log
 __all__ = [
     "PhysicalRegimeError",
     "TruncatedKernel",
+    "kernel_blocks",
     "build_kernel",
     "parity_block",
     "logdet_one_minus",
@@ -75,19 +77,36 @@ class TruncatedKernel:
     nu_indices: np.ndarray | None = None
 
 
-def _knife_block_from_k(nu_idx: np.ndarray, k: np.ndarray, mode: BoundaryMode) -> np.ndarray:
+_LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
+
+
+class _Block(NamedTuple):
+    """One decoupled diagonal block of the kernel.
+
+    ``idx`` holds its partial-wave orders.  At zero tilt ``pair`` is the
+    Bateman index (n + n') // 2 of every entry and ``sign`` the vector
+    (-1)^(n // 2); both are computed once per frequency series.
+    """
+
+    idx: np.ndarray
+    pair: np.ndarray | None = None
+    sign: np.ndarray | None = None
+
+
+def _knife_start(mode: BoundaryMode) -> int:
+    """Parity of the orders that carry ``mode`` at the knife edge."""
+    return 0 if mode is BoundaryMode.DIRICHLET else 1
+
+
+def _knife_block_from_k(pair: np.ndarray, k: np.ndarray, mode: BoundaryMode) -> np.ndarray:
     """Zero-radius, zero-tilt block given precomputed k_{-2n-1} values."""
-    if nu_idx.size == 0:
-        return np.zeros((0, 0))
-    block = k[(nu_idx[:, None] + nu_idx[None, :]) // 2]
+    block = k[pair]
     return block if mode is BoundaryMode.DIRICHLET else -block
 
 
-def _knife_block_from_gram(nu_idx: np.ndarray, G: np.ndarray, w: float) -> np.ndarray:
-    """Zero-radius block at tilt from a Gram matrix; mode-independent."""
-    if nu_idx.size == 0:
-        return np.zeros((0, 0))
-    return G[np.ix_(nu_idx, nu_idx)] * (math.exp(-w) / math.pi)
+def _knife_block_from_gram(G: np.ndarray, w: float) -> np.ndarray:
+    """Zero-radius block at tilt from the channel's parity Gram matrix."""
+    return G * (math.exp(-w) / math.pi)
 
 
 def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: float):
@@ -102,19 +121,21 @@ def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: float):
 
 
 def _body_block_theta0(sigma: np.ndarray, half: np.ndarray, fp: float,
-                       logm: np.ndarray) -> np.ndarray:
-    """Positive-radius, zero-tilt kernel in the balanced gauge.
+                       logm: np.ndarray, block: _Block) -> np.ndarray:
+    """One parity block of the positive-radius, zero-tilt kernel.
 
-    logm holds log m_n of the Bateman table at w = 2 q d; entries with
-    odd order sum vanish by mirror parity.
+    logm holds log m_n of the Bateman table at w = 2 q d.  Entries of
+    odd order sum vanish by mirror parity, so the kernel splits into an
+    even and an odd block.  Within one block (n + n')/2 equals
+    n//2 + n'//2 + parity, so the element sign (-1)^((n + n')/2) is the
+    outer product of ``block.sign`` with itself times (-1)^parity.
     """
-    nu = np.arange(half.size)
-    tot = nu[:, None] + nu[None, :]
+    idx = block.idx
+    h = half[idx]
     with np.errstate(over="ignore"):
-        mag = np.exp(0.5 * math.log(math.pi / 2.0)
-                     + half[:, None] + half[None, :] + logm[tot // 2])
-    sign = sigma[:, None] * fp * (-1.0) ** (tot // 2)
-    return np.where(tot % 2 == 0, sign * mag, 0.0)
+        mag = np.exp(_LOG_SQRT_HALF_PI + h[:, None] + h[None, :] + logm[block.pair])
+    row = sigma[idx] * (fp * (-1.0) ** (idx[0] % 2)) * block.sign
+    return row[:, None] * mag * block.sign[None, :]
 
 
 def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
@@ -123,6 +144,82 @@ def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
     with np.errstate(over="ignore"):
         mag = np.exp(half[:, None] + half[None, :] + lT)
     return sigma[:, None] * fp * sT * mag
+
+
+def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
+    """The nonempty decoupled blocks of one mode's kernel.
+
+    At zero radius only the mode's parity of orders takes part; at zero
+    tilt and positive radius the even and odd orders decouple; at tilt
+    every order couples to every other.
+    """
+    if geom.R == 0.0:
+        starts, step = (_knife_start(mode),), 2
+    elif geom.theta == 0.0:
+        starts, step = (0, 1), 2
+    else:
+        starts, step = (0,), 1
+    blocks = []
+    for start in starts:
+        idx = np.arange(start, nu_max + 1, step)
+        if idx.size == 0:
+            continue
+        if geom.theta == 0.0:
+            blocks.append(_Block(idx, (idx[:, None] + idx[None, :]) // 2,
+                                 (-1.0) ** (idx // 2)))
+        else:
+            blocks.append(_Block(idx))
+    return blocks
+
+
+def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
+    """Yield the kernel's decoupled blocks, one frequency node at a time.
+
+    For each q in the array ``q`` this yields a dict mapping each of
+    ``modes`` to a list of (orders, entries) pairs, one per diagonal
+    block; orders outside every block do not couple (or, at the knife
+    edge, do not take part).  The determinant of 1 - N is the product
+    over blocks, and truncating at order nu keeps each block's leading
+    orders up to nu.  What does not depend on the node is computed once
+    for the series: the zero-tilt Bateman table over all nodes, the
+    block layouts and their index and sign arrays.  At positive radius
+    and tilt the element matrix is built once per node for all modes.
+
+    This is the only place the four constructions (knife or body,
+    tilted or not) are chosen; `build_kernel` scatters the blocks into
+    one matrix and the energy integrands factor them block by block.
+    """
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    knife, untilted = geom.R == 0.0, geom.theta == 0.0
+    layouts = {mode: _layout(geom, nu_max, mode) for mode in modes}
+    if untilted:
+        logm = bateman_m_log(nu_max, 2.0 * q * geom.d)
+        parity = (-1.0) ** np.arange(nu_max + 1)
+    for i, qi in enumerate(q):
+        if knife and untilted:
+            k = parity * np.exp(logm[:, i])
+        elif not knife and not untilted:
+            sT, lT = tilted_matrix_log(nu_max, qi, geom.d, geom.theta, node_count)
+        node = {}
+        for mode in modes:
+            if not knife:
+                sigma, half = _body_half_logs(nu_max, mode, geom.mu0 * math.sqrt(2.0 * qi))
+                fp = plane_amplitude(mode)
+            blocks = []
+            for block in layouts[mode]:
+                if knife and untilted:
+                    entries = _knife_block_from_k(block.pair, k, mode)
+                elif knife:
+                    G, w = _gram(qi, geom.d, geom.theta, nu_max, node_count,
+                                 int(block.idx[0]), 2)
+                    entries = _knife_block_from_gram(G, w)
+                elif untilted:
+                    entries = _body_block_theta0(sigma, half, fp, logm[:, i], block)
+                else:
+                    entries = _body_block_tilted(sigma, half, fp, sT, lT)
+                blocks.append((block.idx, entries))
+            node[mode] = blocks
+        yield node
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int,
@@ -136,7 +233,8 @@ def build_kernel(geom: Geometry, q: float, nu_max: int,
     boundary conditions by parity.  With a mode given, the kernel of
     that single channel is returned: on the knife edge it lives on the
     matching-parity orders only, while for positive radius all orders
-    couple.
+    couple.  The matrix is scattered from the blocks of `kernel_blocks`;
+    entries between different blocks are exact zeros.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be positive and finite")
@@ -148,36 +246,21 @@ def build_kernel(geom: Geometry, q: float, nu_max: int,
             raise DomainError(
                 "the combined kernel requires zero radius and zero tilt; "
                 "pass a boundary mode otherwise")
-        nu = np.arange(nu_max + 1)
-        k = bateman_k_table(nu_max, 2.0 * q * geom.H)
-        tot = nu[:, None] + nu[None, :]
-        entries = np.where(tot % 2 == 0,
-                           (-1.0) ** nu[:, None] * k[tot // 2], 0.0)
-        return TruncatedKernel(nu_max, entries, q * geom.H, "full", None, nu)
-
-    mode = BoundaryMode(mode)
-    channel = ("dirichlet-block" if mode is BoundaryMode.DIRICHLET
-               else "neumann-block")
-    if geom.R == 0.0:
-        start = 0 if mode is BoundaryMode.DIRICHLET else 1
-        nu_idx = np.arange(start, nu_max + 1, 2)
-        if geom.theta == 0.0:
-            k = bateman_k_table(nu_max, 2.0 * q * geom.H)
-            entries = _knife_block_from_k(nu_idx, k, mode)
-        else:
-            G, w = _gram(q, geom.H, geom.theta, nu_max, node_count)
-            entries = _knife_block_from_gram(nu_idx, G, w)
-        return TruncatedKernel(nu_max, entries, q * geom.H, channel, mode, nu_idx)
-
-    nu_idx = np.arange(nu_max + 1)
-    sigma, half = _body_half_logs(nu_max, mode, geom.mu0 * math.sqrt(2.0 * q))
-    fp = plane_amplitude(mode)
-    if geom.theta == 0.0:
-        logm = bateman_m_log(nu_max, 2.0 * q * geom.d)
-        entries = _body_block_theta0(sigma, half, fp, logm)
+        modes, channel = tuple(BoundaryMode), "full"
+        nu_idx = np.arange(nu_max + 1)
     else:
-        sT, lT = tilted_matrix_log(nu_max, q, geom.d, geom.theta, node_count)
-        entries = _body_block_tilted(sigma, half, fp, sT, lT)
+        mode = BoundaryMode(mode)
+        modes = (mode,)
+        channel = ("dirichlet-block" if mode is BoundaryMode.DIRICHLET
+                   else "neumann-block")
+        step = 2 if geom.R == 0.0 else 1
+        start = _knife_start(mode) if geom.R == 0.0 else 0
+        nu_idx = np.arange(start, nu_max + 1, step)
+    node = next(kernel_blocks(geom, q, nu_max, modes, node_count))
+    entries = np.zeros((nu_idx.size, nu_idx.size))
+    for idx, block in (b for m in modes for b in node[m]):
+        sel = np.searchsorted(nu_idx, idx)
+        entries[np.ix_(sel, sel)] = block
     if not np.all(np.isfinite(entries)):
         raise PhysicalRegimeError(
             "kernel entries overflowed; the balanced gauge does not cover "
@@ -203,25 +286,16 @@ def parity_block(kernel: TruncatedKernel, mode: BoundaryMode | str) -> Truncated
                            kernel.q_scaled, channel, mode, sel)
 
 
-def logdet_one_minus(kernel: TruncatedKernel | np.ndarray) -> float:
-    """log det(1 - N) with an explicit positivity check.
-
-    The sign is tracked exactly through the LU factorization (row-swap
-    parity times the signs of the pivots).  A nonpositive or nonfinite
-    determinant raises `PhysicalRegimeError` rather than returning a
-    garbage value, since downstream integration would silently absorb
-    it.
-    """
-    entries = kernel.entries if isinstance(kernel, TruncatedKernel) else np.asarray(kernel)
-    n = entries.shape[0]
+def _lu_logdet(m: np.ndarray) -> float:
+    """log det m through LU, with the sign tracked exactly (row-swap
+    parity times the signs of the pivots)."""
+    n = m.shape[0]
     if n == 0:
         return 0.0
-    if not np.all(np.isfinite(entries)):
-        raise PhysicalRegimeError("kernel contains nonfinite entries")
-    m = np.eye(n) - entries
-    lu, piv = lu_factor(m, check_finite=False)
+    # det m^T = det m, and m^T is the Fortran-ordered view LAPACK reads.
+    lu, piv, info = lapack.dgetrf(m.T)
     diag = np.diagonal(lu)
-    if not np.all(np.isfinite(diag)) or np.any(diag == 0.0):
+    if info != 0 or not np.all(np.isfinite(diag)):
         raise PhysicalRegimeError("factorization of 1 - N broke down")
     swaps = int(np.count_nonzero(piv != np.arange(n)))
     negs = int(np.count_nonzero(diag < 0.0))
@@ -230,3 +304,56 @@ def logdet_one_minus(kernel: TruncatedKernel | np.ndarray) -> float:
             "det(1 - N) is negative; increase quadrature resolution or "
             "check the geometry")
     return float(np.sum(np.log(np.abs(diag))))
+
+
+def _cholesky_ladder(m: np.ndarray) -> np.ndarray:
+    """log det of every leading block of the symmetric matrix m.
+
+    Entry s of the result belongs to the leading s x s block: the
+    Cholesky factor of a leading block is the leading block of the
+    factor, so one factorization serves them all.
+    """
+    # m is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order and LAPACK can work in place without a copy.
+    factor, info = lapack.dpotrf(m.T, lower=True, clean=False, overwrite_a=True)
+    if info > 0:
+        raise PhysicalRegimeError(
+            f"1 - N is not positive definite: its leading minor of order "
+            f"{info} (of {m.shape[0]}) is not positive; increase quadrature "
+            "resolution or check the geometry")
+    return np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diagonal(factor)))))
+
+
+def logdet_one_minus(kernel: TruncatedKernel | np.ndarray, sizes=None):
+    """log det(1 - N) with an explicit positivity check.
+
+    With ``sizes`` (a sequence of leading-block sizes) the result is an
+    array holding log det(1 - N[:s, :s]) for each s; without it, the
+    float for the whole matrix.
+
+    An exactly symmetric kernel (every knife-edge kernel) must leave
+    1 - N positive definite, since all its eigenvalues lie below one.
+    One Cholesky factorization of the largest block checks that and
+    serves every smaller size through partial sums of 2 log diag(L);
+    a failure raises `PhysicalRegimeError` naming the order of the
+    leading minor where positivity was lost.  Any other kernel gets one LU
+    factorization per size, with the sign tracked exactly; a
+    nonpositive or nonfinite determinant raises `PhysicalRegimeError`
+    rather than returning a garbage value, since downstream integration
+    would silently absorb it.
+    """
+    entries = kernel.entries if isinstance(kernel, TruncatedKernel) else np.asarray(kernel)
+    n = entries.shape[0]
+    want = np.asarray([n] if sizes is None else sizes, dtype=int)
+    if np.any(want < 0) or np.any(want > n):
+        raise DomainError(f"block sizes must lie in [0, {n}]")
+    top = int(want.max(initial=0))
+    head = entries[:top, :top]
+    if not np.all(np.isfinite(head)):
+        raise PhysicalRegimeError("kernel contains nonfinite entries")
+    m = np.eye(top) - head
+    if np.array_equal(head, head.T):
+        out = _cholesky_ladder(m)[want]
+    else:
+        out = np.array([_lu_logdet(m[:s, :s]) for s in want])
+    return float(out[0]) if sizes is None else out

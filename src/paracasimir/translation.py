@@ -130,16 +130,24 @@ def _u_grid(w: float, node_count: int = 16):
     return np.concatenate(us), np.concatenate(ws)
 
 
-def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16):
+def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
+          start: int = 0, step: int = 1):
     """Half-line Gram matrix of the tilted element integrand.
 
-    G[n, n2] = Re Integral_0^inf du e^{-w (cosh u - 1)}
-               t^n conj(t)^n2 / |cos((theta - i u)/2)|^2,
-    with t = tan((theta - i u)/2) and w = 2 q d.  The overall e^{-w} is
-    stripped so the matrix stays well scaled at large w; callers restore
-    it (usually in log space).  G is symmetric positive semidefinite by
-    construction: it is the real part of a Hermitian sum of rank-one
-    terms with positive weights.
+    G[i, j] = Re Integral_0^inf du e^{-w (cosh u - 1)}
+              t^n conj(t)^n2 / |cos((theta - i u)/2)|^2,
+    with t = tan((theta - i u)/2), w = 2 q d and (n, n2) running over the
+    orders start, start + step, ... up to nu_max.  A knife-edge channel
+    needs only its own parity (step 2); the positive-radius kernel needs
+    all orders (step 1).  The overall e^{-w} is stripped so the matrix
+    stays well scaled at large w; callers restore it (usually in log
+    space).
+
+    With the square root of the positive weight folded into the powers,
+    P[u, i] = sqrt(weight(u)) t(u)^n_i, the real part of P^H P is A^T A
+    for the real matrix A = [Re P; Im P].  G is therefore symmetric
+    positive semidefinite by construction, and exactly symmetric in
+    floating point.
 
     Powers of t are built by cumulative products, so no complex
     logarithm (and hence no branch choice) is ever taken; |t| <= 1 for
@@ -152,14 +160,14 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16):
     half = 0.5 * (theta - 1j * u)
     t = np.tan(half)
     c2 = np.abs(np.cos(half)) ** 2
-    wgt = wq * np.exp(-w * (np.cosh(u) - 1.0)) / c2
-    cols = nu_max + 1
+    root = np.sqrt(wq * np.exp(-w * (np.cosh(u) - 1.0)) / c2)
+    cols = (nu_max - start) // step + 1
     P = np.empty((u.size, cols), dtype=complex)
-    P[:, 0] = 1.0
-    for n in range(1, cols):
-        P[:, n] = P[:, n - 1] * t
-    G = np.real((P.conj().T * wgt) @ P)
-    return G, w
+    P[:, 0] = root * t ** start
+    P[:, 1:] = (t ** step)[:, None]
+    np.cumprod(P, axis=1, out=P)
+    A = np.concatenate([P.real, P.imag])
+    return A.T @ A, w
 
 
 def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float, node_count: int = 16):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import paracasimir.energy as energy_module
 from paracasimir.energy import (
     EnergyResult,
     FitRejectedError,
@@ -16,8 +17,10 @@ from paracasimir.energy import (
     extrapolate_numax,
     thermal_energy,
 )
+from paracasimir.roundtrip import build_kernel
 from paracasimir.scattering import BoundaryMode, Geometry
 from paracasimir.specfun import DomainError
+from paracasimir.translation import AccuracyError
 
 KNIFE = Geometry(0.0, 1.0)
 LADDER = (8, 16, 32, 64)
@@ -206,6 +209,48 @@ class TestThermal:
         d = thermal_energy(KNIFE, 0.25, nu_max=24, channel="dirichlet").value
         n = thermal_energy(KNIFE, 0.25, nu_max=24, channel="neumann").value
         assert em == pytest.approx(d + n, abs=1e-12)
+
+
+    def test_failed_node_doubling_raises(self, monkeypatch):
+        def matsubara_sum(geom, T_scaled, orders, channel, spec):
+            # A clean truncation series whose value moves by 10% when the
+            # frequency nodes are doubled.
+            totals = -0.1 * (1.0 - 2.0 ** -np.log2(np.asarray(orders, dtype=float)))
+            return totals * (1.0 if spec.node_count == 10 else 1.1)
+
+        monkeypatch.setattr(energy_module, "_matsubara_sum", matsubara_sum)
+        with pytest.raises(AccuracyError):
+            thermal_energy(KNIFE, 0.05, nu_max=LADDER)
+
+
+class TestLadderAgainstLU:
+    """Every rung of `_g_series` against one LU per rung of the unsplit
+    `build_kernel` matrix, which shares neither the parity split nor
+    the single Cholesky factorization of the ladder."""
+
+    @pytest.mark.parametrize("geom,channel", [
+        (Geometry(0.0, 1.0), "em"),
+        (Geometry(0.0, 1.0, math.radians(85.0)), "dirichlet"),
+        (Geometry(0.0, 1.0, math.radians(85.0)), "neumann"),
+        (Geometry(1.0, 1.0), "em"),
+    ])
+    def test_rungs_match_one_lu_per_rung(self, geom, channel):
+        orders = [6, 13, 25, 50]
+        x = np.array([0.1, 0.4, 1.2])
+        got = energy_module._g_series(geom, x, orders, channel)
+        modes = ((None,) if geom.R == 0.0 and geom.theta == 0.0 and channel == "em"
+                 else energy_module._modes(channel))
+        for i, xi in enumerate(x):
+            for j, order in enumerate(orders):
+                expected = 0.0
+                for mode in modes:
+                    kernel = build_kernel(geom, xi / geom.H, orders[-1], mode=mode)
+                    cut = int(np.count_nonzero(kernel.nu_indices <= order))
+                    sign, logdet = np.linalg.slogdet(
+                        np.eye(cut) - kernel.entries[:cut, :cut])
+                    assert sign == 1.0
+                    expected += logdet
+                assert got[j, i] == pytest.approx(expected, rel=1e-12)
 
 
 class TestClassicalCoefficient:

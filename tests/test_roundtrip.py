@@ -146,6 +146,24 @@ class TestLogDet:
             logdet_one_minus(np.array([[2.0]]))
         with pytest.raises(PhysicalRegimeError):
             logdet_one_minus(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        # Two eigenvalues above one leave det(1 - N) positive; only the
+        # positivity of 1 - N itself exposes the violation.
+        with pytest.raises(PhysicalRegimeError, match="minor of order 1 "):
+            logdet_one_minus(np.diag([2.0, 2.0]))
+
+    def test_ladder_matches_leading_blocks(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(9, 9)) / 10.0
+        for entries in (a @ a.T, a):
+            sizes = [0, 2, 5, 9]
+            ladder = logdet_one_minus(entries, sizes)
+            for s, got in zip(sizes, ladder):
+                assert got == pytest.approx(
+                    logdet_one_minus(entries[:s, :s]), rel=1e-13, abs=1e-15)
+
+    def test_ladder_sizes_validated(self):
+        with pytest.raises(DomainError):
+            logdet_one_minus(np.zeros((3, 3)), [4])
 
     def test_nonfinite_entries_raise(self):
         with pytest.raises(PhysicalRegimeError):

@@ -13,6 +13,7 @@ from paracasimir.specfun import DomainError, ParabolicPoint
 from paracasimir.translation import (
     AccuracyError,
     SpectralPoint,
+    _gram,
     green_parabolic,
     theta0_element,
     tilted_element,
@@ -141,6 +142,44 @@ class TestTiltedElement:
             tilted_element(0, 0, 1.0, 1.0, math.pi / 2)
         with pytest.raises(DomainError):
             tilted_element(0, 0, -1.0, 1.0, 0.0)
+
+
+class TestParityGram:
+    """The parity quarter of the tilted Gram against the scalar element.
+
+    `tilted_element` integrates the unfolded complex integrand over +u
+    and -u and checks itself by node doubling; the Gram folds the two
+    halves into real arithmetic.  They are tied by
+    G[n, n2] = (-1)^n2 T_{n n2} sqrt(2 pi) e^w.
+    """
+
+    PAIRS = ((0, 0), (1, 3), (10, 40), (50, 50), (99, 70), (100, 100), (0, 100))
+
+    @pytest.mark.parametrize("theta", [0.3, math.radians(85.0)])
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("q", [0.05, 0.4, 2.0])
+    def test_quarter_matches_scalar_element(self, theta, start, q):
+        d = 1.0
+        # 85 degrees needs more u nodes than the default 16 to reach
+        # 1e-12; both sides use the same count.
+        G, w = _gram(q, d, theta, 200, 32, start, 2)
+        assert G.shape == (101 - start, 101 - start)
+        assert np.array_equal(G, G.T)
+        scale = np.abs(G).max()
+        for a, b in self.PAIRS:
+            if max(a, b) >= G.shape[0]:
+                continue
+            n, n2 = start + 2 * a, start + 2 * b
+            element = tilted_element(n, n2, q, d, theta, node_count=32)
+            expected = (-1.0) ** n2 * element * math.sqrt(2.0 * math.pi) * math.exp(w)
+            assert abs(G[a, b] - expected) <= 1e-12 * scale
+
+    def test_quarter_is_a_slice_of_the_full_gram(self):
+        full, _ = _gram(0.4, 1.0, 0.7, 60)
+        for start in (0, 1):
+            quarter, _ = _gram(0.4, 1.0, 0.7, 60, start=start, step=2)
+            np.testing.assert_allclose(quarter, full[start::2, start::2],
+                                       rtol=0, atol=1e-14 * np.abs(full).max())
 
 
 class TestGreenOracle:
