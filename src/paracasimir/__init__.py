@@ -19,7 +19,6 @@ Quick start:
 from .specfun import (
     DomainError,
     ParabolicPoint,
-    ScaledArgument,
     SignedLog,
     UnsupportedOrderError,
     bateman_k,
@@ -37,7 +36,6 @@ from .scattering import (
 )
 from .translation import (
     AccuracyError,
-    SpectralPoint,
     theta0_element,
     tilted_element,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "UnsupportedOrderError",
     "SignedLog",
     "ParabolicPoint",
-    "ScaledArgument",
     "pcf_regular",
     "pcf_regular_imag",
     "pcf_outgoing",
@@ -89,7 +86,6 @@ __all__ = [
     "parabolic_amplitude",
     "mode_for_parity",
     "AccuracyError",
-    "SpectralPoint",
     "theta0_element",
     "tilted_element",
     "PhysicalRegimeError",

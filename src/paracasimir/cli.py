@@ -240,41 +240,30 @@ def _rows_energy(config):
 
 
 def _rows_cperp(config):
-    from .energy import energy_per_length
-    from .scattering import Geometry
+    from .energy import _tilt_coefficient
     _, spec = _quadrature(config)
-    geom = Geometry(0.0, 1.0, 0.0)
-    res = energy_per_length(geom, spec, config.numax, config.channel)
+    res = _tilt_coefficient(0.0, config.numax, spec, config.channel)
     header = ["channel", "nu_max", "c_perp", "trunc_error", "quad_error"]
     return header, [{
         "channel": config.channel, "nu_max": res.series[-1][0],
-        "c_perp": -res.extrapolated, "trunc_error": res.trunc_error,
+        "c_perp": res.extrapolated, "trunc_error": res.trunc_error,
         "quad_error": res.quad_error,
     }], True
 
 
 def _rows_ctheta(config):
-    from .energy import energy_per_length
-    from .scattering import Geometry
+    from .energy import _tilt_coefficient
     _, spec = _quadrature(config)
     lo = config.sweep_from if config.sweep_from is not None else 0.0
     hi = config.sweep_to if config.sweep_to is not None else 90.0
     header = ["theta_deg", "c_theta", "channel", "trunc_error", "quad_error"]
 
     def point(theta_deg):
-        theta = math.radians(theta_deg)
-        if abs(abs(theta) - math.pi / 2) < 1e-12:
-            exact = math.pi ** 2 / (1440.0 if config.channel == "em" else 2880.0)
-            return {"theta_deg": theta_deg, "c_theta": exact,
-                    "channel": config.channel, "trunc_error": 0.0,
-                    "quad_error": 0.0}
-        eff = max(config.numax, 200) if abs(theta) > math.radians(80.0) else config.numax
-        res = energy_per_length(Geometry(0.0, 1.0, theta), spec, eff,
+        res = _tilt_coefficient(math.radians(theta_deg), config.numax, spec,
                                 config.channel)
-        cos = math.cos(theta)
-        return {"theta_deg": theta_deg, "c_theta": -cos * res.extrapolated,
-                "channel": config.channel, "trunc_error": cos * res.trunc_error,
-                "quad_error": cos * res.quad_error}
+        return {"theta_deg": theta_deg, "c_theta": res.extrapolated,
+                "channel": config.channel, "trunc_error": res.trunc_error,
+                "quad_error": res.quad_error}
 
     rows = _map_ordered(point, _linspace(lo, hi, config.points))
     return header, rows, True

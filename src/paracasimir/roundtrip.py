@@ -278,8 +278,7 @@ def parity_block(kernel: TruncatedKernel, mode: BoundaryMode | str) -> Truncated
     if kernel.channel != "full":
         raise DomainError("parity_block expects a 'full' channel kernel")
     mode = BoundaryMode(mode)
-    start = 0 if mode is BoundaryMode.DIRICHLET else 1
-    sel = np.arange(start, kernel.nu_max + 1, 2)
+    sel = np.arange(_knife_start(mode), kernel.nu_max + 1, 2)
     channel = ("dirichlet-block" if mode is BoundaryMode.DIRICHLET
                else "neumann-block")
     return TruncatedKernel(kernel.nu_max, kernel.entries[np.ix_(sel, sel)],

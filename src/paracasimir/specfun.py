@@ -33,7 +33,7 @@ and is produced by ``scripts/gen_specfun_fixtures.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx, k0e
@@ -43,7 +43,6 @@ __all__ = [
     "UnsupportedOrderError",
     "SignedLog",
     "ParabolicPoint",
-    "ScaledArgument",
     "pcf_regular",
     "pcf_regular_imag",
     "pcf_outgoing",
@@ -153,24 +152,6 @@ class ParabolicPoint:
         elif x == 0.0 and y < 0.0:
             lam = 0.0
         return cls(lam, math.sqrt(mu2), z)
-
-
-@dataclass(frozen=True)
-class ScaledArgument:
-    """A parabolic coordinate scaled by sqrt(2q) for use as a PCF argument.
-
-    q is the Euclidean wavenumber magnitude sqrt(kappa^2 + kz^2); the
-    wave solutions take D_n at argument raw*sqrt(2q).
-    """
-
-    raw: float
-    q: float
-    scaled: float = field(init=False)
-
-    def __post_init__(self):
-        if self.q <= 0:
-            raise DomainError("q must be positive")
-        object.__setattr__(self, "scaled", self.raw * math.sqrt(2.0 * self.q))
 
 
 def _check_order(n) -> int:

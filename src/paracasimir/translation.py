@@ -38,8 +38,6 @@ is re-exported under the testing-support namespace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import gammaln, roots_legendre
 
@@ -54,7 +52,6 @@ from .specfun import (
 
 __all__ = [
     "AccuracyError",
-    "SpectralPoint",
     "theta0_element",
     "tilted_element",
     "green_parabolic",
@@ -70,36 +67,6 @@ class AccuracyError(ArithmeticError):
     def __init__(self, message: str, estimate: float):
         super().__init__(f"{message} (error estimate {estimate:.3e})")
         self.estimate = estimate
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One plane-wave channel at imaginary frequency.
-
-    kappa is the imaginary frequency, kz the axial and kx the transverse
-    wavenumber.  The kernel depends on (kappa, kz) only through
-    q = sqrt(kappa^2 + kz^2).  The decay constant along y is
-    ky_mag = sqrt(q^2 + kx^2) (the wavenumber itself is i*ky_mag), and
-    the complex propagation angle phi with tan(phi) = kx/ky is purely
-    imaginary: phi = -i u with sinh u = kx/q.
-    """
-
-    kappa: float
-    kz: float
-    kx: float
-    q: float = field(init=False)
-    ky_mag: float = field(init=False)
-    phi: complex = field(init=False)
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise DomainError("kappa must be nonnegative")
-        q = math.hypot(self.kappa, self.kz)
-        if q == 0.0:
-            raise DomainError("kappa and kz cannot both vanish")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ky_mag", math.hypot(q, self.kx))
-        object.__setattr__(self, "phi", complex(0.0, -math.asinh(self.kx / q)))
 
 
 # Panel edges for the u-quadrature.  Two length scales must both be

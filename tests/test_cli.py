@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from paracasimir.cli import RunConfig, build_config, main, parse_config_file, run
+from paracasimir.energy import c_theta, energy_per_length
+from paracasimir.scattering import Geometry
 from paracasimir.specfun import DomainError
 from paracasimir.testing import IdentityCheck
 
@@ -172,6 +174,24 @@ class TestCommandOutput:
         assert float(last["trunc_error"]) == 0.0
         first = dict(zip(header, rows[0]))
         assert float(first["c_theta"]) == pytest.approx(0.00674, abs=3e-4)
+
+    def test_ctheta_sweep_floors_the_order(self, tmp_path):
+        # Above 80 degrees the row is the library's c_theta, whose ladder
+        # is floored at order 200, and its errors are cos(theta) times
+        # those of the floored energy.
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "ctheta-sweep", "--from", "82", "--to", "82", "--points", "1",
+            "--numax", "16", "--output", str(out),
+        ])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        theta = math.radians(82.0)
+        assert float(row["c_theta"]) == c_theta(theta, 16)
+        floored = energy_per_length(Geometry(0.0, 1.0, theta), nu_max=200)
+        assert float(row["trunc_error"]) == math.cos(theta) * floored.trunc_error
+        assert float(row["quad_error"]) == math.cos(theta) * floored.quad_error
 
     def test_h_sweep_ratio_column(self, tmp_path):
         out = tmp_path / "hsweep.csv"

@@ -19,7 +19,7 @@ from paracasimir.energy import (
 )
 from paracasimir.roundtrip import build_kernel
 from paracasimir.scattering import BoundaryMode, Geometry
-from paracasimir.specfun import DomainError
+from paracasimir.specfun import DomainError, bateman_m_log
 from paracasimir.translation import AccuracyError
 
 KNIFE = Geometry(0.0, 1.0)
@@ -251,6 +251,25 @@ class TestLadderAgainstLU:
                     assert sign == 1.0
                     expected += logdet
                 assert got[j, i] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("channel,parity", [("dirichlet", 0), ("neumann", 1)])
+    def test_knife_rungs_match_hankel_moments(self, channel, parity):
+        # At zero radius and tilt the channel's kernel is, up to the
+        # similarity diag((-1)^a), the Hankel matrix M[a, a'] =
+        # m_{a+a'+p}(2x) of Bateman moments, built here straight from
+        # the table; x runs across the classical coefficient's order
+        # doubling at 2e-2.
+        orders = [9, 20, 41]
+        x = np.array([1e-4, 1e-2, 0.5])
+        got = energy_module._g_series(KNIFE, x, orders, channel)
+        logm = bateman_m_log(orders[-1], 2.0 * x)
+        for i in range(x.size):
+            for j, order in enumerate(orders):
+                a = np.arange((order - parity) // 2 + 1)
+                moments = np.exp(logm[a[:, None] + a[None, :] + parity, i])
+                sign, logdet = np.linalg.slogdet(np.eye(a.size) - moments)
+                assert sign == 1.0
+                assert got[j, i] == pytest.approx(logdet, rel=1e-12)
 
 
 class TestClassicalCoefficient:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from paracasimir.specfun import (
     DomainError,
     ParabolicPoint,
-    ScaledArgument,
     SignedLog,
     UnsupportedOrderError,
     bateman_k,
@@ -351,9 +350,3 @@ class TestCoordinates:
     def test_negative_mu_rejected(self):
         with pytest.raises(DomainError):
             ParabolicPoint(1.0, -0.5)
-
-    def test_scaled_argument(self):
-        arg = ScaledArgument(1.5, 2.0)
-        assert arg.scaled == pytest.approx(1.5 * math.sqrt(4.0), rel=1e-15)
-        with pytest.raises(DomainError):
-            ScaledArgument(1.0, 0.0)

@@ -1,18 +1,14 @@
 """Tests for the plane-parabola translation elements and the wave-expansion oracle."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from paracasimir.specfun import DomainError, ParabolicPoint
 from paracasimir.translation import (
     AccuracyError,
-    SpectralPoint,
     _gram,
     green_parabolic,
     theta0_element,
@@ -41,36 +37,6 @@ def quadrature_oracle(n, n2, q, d):
     value, _ = scipy.integrate.quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=1e-12)
     sign = (-1.0) ** (total // 2)
     return sign * 2.0 * value * math.exp(-w) / (2.0 * math.sqrt(2.0 * math.pi))
-
-
-class TestSpectralPoint:
-    @given(
-        st.floats(1e-3, 50.0, allow_subnormal=False),
-        st.floats(-50.0, 50.0, allow_subnormal=False),
-        st.floats(-50.0, 50.0, allow_subnormal=False),
-    )
-    @settings(max_examples=80)
-    def test_q_composition(self, kappa, kz, kx):
-        point = SpectralPoint(kappa=kappa, kz=kz, kx=kx)
-        assert point.q == pytest.approx(math.hypot(kappa, kz), rel=1e-14)
-        assert point.ky_mag == pytest.approx(math.hypot(point.q, kx), rel=1e-14)
-
-    def test_half_angle_substitution(self):
-        # With kx = q sinh u the complex half angle obeys
-        # tan(phi/2) = -i tanh(u/2).
-        q = 1.7
-        for u in (-2.0, -0.3, 0.0, 0.9, 3.1):
-            point = SpectralPoint(kappa=q, kz=0.0, kx=q * math.sinh(u))
-            got = cmath.tan(point.phi / 2.0)
-            want = -1j * math.tanh(u / 2.0)
-            assert got == pytest.approx(want, abs=1e-14)
-
-    def test_damping_form(self):
-        # e^{i ky d} continues to e^{-q d cosh u} on the imaginary
-        # frequency contour.
-        q, d, u = 0.8, 1.3, 1.1
-        point = SpectralPoint(kappa=0.5, kz=math.sqrt(q * q - 0.25), kx=q * math.sinh(u))
-        assert point.ky_mag * d == pytest.approx(q * d * math.cosh(u), rel=1e-14)
 
 
 class TestTheta0Element:
