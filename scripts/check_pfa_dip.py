@@ -161,6 +161,7 @@ def relative_error(sign, logmag, reference):
     return abs(float(mp.expm1(mp.mpf(float(logmag)) - mp.log(abs(reference)))))
 
 
+@mp.workdps(40)
 def check_amplitudes():
     worst = 0.0
     print(f"\nF_n against mpmath, mu0~ in {MU_SCALED}")
@@ -219,8 +220,7 @@ def report_expansion(ratios):
 
 
 def main():
-    with mp.workdps(40):
-        amplitudes_ok = check_amplitudes()
+    amplitudes_ok = check_amplitudes()
     energies_ok, ratios = check_energies()
     report_expansion(ratios)
     ok = amplitudes_ok and energies_ok

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,31 @@ class TestSpotValues:
             )
             assert bateman_k(ell, u) == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("u", [6e-5, 3e-4])
+    def test_bateman_small_argument_against_quadrature(self, u):
+        # Below the fixtures' u >= 1e-3, where the classical coefficient
+        # evaluates order 403: adaptive quadrature of
+        # m_n(u) = (1/pi) int tanh^2n(t/2) sech^2(t/2) e^{-u cosh t} dt,
+        # in plain floats on fixed subintervals up to u cosh t = 60.
+        def integrand(t, n):
+            return math.tanh(t / 2) ** (2 * n) / math.cosh(t / 2) ** 2 * math.exp(-u * math.cosh(t))
+
+        edges = np.linspace(0.0, math.acosh(60.0 / u), 31)
+        logm = bateman_m_log(403, u)
+        for n in (0, 201, 403):
+            value = sum(
+                integrate.quad(integrand, a, b, args=(n,), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            ) / math.pi
+            assert math.exp(logm[n]) == pytest.approx(value, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("u", [0.5, 2.0, 10.0])
+    def test_bateman_sum_rule(self, u):
+        # sum_n m_n(u) = K_0(u)/pi; the table does not use it.  Beyond
+        # order 400 the tail is below e^-40 of the sum at these u.
+        total = np.exp(bateman_m_log(400, u)).sum()
+        assert total == pytest.approx(sp.k0e(u) * math.exp(-u) / math.pi, rel=1e-12)
+
 
 def residual_relative(parts):
     """|sum of signed terms| over the largest term magnitude.
@@ -228,7 +254,7 @@ class TestRecurrences:
         )
         assert resid < 1e-10
 
-    @pytest.mark.parametrize("u", [1e-3, 0.04, 0.8, 6.0, 55.0])
+    @pytest.mark.parametrize("u", [6e-5, 1e-3, 0.04, 0.8, 6.0, 55.0])
     def test_bateman_contiguous_relation(self, u):
         values = bateman_k_table(40, u)
         for n in (1, 7, 24, 39):
@@ -277,6 +303,7 @@ class TestErrors:
             (bateman_k, (-1, 0.0)),
             (bateman_k, (-1, -2.0)),
             (bateman_k, (1.5, 1.0)),
+            (bateman_k, (-1, float("inf"))),
         ],
     )
     def test_domain_errors(self, fn, args):
