@@ -169,7 +169,7 @@ def check_amplitudes():
         errs = {n: [] for n in AMPLITUDE_ORDERS}
         for mu in MU_SCALED:
             # Read each order off the tables the ladders build, whose
-            # Miller start depends on the top order.
+            # recurrence is seeded at the top order.
             tables = {top: parabolic_amplitude_table(top, mode, mu)
                       for top in (800, 1600)}
             for n in AMPLITUDE_ORDERS:

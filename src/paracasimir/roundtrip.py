@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
@@ -83,13 +84,14 @@ _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 class _Block(NamedTuple):
     """One decoupled diagonal block of the kernel.
 
-    ``idx`` holds its partial-wave orders.  At zero tilt ``pair`` is the
-    Bateman index (n + n') // 2 of every entry and ``sign`` the vector
-    (-1)^(n // 2); both are computed once per frequency series.
+    ``idx`` holds its partial-wave orders.  At zero tilt ``pairs[i]`` is
+    the series' element table of node i at (n + n') // 2 over the block,
+    and ``sign`` the vector (-1)^(n // 2); both are made once per
+    frequency series.
     """
 
     idx: np.ndarray
-    pair: np.ndarray | None = None
+    pairs: np.ndarray | None = None
     sign: np.ndarray | None = None
 
 
@@ -98,10 +100,24 @@ def _knife_start(mode: BoundaryMode) -> int:
     return 0 if mode is BoundaryMode.DIRICHLET else 1
 
 
-def _knife_block_from_k(pair: np.ndarray, k: np.ndarray, mode: BoundaryMode) -> np.ndarray:
-    """Zero-radius, zero-tilt block given precomputed k_{-2n-1} values."""
-    block = k[pair]
-    return block if mode is BoundaryMode.DIRICHLET else -block
+def _by_pair(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """table[:, (n + n') // 2] over the orders n, n' of one parity block.
+
+    Within a parity (n + n') // 2 = n//2 + n'//2 + parity, so each row of
+    ``table`` gives a Hankel matrix.  They are returned as one read-only
+    view of shape (rows, m, m), with no index array.
+    """
+    start = int(idx[0]) % 2
+    return sliding_window_view(table[:, start:start + 2 * idx.size - 1], idx.size, axis=1)
+
+
+def _knife_block_from_k(pairs: np.ndarray, mode: BoundaryMode) -> np.ndarray:
+    """Zero-radius, zero-tilt block given its k_{-2n-1} Hankel matrix.
+
+    The block is a fresh array in both modes: the many small log-dets of
+    the Matsubara sum read a plain array faster than the strided view.
+    """
+    return pairs.copy() if mode is BoundaryMode.DIRICHLET else -pairs
 
 
 def _knife_block_from_gram(G: np.ndarray, w: float) -> np.ndarray:
@@ -109,33 +125,42 @@ def _knife_block_from_gram(G: np.ndarray, w: float) -> np.ndarray:
     return G * (math.exp(-w) / math.pi)
 
 
-def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: float):
+def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled):
     """Signs and half-logs of the normalized cylinder amplitudes.
 
     Returns (sigma, half) with sigma the amplitude signs and
-    half = 0.5 * log|F_nu / nu!|, the per-row balancing weight.
+    half = 0.5 * log|F_nu / nu!|, the per-row balancing weight.  For a
+    1-d array of arguments column i belongs to mu0_scaled[i].
     """
     sigma, logf = parabolic_amplitude_table(nu_max, mode, mu0_scaled)
-    half = 0.5 * (logf - gammaln(np.arange(nu_max + 1) + 1.0))
+    lfact = gammaln(np.arange(nu_max + 1) + 1.0)
+    half = 0.5 * (logf - (lfact[:, None] if logf.ndim == 2 else lfact))
     return sigma, half
 
 
 def _body_block_theta0(sigma: np.ndarray, half: np.ndarray, fp: float,
-                       logm: np.ndarray, block: _Block) -> np.ndarray:
+                       pairs: np.ndarray, block: _Block) -> np.ndarray:
     """One parity block of the positive-radius, zero-tilt kernel.
 
-    logm holds log m_n of the Bateman table at w = 2 q d.  Entries of
-    odd order sum vanish by mirror parity, so the kernel splits into an
-    even and an odd block.  Within one block (n + n')/2 equals
-    n//2 + n'//2 + parity, so the element sign (-1)^((n + n')/2) is the
-    outer product of ``block.sign`` with itself times (-1)^parity.
+    pairs holds log sqrt(pi/2) + log m_(n+n')/2 of the Bateman table at
+    w = 2 q d over the block.  Entries of odd order sum vanish by mirror
+    parity, so the kernel splits into an even and an odd block.  Within
+    one block (n + n')/2 equals n//2 + n'//2 + parity, so the element
+    sign (-1)^((n + n')/2) is the outer product of ``block.sign`` with
+    itself times (-1)^parity.  The amplitude signs are constant within a
+    parity, and h_i + h_j is summed before anything else is added, so
+    the block is exactly symmetric.  It is built in one buffer: a fresh
+    temporary per step would cost as much as the arithmetic.
     """
     idx = block.idx
     h = half[idx]
+    entries = h[:, None] + h[None, :]
+    entries += pairs
     with np.errstate(over="ignore"):
-        mag = np.exp(_LOG_SQRT_HALF_PI + h[:, None] + h[None, :] + logm[block.pair])
-    row = sigma[idx] * (fp * (-1.0) ** (idx[0] % 2)) * block.sign
-    return row[:, None] * mag * block.sign[None, :]
+        np.exp(entries, out=entries)
+    entries *= (sigma[idx] * (fp * (-1.0) ** (idx[0] % 2)) * block.sign)[:, None]
+    entries *= block.sign
+    return entries
 
 
 def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
@@ -146,12 +171,13 @@ def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
     return sigma[:, None] * fp * sT * mag
 
 
-def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
+def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode, table) -> list:
     """The nonempty decoupled blocks of one mode's kernel.
 
     At zero radius only the mode's parity of orders takes part; at zero
     tilt and positive radius the even and odd orders decouple; at tilt
-    every order couples to every other.
+    every order couples to every other.  At zero tilt ``table`` holds
+    one row of elements per node, indexed by (n + n') // 2.
     """
     if geom.R == 0.0:
         starts, step = (_knife_start(mode),), 2
@@ -164,11 +190,10 @@ def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
         idx = np.arange(start, nu_max + 1, step)
         if idx.size == 0:
             continue
-        if geom.theta == 0.0:
-            blocks.append(_Block(idx, (idx[:, None] + idx[None, :]) // 2,
-                                 (-1.0) ** (idx // 2)))
-        else:
+        if table is None:
             blocks.append(_Block(idx))
+        else:
+            blocks.append(_Block(idx, _by_pair(table, idx), (-1.0) ** (idx // 2)))
     return blocks
 
 
@@ -181,9 +206,11 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
     edge, do not take part).  The determinant of 1 - N is the product
     over blocks, and truncating at order nu keeps each block's leading
     orders up to nu.  What does not depend on the node is computed once
-    for the series: the zero-tilt Bateman table over all nodes, the
-    block layouts and their index and sign arrays.  At positive radius
-    and tilt the element matrix is built once per node for all modes.
+    for the series: the zero-tilt element table and, at positive radius,
+    each mode's amplitude signs and half-logs over all nodes, the block
+    layouts and their index, element and sign arrays.  At positive
+    radius and tilt the element matrix is built once per node for all
+    modes.
 
     This is the only place the four constructions (knife or body,
     tilted or not) are chosen; `build_kernel` scatters the blocks into
@@ -191,30 +218,35 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     knife, untilted = geom.R == 0.0, geom.theta == 0.0
-    layouts = {mode: _layout(geom, nu_max, mode) for mode in modes}
+    table = None
     if untilted:
-        logm = bateman_m_log(nu_max, 2.0 * q * geom.d)
-        parity = (-1.0) ** np.arange(nu_max + 1)
+        # One row per node: k_{-2n-1} at the knife edge, else log m_n plus
+        # the balanced gauge's constant.
+        logm = np.ascontiguousarray(bateman_m_log(nu_max, 2.0 * q * geom.d).T)
+        table = ((-1.0) ** np.arange(nu_max + 1) * np.exp(logm) if knife
+                 else _LOG_SQRT_HALF_PI + logm)
+    layouts = {mode: _layout(geom, nu_max, mode, table) for mode in modes}
+    if not knife:
+        amplitudes = {mode: _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
+                      for mode in modes}
     for i, qi in enumerate(q):
-        if knife and untilted:
-            k = parity * np.exp(logm[:, i])
-        elif not knife and not untilted:
+        if not knife and not untilted:
             sT, lT = tilted_matrix_log(nu_max, qi, geom.d, geom.theta, node_count)
         node = {}
         for mode in modes:
             if not knife:
-                sigma, half = _body_half_logs(nu_max, mode, geom.mu0 * math.sqrt(2.0 * qi))
+                sigma, half = (table[:, i] for table in amplitudes[mode])
                 fp = plane_amplitude(mode)
             blocks = []
             for block in layouts[mode]:
                 if knife and untilted:
-                    entries = _knife_block_from_k(block.pair, k, mode)
+                    entries = _knife_block_from_k(block.pairs[i], mode)
                 elif knife:
                     G, w = _gram(qi, geom.d, geom.theta, nu_max, node_count,
                                  int(block.idx[0]), 2)
                     entries = _knife_block_from_gram(G, w)
                 elif untilted:
-                    entries = _body_block_theta0(sigma, half, fp, logm[:, i], block)
+                    entries = _body_block_theta0(sigma, half, fp, block.pairs[i], block)
                 else:
                     entries = _body_block_tilted(sigma, half, fp, sT, lT)
                 blocks.append((block.idx, entries))
@@ -330,16 +362,17 @@ def logdet_one_minus(kernel: TruncatedKernel | np.ndarray, sizes=None):
     array holding log det(1 - N[:s, :s]) for each s; without it, the
     float for the whole matrix.
 
-    An exactly symmetric kernel (every knife-edge kernel) must leave
-    1 - N positive definite, since all its eigenvalues lie below one.
-    One Cholesky factorization of the largest block checks that and
-    serves every smaller size through partial sums of 2 log diag(L);
+    An exactly symmetric kernel (every kernel the library builds) must
+    leave 1 - N positive definite, since all its eigenvalues lie below
+    one.  One Cholesky factorization of the largest block checks that
+    and serves every smaller size through partial sums of 2 log diag(L);
     a failure raises `PhysicalRegimeError` naming the order of the
-    leading minor where positivity was lost.  Any other kernel gets one LU
-    factorization per size, with the sign tracked exactly; a
-    nonpositive or nonfinite determinant raises `PhysicalRegimeError`
-    rather than returning a garbage value, since downstream integration
-    would silently absorb it.
+    leading minor where positivity was lost.  Any other input, such as a
+    similarity-transformed kernel, gets one LU factorization per size,
+    with the sign tracked exactly; a nonpositive or nonfinite
+    determinant raises `PhysicalRegimeError` rather than returning a
+    garbage value, since downstream integration would silently absorb
+    it.
     """
     entries = kernel.entries if isinstance(kernel, TruncatedKernel) else np.asarray(kernel)
     n = entries.shape[0]

@@ -139,8 +139,13 @@ def mode_for_parity(n: int) -> BoundaryMode:
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
 
-def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled: float):
+def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
     """Sign/log tables of the cylinder amplitude F_n for n = 0..nmax.
+
+    ``mu0_scaled`` is a scalar or a 1-d array of nonnegative arguments,
+    for instance one per frequency node; each table has shape
+    (nmax+1, len(mu0_scaled)), or (nmax+1,) for scalar input.  The
+    special-function tables behind it are built once for all arguments.
 
     At mu0_scaled = 0 every order is served the knife-edge closed form
     -n! sqrt(2/pi) regardless of parity; selecting which orders
@@ -150,26 +155,29 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled: float):
 
     Returns ``(sign, logmag)`` arrays.
     """
-    if mu0_scaled < 0:
+    mu = np.asarray(mu0_scaled, dtype=float)
+    if np.any(mu < 0):
         raise DomainError("mu0_scaled must be nonnegative")
-    n = np.arange(nmax + 1)
-    if mu0_scaled == 0.0:
-        signs = -np.ones(nmax + 1)
-        logs = gammaln(n + 1.0) + _LOG_SQRT_2_OVER_PI
-        return signs, logs
     if mode is BoundaryMode.DIRICHLET:
-        sv, lv = pcf_regular_imag_table(nmax, mu0_scaled)
-        sb, lb = pcf_outgoing_table(nmax, mu0_scaled)
+        sv, lv = pcf_regular_imag_table(nmax, mu)
+        sb, lb = pcf_outgoing_table(nmax, mu)
         if np.any(sb == 0.0):
             raise SingularDenominatorError("D_{-n-1} evaluated to zero on the positive axis")
-        return -sv * sb, lv - lb
-    if mode is BoundaryMode.NEUMANN:
-        _, _, sd, ld = pcf_regular_imag_table(nmax, mu0_scaled, with_derivative=True)
-        _, _, sdd, ldd = pcf_outgoing_table(nmax, mu0_scaled, with_derivative=True)
+        signs, logs = -sv * sb, lv - lb
+    elif mode is BoundaryMode.NEUMANN:
+        _, _, sd, ld = pcf_regular_imag_table(nmax, mu, with_derivative=True)
+        _, _, sdd, ldd = pcf_outgoing_table(nmax, mu, with_derivative=True)
         if np.any(sdd == 0.0):
             raise SingularDenominatorError("D_{-n-1}' evaluated to zero on the positive axis")
-        return -sd * sdd, ld - ldd
-    raise DomainError(f"unknown boundary mode {mode!r}")
+        signs, logs = -sd * sdd, ld - ldd
+    else:
+        raise DomainError(f"unknown boundary mode {mode!r}")
+    knife = mu == 0.0
+    if knife.any():
+        closed = gammaln(np.arange(nmax + 1.0) + 1.0) + _LOG_SQRT_2_OVER_PI
+        signs = np.where(knife, -1.0, signs)
+        logs = np.where(knife, closed[:, None] if mu.ndim else closed, logs)
+    return signs, logs
 
 
 def parabolic_amplitude(n: int, mode: BoundaryMode, mu0_scaled: float) -> SignedLog:

@@ -19,15 +19,18 @@ Orders run to several hundred and scaled arguments to about a hundred,
 so results are returned in a signed-log representation (`SignedLog`)
 that cannot overflow.  Whole-table variants (``*_table`` and
 ``bateman_m_log``) serve the vectorized consumers in the kernel and
-energy modules.
+energy modules; the imaginary-axis, outgoing and Bateman tables take a
+1-d array of arguments, one per frequency node, and run their order
+recurrence once for all of them.
 
 Recurrence directions were chosen by measurement against arbitrary
-precision references rather than by rule of thumb.  The order recurrence
-for ``D_{-n-1}`` is only usable upward at very small argument; elsewhere
-it runs Miller's backward algorithm with closed-form normalization.  The
-Bateman family runs downward from seeds its integral representation
-gives.  The frozen reference table lives in ``tests/fixtures`` and is
-produced by ``scripts/gen_specfun_fixtures.py``.
+precision references rather than by rule of thumb.  The minimal
+solutions, ``D_{-n-1}`` and the Bateman family, run downward in a form
+whose terms are all positive, from seeds that quadrature of their
+integral representations gives at the top order; ``D_{-n-1}`` is then
+normalized by its closed form at order 0.  The frozen reference table
+lives in ``tests/fixtures`` and is produced by
+``scripts/gen_specfun_fixtures.py``.
 """
 
 from __future__ import annotations
@@ -252,7 +255,26 @@ def pcf_regular(n: int, x: float, with_derivative: bool = False):
     return SignedLog(int(s[n]), float(l[n]))
 
 
-def pcf_regular_imag_table(nmax: int, x: float, with_derivative: bool = False):
+def _argument_array(x):
+    """``x`` as a nonempty 1-d float array, and whether it was a scalar.
+
+    Every entry must be finite and nonnegative.
+    """
+    x_in = np.asarray(x, dtype=float)
+    arr = np.atleast_1d(x_in)
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("argument must be a scalar or a nonempty 1-d array")
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise DomainError("argument must be finite and nonnegative")
+    return arr, x_in.ndim == 0
+
+
+def _shaped(scalar: bool, *tables):
+    """Tables of shape (orders, len(x)), or (orders,) for scalar input."""
+    return tuple(t[:, 0] for t in tables) if scalar else tables
+
+
+def pcf_regular_imag_table(nmax: int, x, with_derivative: bool = False):
     """Sign/log tables of the real values i^n D_n(ix), x >= 0.
 
     Writing i^n D_n(ix) = (-1)^n e^{x^2/4} t_n(x), the auxiliary t_n
@@ -261,43 +283,44 @@ def pcf_regular_imag_table(nmax: int, x: float, with_derivative: bool = False):
     cancellation.  The derivative combination is
     i^{n+1} D_n'(ix) = (-1)^n e^{x^2/4} [ (x/2) t_n + n t_{n-1} ],
     again a sum of nonnegative terms.
+
+    ``x`` is a scalar or a 1-d array; each table has shape
+    (nmax+1, len(x)), or (nmax+1,) for scalar input.
     """
     nmax = _check_order(nmax)
-    x = float(x)
-    if x < 0 or not math.isfinite(x):
-        raise DomainError("argument must be finite and nonnegative")
-    logt = np.full(nmax + 2, -np.inf)
-    lo, hi = 1.0, x
-    shift = 0.0
+    x, scalar = _argument_array(x)
+    logt = np.empty((nmax + 2, x.size))
+    lo, hi = np.ones_like(x), x
+    shift = np.zeros_like(x)
     logt[0] = 0.0
-    if x > 0.0:
-        logt[1] = math.log(x)
-    for n in range(1, nmax + 1):
-        nxt = x * hi + n * lo
-        lo, hi = hi, nxt
-        if hi > _BIG:
-            lo /= _BIG
-            hi /= _BIG
-            shift += _LOG_BIG
-        if hi > 0.0:
-            logt[n + 1] = math.log(hi) + shift
-    n_arr = np.arange(nmax + 1)
+    with np.errstate(divide="ignore"):
+        logt[1] = np.log(x)
+        for n in range(1, nmax + 1):
+            lo, hi = hi, x * hi + n * lo
+            big = hi > _BIG
+            if big.any():
+                lo = np.where(big, lo / _BIG, lo)
+                hi = np.where(big, hi / _BIG, hi)
+                shift = shift + np.where(big, _LOG_BIG, 0.0)
+            logt[n + 1] = np.log(hi) + shift
+    n_arr = np.arange(nmax + 1)[:, None]
     quarter = x * x / 4.0
     sv = np.where(np.isneginf(logt[:-1]), 0.0, (-1.0) ** n_arr)
     lv = logt[:-1] + quarter
     if not with_derivative:
-        return sv, lv
-    t1 = logt[:-1] + (math.log(x / 2.0) if x > 0.0 else -np.inf)
-    t2 = np.full(nmax + 1, -np.inf)
+        return _shaped(scalar, sv, lv)
+    with np.errstate(divide="ignore"):
+        t1 = logt[:-1] + np.log(x / 2.0)
+    t2 = np.full((nmax + 1, x.size), -np.inf)
     if nmax >= 1:
-        t2[1:] = np.log(n_arr[1:].astype(float)) + logt[:-2][: nmax]
+        t2[1:] = np.log(n_arr[1:].astype(float)) + logt[:nmax]
     m = np.maximum(t1, t2)
     m = np.where(np.isneginf(m), 0.0, m)
     mag = np.exp(t1 - m) + np.exp(t2 - m)
     with np.errstate(divide="ignore"):
         ld = np.where(mag > 0.0, np.log(mag) + m + quarter, -np.inf)
     sd = np.where(mag > 0.0, (-1.0) ** n_arr, 0.0)
-    return sv, lv, sd, ld
+    return _shaped(scalar, sv, lv, sd, ld)
 
 
 def pcf_regular_imag(n: int, x: float, with_derivative: bool = False):
@@ -314,76 +337,106 @@ def pcf_regular_imag(n: int, x: float, with_derivative: bool = False):
     return SignedLog(int(sv[n]), float(lv[n]))
 
 
-# Below this argument the upward order recurrence for D_{-n-1} keeps full
-# accuracy (measured against the reference table); beyond it the minimal
-# solution character takes over and Miller's backward algorithm is used.
-_OUTGOING_UPWARD_MAX = 0.15
+# Seed quadratures of the outgoing and Bateman tables: equal Gauss-Legendre
+# panels over a window whose ends lie where the log-integrand is _SEED_DROP
+# below its peak.
+_SEED_DROP = 40.0
+_OUTGOING_PANELS, _OUTGOING_NODES = 4, 24
+_SEED_PANELS, _SEED_NODES = 8, 24
+# The downward recurrence is rescaled by this exact power of two, so the
+# table's logs are formed from a mantissa ratio and an integer exponent.
+# The exponent multiplies log 2 split Cody-Waite style: the high part has
+# trailing zero bits, so its product with any exponent below 2^20 is exact.
+_OUTGOING_SCALE_BITS = 800
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 
 
-def pcf_outgoing_table(nmax: int, x: float, with_derivative: bool = False):
+def _outgoing_seed_ratio(n: int, x: np.ndarray) -> np.ndarray:
+    """B_{n+1}(x) / B_n(x) at every x, for n >= 1.
+
+    B_v = e^{-x^2/4} / v! int_0^inf t^v e^{-xt - t^2/2} dt, so the ratio is
+    I_{n+1} / ((n + 1) I_n) with I_v the integral.  The log-integrand
+    h_v = v log t - x t - t^2/2 is concave, peaked at
+    t^ = 2v / (x + sqrt(x^2 + 4v)), with h_v'' = -v/t^2 - 1.  Left of the
+    peak h_v'' lies below h_v''(t^) = -1/sigma^2, so h_v is _SEED_DROP
+    below its peak at sqrt(2 drop) sigma from t^ and beyond; right of it
+    the tangent at that distance bounds h_v.  One window covers both
+    orders, whose integrands differ by the factor t, and both are scaled
+    by the same peak so that no difference of large logs enters.  Nodes
+    run along the last axis, so each x is summed in the same order
+    whatever the length of x.
+    """
+    def h(v, t, x):
+        return v * np.log(t) - x * t - 0.5 * t * t
+
+    def window(v):
+        peak = 2.0 * v / (x + np.sqrt(x * x + 4.0 * v))
+        step = math.sqrt(2.0 * _SEED_DROP) / np.sqrt(v / peak**2 + 1.0)
+        t1 = peak + step
+        end = t1 + (h(v, peak, x) - _SEED_DROP - h(v, t1, x)) / (v / t1 - x - t1)
+        return np.maximum(peak - step, 0.0), end, h(v, peak, x)
+
+    lo, hi, ref = window(n)
+    lo1, hi1, _ = window(n + 1)
+    lo, hi = np.minimum(lo, lo1)[:, None], np.maximum(hi, hi1)[:, None]
+    z, w = panel_grid(np.linspace(0.0, 1.0, _OUTGOING_PANELS + 1), _OUTGOING_NODES)
+    t = lo + (hi - lo) * z
+    f = w * np.exp(h(n, t, x[:, None]) - ref[:, None])
+    return (f * t).sum(axis=1) / f.sum(axis=1) / (n + 1.0)
+
+
+def pcf_outgoing_table(nmax: int, x, with_derivative: bool = False):
     """Sign/log tables of B_n = D_{-n-1}(x) for n = 0..nmax, x >= 0.
 
-    All values are positive.  For x <= 0.15 the upward recurrence
-    B_{n+1} = (B_{n-1} - x B_n)/(n+1) from the closed-form seeds
-    B_{-1} = D_0 = e^{-x^2/4} and B_0 = sqrt(pi/2) erfcx(x/sqrt2) e^{-x^2/4}
-    is accurate.  For larger x that direction diverges from the true
-    minimal solution (relative error grows without bound by n of a few
-    hundred), so the table is generated backward from a start order well
-    above nmax and normalized by the closed-form B_0.
+    All values are positive.  B_n is the minimal solution of its order
+    recurrence, which runs downward as B_{n-1} = x B_n + (n+1) B_{n+1}
+    with every term positive, so rounding errors do not grow.  It starts
+    at order nmax + 1 from the ratio B_{nmax+2} / B_{nmax+1}, taken by
+    quadrature of the integral representation, and is normalized by the
+    closed form B_0 = sqrt(pi/2) erfcx(x/sqrt2) e^{-x^2/4}.  Rescaling by
+    powers of two keeps each log a mantissa ratio plus an exact exponent,
+    so its rounding is that of the result alone.
 
     The derivative, when requested, is
     B_n'(x) = -(x/2) B_n - (n+1) B_{n+1}, a sum of same-sign terms.
 
-    Returns ``(sign, logmag)`` or ``(sign, logmag, dsign, dlogmag)``.
+    ``x`` is a scalar or a 1-d array; each table has shape
+    (nmax+1, len(x)), or (nmax+1,) for scalar input.  Returns
+    ``(sign, logmag)`` or ``(sign, logmag, dsign, dlogmag)``.
     """
     nmax = _check_order(nmax)
-    x = float(x)
-    if x < 0 or not math.isfinite(x):
-        raise DomainError("argument must be finite and nonnegative")
-    lb = np.empty(nmax + 2)
-    log_b0 = 0.5 * math.log(math.pi / 2.0) + math.log(erfcx(x / math.sqrt(2.0))) - x * x / 4.0
-    if x <= _OUTGOING_UPWARD_MAX:
-        lo = math.exp(-x * x / 4.0)
-        hi = math.exp(log_b0)
-        shift = 0.0
-        lb[0] = log_b0
-        for n in range(0, nmax + 1):
-            nxt = (lo - x * hi) / (n + 1.0)
-            lo, hi = hi, nxt
-            if 0.0 < hi < 1.0 / _BIG:
-                lo *= _BIG
-                hi *= _BIG
-                shift -= _LOG_BIG
-            lb[n + 1] = math.log(hi) + shift
-    else:
-        nstart = int((math.sqrt(nmax + 2.0) + 20.0 / x) ** 2) + 8
-        nstart = max(nstart, nmax + 10)
-        v_hi, v_lo = 0.0, 1.0
-        shift = 0.0
-        logs = np.empty(nmax + 2)
-        shifts = np.empty(nmax + 2)
-        for n in range(nstart, 0, -1):
-            v_prev = x * v_lo + (n + 1.0) * v_hi
-            v_hi, v_lo = v_lo, v_prev
-            if v_lo > _BIG:
-                v_lo /= _BIG
-                v_hi /= _BIG
-                shift += _LOG_BIG
-            if n - 1 <= nmax + 1:
-                # value is finalized here; its true magnitude carries the
-                # rescales applied up to this point
-                logs[n - 1] = math.log(v_lo)
-                shifts[n - 1] = shift
-        lraw = logs + shifts
-        lb = lraw - lraw[0] + log_b0
-    sb = np.ones(nmax + 1)
+    x, scalar = _argument_array(x)
+    top = nmax + 1
+    lo, hi = np.ones_like(x), _outgoing_seed_ratio(top, x)
+    vals = np.empty((top + 1, x.size))
+    scales = np.zeros((top + 1, x.size), dtype=int)
+    count = np.zeros(x.size, dtype=int)
+    vals[top] = lo
+    limit = 2.0**_OUTGOING_SCALE_BITS
+    for n in range(top, 0, -1):
+        lo, hi = x * lo + (n + 1.0) * hi, lo
+        big = lo > limit
+        if big.any():
+            f = np.where(big, 1.0 / limit, 1.0)
+            lo, hi = lo * f, hi * f
+            count = count + big
+        vals[n - 1] = lo
+        scales[n - 1] = count
+    mant, expo = np.frexp(vals)
+    expo = expo + _OUTGOING_SCALE_BITS * scales
+    expo = expo - expo[0]
+    log_b0 = 0.5 * math.log(math.pi / 2.0) + np.log(erfcx(x / math.sqrt(2.0))) - x * x / 4.0
+    lb = expo * _LN2_HI + (np.log(mant / mant[0]) + log_b0 + expo * _LN2_LO)
+    sb = np.ones((nmax + 1, x.size))
     if not with_derivative:
-        return sb, lb[:-1]
-    t1 = lb[:-1] + (math.log(x / 2.0) if x > 0.0 else -np.inf)
-    t2 = np.log(np.arange(1, nmax + 2, dtype=float)) + lb[1:]
+        return _shaped(scalar, sb, lb[:-1])
+    with np.errstate(divide="ignore"):
+        t1 = lb[:-1] + np.log(x / 2.0)
+    t2 = np.log(np.arange(1, nmax + 2, dtype=float))[:, None] + lb[1:]
     m = np.maximum(t1, t2)
     ld = m + np.log(np.exp(t1 - m) + np.exp(t2 - m))
-    return sb, lb[:-1], -np.ones(nmax + 1), ld
+    return _shaped(scalar, sb, lb[:-1], -sb, ld)
 
 
 def pcf_outgoing(n: int, x: float, with_derivative: bool = False):
@@ -397,11 +450,6 @@ def pcf_outgoing(n: int, x: float, with_derivative: bool = False):
         return (SignedLog(int(sb[n]), float(lb[n])), SignedLog(int(sd[n]), float(ld[n])))
     sb, lb = pcf_outgoing_table(n, x)
     return SignedLog(int(sb[n]), float(lb[n]))
-
-
-# Seed quadrature of the Bateman table: equal Gauss-Legendre panels over a
-# window whose ends lie where the log-integrand is _SEED_DROP below its peak.
-_SEED_PANELS, _SEED_NODES, _SEED_DROP = 8, 24, 40.0
 
 
 def _bateman_seeds(n: int, u: np.ndarray):

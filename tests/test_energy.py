@@ -17,7 +17,7 @@ from paracasimir.energy import (
     extrapolate_numax,
     thermal_energy,
 )
-from paracasimir.roundtrip import build_kernel
+from paracasimir.roundtrip import build_kernel, kernel_blocks
 from paracasimir.scattering import BoundaryMode, Geometry
 from paracasimir.specfun import DomainError, bateman_m_log
 from paracasimir.translation import AccuracyError
@@ -270,6 +270,23 @@ class TestLadderAgainstLU:
                 sign, logdet = np.linalg.slogdet(np.eye(a.size) - moments)
                 assert sign == 1.0
                 assert got[j, i] == pytest.approx(logdet, rel=1e-12)
+
+
+class TestBodyBlocksSymmetric:
+    """The positive-radius blocks are bitwise symmetric, so the ladder
+    above factors each with one Cholesky rather than one LU per rung."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_every_block_equals_its_transpose(self, theta):
+        geom = Geometry(1.0, 0.1, theta)
+        q = np.geomspace(0.02, 200.0, 9)
+        count = 0
+        for node in kernel_blocks(geom, q, 60, tuple(BoundaryMode)):
+            for mode, blocks in node.items():
+                for idx, entries in blocks:
+                    assert np.array_equal(entries, entries.T), (mode, idx[0])
+                    count += 1
+        assert count == q.size * 2 * (2 if theta == 0.0 else 1)
 
 
 class TestClassicalCoefficient:

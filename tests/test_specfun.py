@@ -159,6 +159,30 @@ class TestSpotValues:
             ) / math.pi
             assert math.exp(logm[n]) == pytest.approx(value, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("x", [0.16, 0.2, 0.5])
+    def test_outgoing_against_quadrature(self, x):
+        # B_n = e^{-x^2/4}/n! int_0^inf t^n e^{-xt - t^2/2} dt by adaptive
+        # quadrature, scaled by the integrand's peak at
+        # t^ = 2n/(x + sqrt(x^2 + 4n)); h'' <= -1, so beyond t^ +- 12 it
+        # lies below e^-72 of the peak.  log B_n is summed in one fsum so
+        # that its only rounding is the final one.
+        _, logs = pcf_outgoing_table(800, x)
+        for n in (0, 1, 19, 400, 800):
+            def h(t):
+                return (n * math.log(t) if n else 0.0) - x * t - 0.5 * t * t
+
+            peak = 2 * n / (x + math.sqrt(x * x + 4 * n))
+            scale = h(peak) if n else 0.0
+            edges = np.linspace(max(peak - 12.0, 0.0), peak + 12.0, 25)
+            value = sum(
+                integrate.quad(lambda t: math.exp(h(t) - scale) if t > 0 else float(n == 0),
+                               a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+            expected = math.fsum([scale, math.log(value), -0.25 * x * x]
+                                 + [-math.log(k) for k in range(2, n + 1)])
+            assert abs(logs[n] - expected) < 1e-12, (n, logs[n] - expected)
+
     @pytest.mark.parametrize("u", [0.5, 2.0, 10.0])
     def test_bateman_sum_rule(self, u):
         # sum_n m_n(u) = K_0(u)/pi; the table does not use it.  Beyond
@@ -282,6 +306,18 @@ class TestOverflowContract:
         v = bateman_k(-401, 100.0)
         assert math.isfinite(v)
 
+    @pytest.mark.parametrize("fn", [pcf_regular_imag_table, pcf_outgoing_table])
+    @pytest.mark.parametrize("with_derivative", [False, True])
+    def test_array_call_matches_scalar_calls(self, fn, with_derivative):
+        xs = np.array([0.0, 0.03, 0.16, 0.2, 0.5, 1.3, 7.0, 28.3, 50.0])
+        for nmax in (0, 1, 40, 801):
+            tables = fn(nmax, xs, with_derivative=with_derivative)
+            assert all(t.shape == (nmax + 1, xs.size) for t in tables)
+            for j, x in enumerate(xs):
+                for table, single in zip(tables, fn(nmax, x, with_derivative=with_derivative)):
+                    assert single.shape == (nmax + 1,)
+                    assert np.array_equal(table[:, j], single), (nmax, x)
+
     def test_bateman_m_log_shapes(self):
         scalar = bateman_m_log(5, 2.0)
         assert scalar.shape == (6,)
@@ -304,6 +340,12 @@ class TestErrors:
             (bateman_k, (-1, -2.0)),
             (bateman_k, (1.5, 1.0)),
             (bateman_k, (-1, float("inf"))),
+            (pcf_outgoing_table, (3, [0.5, -1e-3])),
+            (pcf_outgoing_table, (3, [0.5, float("nan")])),
+            (pcf_outgoing_table, (3, [float("inf"), 2.0])),
+            (pcf_regular_imag_table, (3, [1.0, -0.5])),
+            (pcf_regular_imag_table, (3, [float("nan")])),
+            (pcf_regular_imag_table, (3, [0.0, float("-inf")])),
         ],
     )
     def test_domain_errors(self, fn, args):
