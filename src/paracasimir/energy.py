@@ -158,18 +158,19 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
 
     Returns an array of shape (len(orders), len(x)); entry [j, i] is
     g at scaled frequency x[i] truncated at order orders[j].  The
-    kernel's blocks are assembled once per node at the largest order
-    and the smaller truncations are their leading blocks, which is
-    exact because entries do not depend on the truncation; each block
-    then yields every rung of the ladder from `logdet_one_minus`.
+    kernel's blocks are assembled at the largest order, for runs of
+    consecutive nodes at once, and the smaller truncations are their
+    leading blocks, which is exact because entries do not depend on the
+    truncation.  Each block's stack then yields every rung at every node
+    of the run from one `logdet_one_minus` call.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((len(orders), x.size))
-    nodes = kernel_blocks(geom, x / geom.H, orders[-1], _modes(channel))
-    for i, node in enumerate(nodes):
-        for idx, entries in (b for blocks in node.values() for b in blocks):
+    runs = kernel_blocks(geom, x / geom.H, orders[-1], _modes(channel))
+    for nodes, run in runs:
+        for idx, stack in (b for blocks in run.values() for b in blocks):
             cuts = np.searchsorted(idx, orders, side="right")
-            out[:, i] += logdet_one_minus(entries, cuts)
+            out[:, nodes] += logdet_one_minus(stack, cuts).T
     return out
 
 
@@ -203,8 +204,9 @@ def _algebraic_limit(n: np.ndarray, v: np.ndarray):
     if not mismatch(lo) * mismatch(hi) < 0:
         return None
     p = brentq(mismatch, lo, hi)
+    # b = -B: the last increment is B (n3^-p - n2^-p).
     b = d2 / (n2 ** -p - n3 ** -p)
-    return float(v[-1] - b * n3 ** -p), p
+    return float(v[-1] + b * n3 ** -p), p
 
 
 def extrapolate_numax(series) -> tuple:

@@ -80,6 +80,10 @@ class TruncatedKernel:
 
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 
+# Byte budget of one block's stack of nodes in `kernel_blocks`: 4 nodes
+# at 81 orders, 270 at 11, and one node from 182 orders up.
+_RUN_BYTES = 256 * 1024
+
 
 class _Block(NamedTuple):
     """One decoupled diagonal block of the kernel.
@@ -112,17 +116,18 @@ def _by_pair(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _knife_block_from_k(pairs: np.ndarray, mode: BoundaryMode) -> np.ndarray:
-    """Zero-radius, zero-tilt block given its k_{-2n-1} Hankel matrix.
+    """Zero-radius, zero-tilt blocks given their k_{-2n-1} Hankel matrices.
 
-    The block is a fresh array in both modes: the many small log-dets of
-    the Matsubara sum read a plain array faster than the strided view.
+    ``pairs`` may be one matrix or a stack; Dirichlet returns it as it
+    is (a read-only view), Neumann its negative.
     """
-    return pairs.copy() if mode is BoundaryMode.DIRICHLET else -pairs
+    return pairs if mode is BoundaryMode.DIRICHLET else -pairs
 
 
-def _knife_block_from_gram(G: np.ndarray, w: float) -> np.ndarray:
-    """Zero-radius block at tilt from the channel's parity Gram matrix."""
-    return G * (math.exp(-w) / math.pi)
+def _knife_block_from_gram(G: np.ndarray, w: float, out: np.ndarray) -> np.ndarray:
+    """Zero-radius block at tilt from the channel's parity Gram matrix,
+    written into ``out``."""
+    return np.multiply(G, math.exp(-w) / math.pi, out=out)
 
 
 def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled):
@@ -140,35 +145,42 @@ def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled):
 
 def _body_block_theta0(sigma: np.ndarray, half: np.ndarray, fp: float,
                        pairs: np.ndarray, block: _Block) -> np.ndarray:
-    """One parity block of the positive-radius, zero-tilt kernel.
+    """One parity block of the positive-radius, zero-tilt kernel for a
+    run of nodes, as a stack of shape (run, m, m).
 
-    pairs holds log sqrt(pi/2) + log m_(n+n')/2 of the Bateman table at
-    w = 2 q d over the block.  Entries of odd order sum vanish by mirror
-    parity, so the kernel splits into an even and an odd block.  Within
-    one block (n + n')/2 equals n//2 + n'//2 + parity, so the element
-    sign (-1)^((n + n')/2) is the outer product of ``block.sign`` with
-    itself times (-1)^parity.  The amplitude signs are constant within a
-    parity, and h_i + h_j is summed before anything else is added, so
-    the block is exactly symmetric.  It is built in one buffer: a fresh
-    temporary per step would cost as much as the arithmetic.
+    Column k of ``sigma`` and ``half`` and matrix k of ``pairs`` belong
+    to node k of the run; pairs holds log sqrt(pi/2) + log m_(n+n')/2 of
+    the Bateman table at w = 2 q d over the block.  Entries of odd order
+    sum vanish by mirror parity, so the kernel splits into an even and
+    an odd block.  Within one block (n + n')/2 equals n//2 + n'//2 +
+    parity, so the element sign (-1)^((n + n')/2) is the outer product
+    of ``block.sign`` with itself times (-1)^parity.  The amplitude
+    signs are constant within a parity, and h_i + h_j is summed before
+    anything else is added, so every matrix is exactly symmetric.  The
+    stack is built in one buffer: a fresh temporary per step would cost
+    as much as the arithmetic.
     """
     idx = block.idx
-    h = half[idx]
-    entries = h[:, None] + h[None, :]
+    h = half[idx].T
+    entries = h[:, :, None] + h[:, None, :]
     entries += pairs
     with np.errstate(over="ignore"):
         np.exp(entries, out=entries)
-    entries *= (sigma[idx] * (fp * (-1.0) ** (idx[0] % 2)) * block.sign)[:, None]
+    entries *= (sigma[idx].T * (fp * (-1.0) ** (idx[0] % 2)) * block.sign)[:, :, None]
     entries *= block.sign
     return entries
 
 
 def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
-                       sT: np.ndarray, lT: np.ndarray) -> np.ndarray:
-    """Positive-radius kernel at tilt from the sign/log element matrix."""
+                       sT: np.ndarray, lT: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Positive-radius kernel at tilt from the sign/log element matrix,
+    written into ``out``."""
+    np.add(half[:, None], half[None, :], out=out)
+    out += lT
     with np.errstate(over="ignore"):
-        mag = np.exp(half[:, None] + half[None, :] + lT)
-    return sigma[:, None] * fp * sT * mag
+        np.exp(out, out=out)
+    out *= sigma[:, None] * fp * sT
+    return out
 
 
 def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode, table) -> list:
@@ -198,18 +210,27 @@ def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode, table) -> list:
 
 
 def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
-    """Yield the kernel's decoupled blocks, one frequency node at a time.
+    """Yield the kernel's decoupled blocks for runs of frequency nodes.
 
-    For each q in the array ``q`` this yields a dict mapping each of
-    ``modes`` to a list of (orders, entries) pairs, one per diagonal
-    block; orders outside every block do not couple (or, at the knife
-    edge, do not take part).  The determinant of 1 - N is the product
-    over blocks, and truncating at order nu keeps each block's leading
-    orders up to nu.  What does not depend on the node is computed once
-    for the series: the zero-tilt element table and, at positive radius,
-    each mode's amplitude signs and half-logs over all nodes, the block
-    layouts and their index, element and sign arrays.  At positive
-    radius and tilt the element matrix is built once per node for all
+    The nodes of the array ``q`` are taken in runs of consecutive nodes.
+    For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
+    of ``q`` the run covers, and ``blocks`` maps each of ``modes`` to a
+    list of (orders, stack) pairs, one per diagonal block, where
+    stack[k] is the block's matrix at node q[nodes][k].  Orders outside
+    every block do not couple (or, at the knife edge, do not take part).
+    The determinant of 1 - N is the product over blocks, and truncating
+    at order nu keeps each block's leading orders up to nu.
+
+    A run holds as many nodes as keep the largest block's stack within
+    _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
+    many nodes per call, and blocks of a few hundred orders one node at
+    a time.  What does not depend on the node is computed once for the
+    series: the zero-tilt element table and, at positive radius, each
+    mode's amplitude signs and half-logs over all nodes, the block
+    layouts and their index, element and sign arrays.  At zero tilt a
+    run's stack is built from a view of the element table; at tilt each
+    node's matrix is written into its slot of the run's buffer, and at
+    positive radius the element matrix is built once per node for all
     modes.
 
     This is the only place the four constructions (knife or body,
@@ -229,29 +250,37 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
     if not knife:
         amplitudes = {mode: _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
                       for mode in modes}
-    for i, qi in enumerate(q):
-        if not knife and not untilted:
-            sT, lT = tilted_matrix_log(nu_max, qi, geom.d, geom.theta, node_count)
-        node = {}
-        for mode in modes:
-            if not knife:
-                sigma, half = (table[:, i] for table in amplitudes[mode])
+    largest = max((b.idx.size for blocks in layouts.values() for b in blocks), default=1)
+    run = max(1, _RUN_BYTES // (8 * largest * largest))
+    for lo in range(0, q.size, run):
+        nodes = slice(lo, min(lo + run, q.size))
+        if knife and untilted:
+            out = {mode: [(b.idx, _knife_block_from_k(b.pairs[nodes], mode))
+                          for b in layouts[mode]] for mode in modes}
+        elif untilted:
+            out = {}
+            for mode in modes:
+                sigma, half = (table[:, nodes] for table in amplitudes[mode])
                 fp = plane_amplitude(mode)
-            blocks = []
-            for block in layouts[mode]:
-                if knife and untilted:
-                    entries = _knife_block_from_k(block.pairs[i], mode)
-                elif knife:
-                    G, w = _gram(qi, geom.d, geom.theta, nu_max, node_count,
-                                 int(block.idx[0]), 2)
-                    entries = _knife_block_from_gram(G, w)
-                elif untilted:
-                    entries = _body_block_theta0(sigma, half, fp, block.pairs[i], block)
-                else:
-                    entries = _body_block_tilted(sigma, half, fp, sT, lT)
-                blocks.append((block.idx, entries))
-            node[mode] = blocks
-        yield node
+                out[mode] = [(b.idx, _body_block_theta0(sigma, half, fp, b.pairs[nodes], b))
+                             for b in layouts[mode]]
+        else:
+            out = {mode: [(b.idx, np.empty((nodes.stop - lo, b.idx.size, b.idx.size)))
+                          for b in layouts[mode]] for mode in modes}
+            for k, i in enumerate(range(lo, nodes.stop)):
+                if not knife:
+                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta, node_count)
+                for mode in modes:
+                    for idx, stack in out[mode]:
+                        if knife:
+                            G, w = _gram(q[i], geom.d, geom.theta, nu_max, node_count,
+                                         int(idx[0]), 2)
+                            _knife_block_from_gram(G, w, stack[k])
+                        else:
+                            sigma, half = (table[:, i] for table in amplitudes[mode])
+                            _body_block_tilted(sigma, half, plane_amplitude(mode),
+                                               sT, lT, stack[k])
+        yield nodes, out
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int,
@@ -288,11 +317,11 @@ def build_kernel(geom: Geometry, q: float, nu_max: int,
         step = 2 if geom.R == 0.0 else 1
         start = _knife_start(mode) if geom.R == 0.0 else 0
         nu_idx = np.arange(start, nu_max + 1, step)
-    node = next(kernel_blocks(geom, q, nu_max, modes, node_count))
+    _, blocks = next(kernel_blocks(geom, q, nu_max, modes, node_count))
     entries = np.zeros((nu_idx.size, nu_idx.size))
-    for idx, block in (b for m in modes for b in node[m]):
+    for idx, stack in (b for m in modes for b in blocks[m]):
         sel = np.searchsorted(nu_idx, idx)
-        entries[np.ix_(sel, sel)] = block
+        entries[np.ix_(sel, sel)] = stack[0]
     if not np.all(np.isfinite(entries)):
         raise PhysicalRegimeError(
             "kernel entries overflowed; the balanced gauge does not cover "
@@ -327,6 +356,8 @@ def _lu_logdet(m: np.ndarray) -> float:
     lu, piv, info = lapack.dgetrf(m.T)
     diag = np.diagonal(lu)
     if info != 0 or not np.all(np.isfinite(diag)):
+        if not np.all(np.isfinite(m)):
+            raise PhysicalRegimeError("kernel contains nonfinite entries")
         raise PhysicalRegimeError("factorization of 1 - N broke down")
     swaps = int(np.count_nonzero(piv != np.arange(n)))
     negs = int(np.count_nonzero(diag < 0.0))
@@ -337,55 +368,86 @@ def _lu_logdet(m: np.ndarray) -> float:
     return float(np.sum(np.log(np.abs(diag))))
 
 
-def _cholesky_ladder(m: np.ndarray) -> np.ndarray:
-    """log det of every leading block of the symmetric matrix m.
+def _cholesky_ladders(m: np.ndarray, head: np.ndarray, which: np.ndarray,
+                      stacked: bool) -> np.ndarray:
+    """log det of every leading block of the symmetric matrices m[which].
 
-    Entry s of the result belongs to the leading s x s block: the
-    Cholesky factor of a leading block is the leading block of the
-    factor, so one factorization serves them all.
+    Row k of the result holds the ladder of m[which[k]]; its entry s
+    belongs to the leading s x s block, since the Cholesky factor of a
+    leading block is the leading block of the factor, so one
+    factorization serves them all.  Those matrices are overwritten.
+    ``head`` holds the N that each m = 1 - N was formed from; it is read
+    only when a factorization fails, to tell an overflowed kernel from a
+    loss of positivity.
     """
-    # m is exactly symmetric, so its transpose is the same matrix in
-    # Fortran order and LAPACK can work in place without a copy.
-    factor, info = lapack.dpotrf(m.T, lower=True, clean=False, overwrite_a=True)
-    if info > 0:
-        raise PhysicalRegimeError(
-            f"1 - N is not positive definite: its leading minor of order "
-            f"{info} (of {m.shape[0]}) is not positive; increase quadrature "
-            "resolution or check the geometry")
-    return np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diagonal(factor)))))
+    n = m.shape[1]
+    diag = np.empty((which.size, n))
+    for k, j in enumerate(which):
+        # m[j] is exactly symmetric and C-ordered, so its transpose is the
+        # same matrix in Fortran order and LAPACK works on it in place.
+        factor, info = lapack.dpotrf(m[j].T, lower=True, clean=False, overwrite_a=True)
+        if info > 0:
+            if not np.all(np.isfinite(head[j, :info, :info])):
+                raise PhysicalRegimeError("kernel contains nonfinite entries")
+            where = f"matrix {j} of the stack: " if stacked else ""
+            raise PhysicalRegimeError(
+                f"1 - N is not positive definite: {where}its leading minor of "
+                f"order {info} (of {n}) is not positive; increase quadrature "
+                "resolution or check the geometry")
+        diag[k] = np.diagonal(factor)
+    ladders = np.zeros((which.size, n + 1))
+    np.cumsum(2.0 * np.log(diag), axis=1, out=ladders[:, 1:])
+    return ladders
 
 
 def logdet_one_minus(kernel: TruncatedKernel | np.ndarray, sizes=None):
     """log det(1 - N) with an explicit positivity check.
 
-    With ``sizes`` (a sequence of leading-block sizes) the result is an
-    array holding log det(1 - N[:s, :s]) for each s; without it, the
-    float for the whole matrix.
+    ``kernel`` is one square matrix or a stack of them, of shape
+    (run, n, n).  With ``sizes`` (a sequence of leading-block sizes)
+    the result holds log det(1 - N[:s, :s]) for each s, an array of
+    shape (len(sizes),) for one matrix and (run, len(sizes)) for a
+    stack; without it, the float for the whole matrix, or an array of
+    shape (run,) for a stack.  Matrix j of a stack gives bitwise what
+    it gives alone.
 
     An exactly symmetric kernel (every kernel the library builds) must
     leave 1 - N positive definite, since all its eigenvalues lie below
     one.  One Cholesky factorization of the largest block checks that
     and serves every smaller size through partial sums of 2 log diag(L);
     a failure raises `PhysicalRegimeError` naming the order of the
-    leading minor where positivity was lost.  Any other input, such as a
-    similarity-transformed kernel, gets one LU factorization per size,
-    with the sign tracked exactly; a nonpositive or nonfinite
-    determinant raises `PhysicalRegimeError` rather than returning a
-    garbage value, since downstream integration would silently absorb
-    it.
+    leading minor where positivity was lost, and for a stack the
+    matrix.  Any other input, such as a similarity-transformed kernel,
+    gets one LU factorization per size, with the sign tracked exactly; a
+    nonpositive or nonfinite determinant raises `PhysicalRegimeError`
+    rather than returning a garbage value, since downstream integration
+    would silently absorb it.  1 - N is formed once for the whole stack,
+    in a fresh buffer that the Cholesky factorizations overwrite.
     """
     entries = kernel.entries if isinstance(kernel, TruncatedKernel) else np.asarray(kernel)
-    n = entries.shape[0]
+    stacked = entries.ndim == 3
+    if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
+        raise DomainError("expected a square matrix or a stack of them")
+    n = entries.shape[-1]
     want = np.asarray([n] if sizes is None else sizes, dtype=int)
     if np.any(want < 0) or np.any(want > n):
         raise DomainError(f"block sizes must lie in [0, {n}]")
     top = int(want.max(initial=0))
-    head = entries[:top, :top]
-    if not np.all(np.isfinite(head)):
+    head = (entries if stacked else entries[None])[:, :top, :top]
+    run = head.shape[0]
+    # C order whatever the input's layout, so the reshape below is a view.
+    m = np.negative(head, dtype=float, order="C")
+    m.reshape(run, top * top)[:, ::top + 1] += 1.0
+    # NaN compares unequal to itself, so a NaN entry sends its matrix to LU.
+    symmetric = np.all(m == m.transpose(0, 2, 1), axis=(1, 2))
+    out = np.empty((run, want.size))
+    chol = np.flatnonzero(symmetric)
+    out[chol] = _cholesky_ladders(m, head, chol, stacked)[:, want]
+    for j in np.flatnonzero(~symmetric):
+        out[j] = [_lu_logdet(m[j, :s, :s]) for s in want]
+    # A nonfinite entry of the factored head reaches the top rung.
+    if not np.all(np.isfinite(out)):
         raise PhysicalRegimeError("kernel contains nonfinite entries")
-    m = np.eye(top) - head
-    if np.array_equal(head, head.T):
-        out = _cholesky_ladder(m)[want]
-    else:
-        out = np.array([_lu_logdet(m[:s, :s]) for s in want])
-    return float(out[0]) if sizes is None else out
+    if stacked:
+        return out[:, 0] if sizes is None else out
+    return float(out[0, 0]) if sizes is None else out[0]

@@ -120,6 +120,9 @@ class TestLogDet:
     def test_zero_kernel(self):
         assert logdet_one_minus(np.zeros((4, 4))) == 0.0
         assert logdet_one_minus(np.zeros((0, 0))) == 0.0
+        assert np.array_equal(logdet_one_minus(np.zeros((3, 0, 0))), np.zeros(3))
+        assert np.array_equal(logdet_one_minus(np.zeros((0, 0)), [0]), [0.0])
+        assert np.array_equal(logdet_one_minus(np.zeros((3, 4, 4)), [0]), np.zeros((3, 1)))
 
     def test_one_by_one(self):
         for a in (0.3, -0.8, 0.999):
@@ -166,8 +169,71 @@ class TestLogDet:
             logdet_one_minus(np.zeros((3, 3)), [4])
 
     def test_nonfinite_entries_raise(self):
-        with pytest.raises(PhysicalRegimeError):
+        with pytest.raises(PhysicalRegimeError, match="nonfinite"):
             logdet_one_minus(np.array([[math.nan]]))
+        base = np.diag([0.1, 0.2, 0.3])
+        diagonal = base.copy()
+        diagonal[1, 1] = math.inf
+        pair = base.copy()
+        pair[0, 2] = pair[2, 0] = -math.inf
+        upper = base.copy()
+        upper[0, 1] = math.nan
+        # An overflowed kernel is reported as such, not as a loss of
+        # positivity, whichever route it takes.
+        for entries in (diagonal, -diagonal, pair, -pair, upper):
+            with pytest.raises(PhysicalRegimeError, match="nonfinite"):
+                logdet_one_minus(entries)
+            with pytest.raises(PhysicalRegimeError, match="nonfinite"):
+                logdet_one_minus(entries, [1, 3])
+        for bad in (diagonal, pair, upper):
+            with pytest.raises(PhysicalRegimeError, match="nonfinite"):
+                logdet_one_minus(np.stack([base, base, bad, base]), [2, 3])
+
+    def test_input_layout_does_not_matter(self):
+        # 1 - N must be formed correctly from Fortran-ordered matrices and
+        # from stacks whose node axis is not outermost in memory.
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(7, 7)) / 10.0
+        s = a @ a.T
+        sizes = [0, 3, 7]
+        assert logdet_one_minus(np.asfortranarray(s)) == logdet_one_minus(s)
+        assert np.array_equal(logdet_one_minus(np.asfortranarray(s), sizes),
+                              logdet_one_minus(s, sizes))
+        assert logdet_one_minus(a.T) == logdet_one_minus(np.ascontiguousarray(a.T))
+        assert np.array_equal(logdet_one_minus(a.T, sizes),
+                              logdet_one_minus(np.ascontiguousarray(a.T), sizes))
+        b = rng.normal(size=(7, 7, 3)) / 10.0
+        members = [b[..., 0] @ b[..., 0].T, b[..., 1], b[..., 2] @ b[..., 2].T]
+        stack = np.moveaxis(np.stack(members, axis=-1), -1, 0)
+        assert not stack.flags.c_contiguous
+        ladder = logdet_one_minus(stack, sizes)
+        for j, entries in enumerate(members):
+            assert np.array_equal(ladder[j], logdet_one_minus(entries, sizes))
+
+    def test_stack_matches_single_calls(self):
+        # Symmetric members take the Cholesky route and nonsymmetric ones
+        # LU, within one stack; every result must be bitwise the single
+        # call's.
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(5, 9, 9)) / 10.0
+        members = [a[0] @ a[0].T, a[1], a[2] @ a[2].T, a[3], a[4] @ a[4].T]
+        knife = [build_kernel(KNIFE, q, 16, mode=BoundaryMode.DIRICHLET).entries
+                 for q in (0.05, 0.3, 2.0)]
+        for stack in (np.stack(members), np.stack(members[::2]), np.stack(knife)):
+            whole = logdet_one_minus(stack)
+            ladder = logdet_one_minus(stack, [0, 2, 5, stack.shape[1]])
+            assert whole.shape == (len(stack),)
+            assert ladder.shape == (len(stack), 4)
+            for j, entries in enumerate(stack):
+                assert whole[j] == logdet_one_minus(entries)
+                assert np.array_equal(ladder[j],
+                                      logdet_one_minus(entries, [0, 2, 5, stack.shape[1]]))
+
+    def test_stack_names_the_matrix_that_loses_positivity(self):
+        stack = np.stack([np.diag([0.5, 0.5, 0.5])] * 4)
+        stack[2, 1, 1] = 2.0
+        with pytest.raises(PhysicalRegimeError, match="matrix 2 of the stack.*minor of order 2 "):
+            logdet_one_minus(stack, [1, 3])
 
 
 class TestKernelShapeAndDecay:
