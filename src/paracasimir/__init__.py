@@ -41,10 +41,8 @@ from .translation import (
 )
 from .roundtrip import (
     PhysicalRegimeError,
-    TruncatedKernel,
     build_kernel,
     logdet_one_minus,
-    parity_block,
 )
 from .energy import (
     EnergyResult,
@@ -89,9 +87,7 @@ __all__ = [
     "theta0_element",
     "tilted_element",
     "PhysicalRegimeError",
-    "TruncatedKernel",
     "build_kernel",
-    "parity_block",
     "logdet_one_minus",
     "FitRejectedError",
     "QuadratureSpec",

@@ -15,14 +15,15 @@ in sign/log form and exponentiates only at the end.
 
 At zero radius only one parity survives per boundary condition (even
 orders for Dirichlet, odd for Neumann), and with no tilt the kernel
-collapses to Bateman k-functions; `build_kernel` picks the cheapest
-valid construction automatically.
+collapses to Bateman k-functions.  `kernel_blocks` picks the
+construction and yields the kernel as decoupled symmetric blocks;
+`logdet_one_minus` factors them by Cholesky, and `build_kernel`
+scatters one node's blocks into a single matrix for inspection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,10 +42,8 @@ from .translation import _gram, tilted_matrix_log
 
 __all__ = [
     "PhysicalRegimeError",
-    "TruncatedKernel",
     "kernel_blocks",
     "build_kernel",
-    "parity_block",
     "logdet_one_minus",
 ]
 
@@ -57,25 +56,6 @@ class PhysicalRegimeError(ArithmeticError):
     strictly positive; a violation signals numerical breakdown (or a
     kernel evaluated outside its regime), never physics.
     """
-
-
-@dataclass(frozen=True)
-class TruncatedKernel:
-    """A round-trip kernel truncated at partial-wave order nu_max.
-
-    ``entries[i, j]`` couples order ``nu_indices[i]`` to
-    ``nu_indices[j]`` in the balanced gauge.  ``channel`` records the
-    physical content: 'full' for the combined even/odd matrix (zero
-    radius, no tilt only), or 'dirichlet-block' / 'neumann-block' for a
-    single boundary condition.  ``q_scaled`` is q times the separation.
-    """
-
-    nu_max: int
-    entries: np.ndarray
-    q_scaled: float
-    channel: str
-    mode: BoundaryMode | None = None
-    nu_indices: np.ndarray | None = None
 
 
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
@@ -209,7 +189,7 @@ def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode, table) -> list:
     return blocks
 
 
-def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
+def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     """Yield the kernel's decoupled blocks for runs of frequency nodes.
 
     The nodes of the array ``q`` are taken in runs of consecutive nodes.
@@ -269,12 +249,12 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
                           for b in layouts[mode]] for mode in modes}
             for k, i in enumerate(range(lo, nodes.stop)):
                 if not knife:
-                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta, node_count)
+                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
                 for mode in modes:
                     for idx, stack in out[mode]:
                         if knife:
-                            G, w = _gram(q[i], geom.d, geom.theta, nu_max, node_count,
-                                         int(idx[0]), 2)
+                            G, w = _gram(q[i], geom.d, geom.theta, nu_max,
+                                         start=int(idx[0]), step=2)
                             _knife_block_from_gram(G, w, stack[k])
                         else:
                             sigma, half = (table[:, i] for table in amplitudes[mode])
@@ -283,18 +263,14 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes, node_count: int = 16):
         yield nodes, out
 
 
-def build_kernel(geom: Geometry, q: float, nu_max: int,
-                 mode: BoundaryMode | str | None = None,
-                 node_count: int = 16) -> TruncatedKernel:
-    """Assemble the truncated round-trip kernel at frequency-axis q.
+def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):
+    """One boundary mode's truncated round-trip kernel at frequency-axis q.
 
-    With ``mode=None`` (zero radius, zero tilt only) the combined
-    matrix over all orders 0..nu_max is returned; its entries are
-    (-1)^nu k_{-nu-nu'-1}(2 q H), which block-diagonalizes into the two
-    boundary conditions by parity.  With a mode given, the kernel of
-    that single channel is returned: on the knife edge it lives on the
-    matching-parity orders only, while for positive radius all orders
-    couple.  The matrix is scattered from the blocks of `kernel_blocks`;
+    Returns ``(entries, orders)``: ``entries[i, j]`` couples partial-wave
+    order ``orders[i]`` to ``orders[j]`` in the balanced gauge.  On the
+    knife edge the mode lives on the matching-parity orders only, while
+    for positive radius all orders 0..nu_max take part.  The matrix is
+    scattered from the blocks of `kernel_blocks` at this one node;
     entries between different blocks are exact zeros.
     """
     if q <= 0 or not math.isfinite(q):
@@ -302,87 +278,35 @@ def build_kernel(geom: Geometry, q: float, nu_max: int,
     if not isinstance(nu_max, (int, np.integer)) or nu_max < 0:
         raise DomainError("nu_max must be a nonnegative integer")
     nu_max = int(nu_max)
-    if mode is None:
-        if geom.R != 0.0 or geom.theta != 0.0:
-            raise DomainError(
-                "the combined kernel requires zero radius and zero tilt; "
-                "pass a boundary mode otherwise")
-        modes, channel = tuple(BoundaryMode), "full"
-        nu_idx = np.arange(nu_max + 1)
-    else:
-        mode = BoundaryMode(mode)
-        modes = (mode,)
-        channel = ("dirichlet-block" if mode is BoundaryMode.DIRICHLET
-                   else "neumann-block")
-        step = 2 if geom.R == 0.0 else 1
-        start = _knife_start(mode) if geom.R == 0.0 else 0
-        nu_idx = np.arange(start, nu_max + 1, step)
-    _, blocks = next(kernel_blocks(geom, q, nu_max, modes, node_count))
-    entries = np.zeros((nu_idx.size, nu_idx.size))
-    for idx, stack in (b for m in modes for b in blocks[m]):
-        sel = np.searchsorted(nu_idx, idx)
+    mode = BoundaryMode(mode)
+    knife = geom.R == 0.0
+    orders = np.arange(_knife_start(mode) if knife else 0, nu_max + 1, 2 if knife else 1)
+    _, blocks = next(kernel_blocks(geom, q, nu_max, (mode,)))
+    entries = np.zeros((orders.size, orders.size))
+    for idx, stack in blocks[mode]:
+        sel = np.searchsorted(orders, idx)
         entries[np.ix_(sel, sel)] = stack[0]
     if not np.all(np.isfinite(entries)):
         raise PhysicalRegimeError(
             "kernel entries overflowed; the balanced gauge does not cover "
             f"this parameter corner (q={q:g}, R={geom.R:g}, H={geom.H:g})")
-    return TruncatedKernel(nu_max, entries, q * geom.H, channel, mode, nu_idx)
+    return entries, orders
 
 
-def parity_block(kernel: TruncatedKernel, mode: BoundaryMode | str) -> TruncatedKernel:
-    """Extract one boundary condition from a combined 'full' kernel.
+def _cholesky_ladders(m: np.ndarray, head: np.ndarray, stacked: bool) -> np.ndarray:
+    """log det of every leading block of each symmetric matrix m[j].
 
-    Selects the even (Dirichlet) or odd (Neumann) orders.  Because the
-    cross-parity entries of the combined kernel vanish, the two blocks'
-    log-determinants add up to the full one.
+    Row j of the result holds the ladder of m[j]; its entry s belongs to
+    the leading s x s block, since the Cholesky factor of a leading
+    block is the leading block of the factor, so one factorization
+    serves them all.  The matrices are overwritten.  ``head`` holds the
+    N that each m = 1 - N was formed from; it is read only when a
+    factorization fails, to tell an overflowed kernel from a loss of
+    positivity.
     """
-    if kernel.channel != "full":
-        raise DomainError("parity_block expects a 'full' channel kernel")
-    mode = BoundaryMode(mode)
-    sel = np.arange(_knife_start(mode), kernel.nu_max + 1, 2)
-    channel = ("dirichlet-block" if mode is BoundaryMode.DIRICHLET
-               else "neumann-block")
-    return TruncatedKernel(kernel.nu_max, kernel.entries[np.ix_(sel, sel)],
-                           kernel.q_scaled, channel, mode, sel)
-
-
-def _lu_logdet(m: np.ndarray) -> float:
-    """log det m through LU, with the sign tracked exactly (row-swap
-    parity times the signs of the pivots)."""
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    # det m^T = det m, and m^T is the Fortran-ordered view LAPACK reads.
-    lu, piv, info = lapack.dgetrf(m.T)
-    diag = np.diagonal(lu)
-    if info != 0 or not np.all(np.isfinite(diag)):
-        if not np.all(np.isfinite(m)):
-            raise PhysicalRegimeError("kernel contains nonfinite entries")
-        raise PhysicalRegimeError("factorization of 1 - N broke down")
-    swaps = int(np.count_nonzero(piv != np.arange(n)))
-    negs = int(np.count_nonzero(diag < 0.0))
-    if (swaps + negs) % 2 == 1:
-        raise PhysicalRegimeError(
-            "det(1 - N) is negative; increase quadrature resolution or "
-            "check the geometry")
-    return float(np.sum(np.log(np.abs(diag))))
-
-
-def _cholesky_ladders(m: np.ndarray, head: np.ndarray, which: np.ndarray,
-                      stacked: bool) -> np.ndarray:
-    """log det of every leading block of the symmetric matrices m[which].
-
-    Row k of the result holds the ladder of m[which[k]]; its entry s
-    belongs to the leading s x s block, since the Cholesky factor of a
-    leading block is the leading block of the factor, so one
-    factorization serves them all.  Those matrices are overwritten.
-    ``head`` holds the N that each m = 1 - N was formed from; it is read
-    only when a factorization fails, to tell an overflowed kernel from a
-    loss of positivity.
-    """
-    n = m.shape[1]
-    diag = np.empty((which.size, n))
-    for k, j in enumerate(which):
+    run, n = m.shape[:2]
+    diag = np.empty((run, n))
+    for j in range(run):
         # m[j] is exactly symmetric and C-ordered, so its transpose is the
         # same matrix in Fortran order and LAPACK works on it in place.
         factor, info = lapack.dpotrf(m[j].T, lower=True, clean=False, overwrite_a=True)
@@ -394,14 +318,14 @@ def _cholesky_ladders(m: np.ndarray, head: np.ndarray, which: np.ndarray,
                 f"1 - N is not positive definite: {where}its leading minor of "
                 f"order {info} (of {n}) is not positive; increase quadrature "
                 "resolution or check the geometry")
-        diag[k] = np.diagonal(factor)
-    ladders = np.zeros((which.size, n + 1))
+        diag[j] = np.diagonal(factor)
+    ladders = np.zeros((run, n + 1))
     np.cumsum(2.0 * np.log(diag), axis=1, out=ladders[:, 1:])
     return ladders
 
 
-def logdet_one_minus(kernel: TruncatedKernel | np.ndarray, sizes=None):
-    """log det(1 - N) with an explicit positivity check.
+def logdet_one_minus(kernel: np.ndarray, sizes=None):
+    """log det(1 - N) of a symmetric kernel, with an explicit positivity check.
 
     ``kernel`` is one square matrix or a stack of them, of shape
     (run, n, n).  With ``sizes`` (a sequence of leading-block sizes)
@@ -411,20 +335,19 @@ def logdet_one_minus(kernel: TruncatedKernel | np.ndarray, sizes=None):
     shape (run,) for a stack.  Matrix j of a stack gives bitwise what
     it gives alone.
 
-    An exactly symmetric kernel (every kernel the library builds) must
-    leave 1 - N positive definite, since all its eigenvalues lie below
-    one.  One Cholesky factorization of the largest block checks that
-    and serves every smaller size through partial sums of 2 log diag(L);
-    a failure raises `PhysicalRegimeError` naming the order of the
-    leading minor where positivity was lost, and for a stack the
-    matrix.  Any other input, such as a similarity-transformed kernel,
-    gets one LU factorization per size, with the sign tracked exactly; a
-    nonpositive or nonfinite determinant raises `PhysicalRegimeError`
-    rather than returning a garbage value, since downstream integration
-    would silently absorb it.  1 - N is formed once for the whole stack,
-    in a fresh buffer that the Cholesky factorizations overwrite.
+    The kernel must be exactly symmetric, as every kernel the library
+    builds is, and since all its eigenvalues lie below one, 1 - N must
+    be positive definite.  One Cholesky factorization of the largest
+    block checks that and serves every smaller size through partial
+    sums of 2 log diag(L); a failure raises `PhysicalRegimeError` naming
+    the order of the leading minor where positivity was lost, and for a
+    stack the matrix.  A nonfinite entry raises `PhysicalRegimeError`
+    too, rather than returning a garbage value that downstream
+    integration would silently absorb; a finite matrix that is not
+    symmetric raises `DomainError`.  1 - N is formed once for the whole
+    stack, in a fresh buffer that the factorizations overwrite.
     """
-    entries = kernel.entries if isinstance(kernel, TruncatedKernel) else np.asarray(kernel)
+    entries = np.asarray(kernel)
     stacked = entries.ndim == 3
     if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
         raise DomainError("expected a square matrix or a stack of them")
@@ -438,13 +361,14 @@ def logdet_one_minus(kernel: TruncatedKernel | np.ndarray, sizes=None):
     # C order whatever the input's layout, so the reshape below is a view.
     m = np.negative(head, dtype=float, order="C")
     m.reshape(run, top * top)[:, ::top + 1] += 1.0
-    # NaN compares unequal to itself, so a NaN entry sends its matrix to LU.
-    symmetric = np.all(m == m.transpose(0, 2, 1), axis=(1, 2))
-    out = np.empty((run, want.size))
-    chol = np.flatnonzero(symmetric)
-    out[chol] = _cholesky_ladders(m, head, chol, stacked)[:, want]
-    for j in np.flatnonzero(~symmetric):
-        out[j] = [_lu_logdet(m[j, :s, :s]) for s in want]
+    # NaN compares unequal to itself, so a NaN entry fails this test too.
+    if not np.all(m == m.transpose(0, 2, 1)):
+        if not np.all(np.isfinite(head)):
+            raise PhysicalRegimeError("kernel contains nonfinite entries")
+        j = int(np.argmin(np.all(m == m.transpose(0, 2, 1), axis=(1, 2))))
+        where = f"matrix {j} of the stack" if stacked else "the matrix"
+        raise DomainError(f"the kernel must be exactly symmetric: {where} is not")
+    out = _cholesky_ladders(m, head, stacked)[:, want]
     # A nonfinite entry of the factored head reaches the top rung.
     if not np.all(np.isfinite(out)):
         raise PhysicalRegimeError("kernel contains nonfinite entries")

@@ -79,14 +79,17 @@ class Geometry:
         Tip radius of the parabolic cylinder (length).  R = 0 is the
         knife edge, a semi-infinite plate.
     H : float
-        Closest distance between the tip and the plane (length).
+        Distance between the tip and the plane at zero tilt (length).
     theta : float, optional
         Tilt of the cylinder axis, radians, in the open interval
         (-pi/2, pi/2).  At exactly pi/2 the plate is parallel to the
         plane and the energy per length diverges.
 
     The focus-to-plane distance d = H + R/2 and the surface coordinate
-    mu0 = sqrt(R) are derived.
+    mu0 = sqrt(R) are derived.  The kernel uses d = H + R/2 at every
+    tilt, so H is the closest gap only at theta = 0 or R = 0.  At tilt
+    the closest gap is d - R/(2 cos theta), and the vertex lies
+    H + (R/2)(1 - cos theta) above the plane.
     """
 
     R: float

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
+from ._quad import panel_grid
 from .specfun import (
     DomainError,
     bateman_k,
@@ -85,16 +86,11 @@ def _u_grid(w: float, node_count: int = 16):
     U is set by e^{-w(cosh U - 1)} ~ 1e-18 so the truncated tail is
     negligible at double precision.
     """
-    xg, wg = roots_legendre(node_count)
     upper = math.acosh(1.0 + _U_EDGES_DAMPING[-1] / w)
     edges = {math.acosh(1.0 + e / w) for e in _U_EDGES_DAMPING}
     edges.update(_U_EDGES_FIXED)
-    edges = sorted({0.0, upper, *(e for e in edges if 1e-3 < e < upper)})
-    us, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        us.append((a + b) / 2.0 + (b - a) / 2.0 * xg)
-        ws.append((b - a) / 2.0 * wg)
-    return np.concatenate(us), np.concatenate(ws)
+    return panel_grid(sorted({0.0, upper, *(e for e in edges if 1e-3 < e < upper)}),
+                      node_count)
 
 
 def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
@@ -137,7 +133,7 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     return A.T @ A, w
 
 
-def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float, node_count: int = 16):
+def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):
     """Sign/log form of the full element matrix T at tilt theta.
 
     T[n, n2] = (-1)^n2 G[n, n2] e^{-w} / sqrt(2 pi) from the folded
@@ -147,7 +143,7 @@ def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float, node_count:
 
     Returns ``(sign, logmag)`` arrays of shape (nu_max+1, nu_max+1).
     """
-    G, w = _gram(q, d, theta, nu_max, node_count)
+    G, w = _gram(q, d, theta, nu_max)
     parity = (-1.0) ** np.arange(nu_max + 1)
     signs = np.sign(G) * parity[None, :]
     with np.errstate(divide="ignore"):
@@ -279,12 +275,6 @@ def green_parabolic(r1: ParabolicPoint, r2: ParabolicPoint, kappa: float,
     s0 = (inner.lam**2 + outer.lam**2 + outer.mu**2 - inner.mu**2) / 2.0
     kmax = 41.5 / s0
     npanel = max(12, min(80, int(kmax * dz / 2.0) + 12))
-    xg, wg = roots_legendre(12)
-    edges = np.linspace(0.0, kmax, npanel + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        kz = (a + b) / 2.0 + (b - a) / 2.0 * xg
-        wk = (b - a) / 2.0 * wg
-        vals = np.array([f_of_q(math.hypot(kappa, k)) for k in kz])
-        total += float(np.sum(wk * np.cos(kz * dz) * vals))
-    return total / math.pi
+    kz, wk = panel_grid(np.linspace(0.0, kmax, npanel + 1), 12)
+    vals = np.array([f_of_q(math.hypot(kappa, k)) for k in kz])
+    return float(np.sum(wk * np.cos(kz * dz) * vals)) / math.pi

@@ -17,9 +17,10 @@ from paracasimir.energy import (
     extrapolate_numax,
     thermal_energy,
 )
+from paracasimir._quad import panel_grid
 from paracasimir.roundtrip import build_kernel, kernel_blocks
 from paracasimir.scattering import BoundaryMode, Geometry
-from paracasimir.specfun import DomainError, bateman_m_log
+from paracasimir.specfun import DomainError, bateman_k_table, bateman_m_log
 from paracasimir.translation import AccuracyError
 
 KNIFE = Geometry(0.0, 1.0)
@@ -65,7 +66,7 @@ class TestQuadratureSpec:
         "kwargs",
         [
             {"node_count": 1},
-            {"mapping": "bogus"},
+            {"panel_count": 0},
             {"tolerance": -1.0},
             {"qmin_scaled": 2.0, "qmax_scaled": 1.0},
         ],
@@ -86,10 +87,13 @@ class TestQuadratureSpec:
         assert fine.value == pytest.approx(coarse.value, rel=1e-9)
 
     def test_linear_panels_mapping_agrees(self):
-        spec = QuadratureSpec(mapping="linear-panels", panel_count=40)
-        direct = energy_per_length(KNIFE, spec, nu_max=32)
+        # The log-mapped grid against 40 panels spaced uniformly in x.
+        spec = QuadratureSpec()
+        x, w = panel_grid(np.linspace(spec.qmin_scaled, spec.qmax_scaled, 41),
+                          spec.node_count)
+        direct = energy_module._g_series(KNIFE, x, [32], "em")[0] @ (w * x) / (4.0 * math.pi)
         mapped = energy_per_length(KNIFE, nu_max=32)
-        assert direct.value == pytest.approx(mapped.value, rel=1e-4)
+        assert direct == pytest.approx(mapped.value, rel=1e-4)
 
 
 class TestEnergyPerLength:
@@ -224,9 +228,12 @@ class TestThermal:
 
 
 class TestLadderAgainstLU:
-    """Every rung of `_g_series` against one LU per rung of the unsplit
-    `build_kernel` matrix, which shares neither the parity split nor
-    the single Cholesky factorization of the ladder."""
+    """Every rung of `_g_series` against one LU per rung of an unsplit
+    matrix, which shares neither the parity split nor the single
+    Cholesky factorization of the ladder: at the untilted knife edge
+    the combined kernel (-1)^nu k_{-nu-nu'-1}(2x) over all orders,
+    written out from the Bateman table, and otherwise each mode's
+    `build_kernel` matrix."""
 
     @pytest.mark.parametrize("geom,channel", [
         (Geometry(0.0, 1.0), "em"),
@@ -238,16 +245,21 @@ class TestLadderAgainstLU:
         orders = [6, 13, 25, 50]
         x = np.array([0.1, 0.4, 1.2])
         got = energy_module._g_series(geom, x, orders, channel)
-        modes = ((None,) if geom.R == 0.0 and geom.theta == 0.0 and channel == "em"
-                 else energy_module._modes(channel))
+        nu = np.arange(orders[-1] + 1)
+        tot = nu[:, None] + nu[None, :]
         for i, xi in enumerate(x):
+            if geom.R == 0.0 and geom.theta == 0.0 and channel == "em":
+                k = bateman_k_table(orders[-1], 2.0 * xi)
+                kernels = [(np.where(tot % 2 == 0, (-1.0) ** nu[:, None] * k[tot // 2], 0.0),
+                            nu)]
+            else:
+                kernels = [build_kernel(geom, xi / geom.H, orders[-1], mode)
+                           for mode in energy_module._modes(channel)]
             for j, order in enumerate(orders):
                 expected = 0.0
-                for mode in modes:
-                    kernel = build_kernel(geom, xi / geom.H, orders[-1], mode=mode)
-                    cut = int(np.count_nonzero(kernel.nu_indices <= order))
-                    sign, logdet = np.linalg.slogdet(
-                        np.eye(cut) - kernel.entries[:cut, :cut])
+                for entries, kept in kernels:
+                    cut = int(np.count_nonzero(kept <= order))
+                    sign, logdet = np.linalg.slogdet(np.eye(cut) - entries[:cut, :cut])
                     assert sign == 1.0
                     expected += logdet
                 assert got[j, i] == pytest.approx(expected, rel=1e-12)

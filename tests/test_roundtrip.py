@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from paracasimir.roundtrip import (
-    PhysicalRegimeError,
-    TruncatedKernel,
-    build_kernel,
-    logdet_one_minus,
-    parity_block,
-)
+from paracasimir.roundtrip import PhysicalRegimeError, build_kernel, logdet_one_minus
 from paracasimir.scattering import (
     BoundaryMode,
     Geometry,
@@ -38,6 +32,21 @@ def brute_entry(geom, q, nu, nu2, mode):
     return amp.sign * math.exp(half + half2) * plane_amplitude(mode) * element
 
 
+def literal_knife_kernel(q, nu_max):
+    """The knife edge's combined kernel over all orders 0..nu_max at H = 1,
+    (-1)^nu k_{-nu-nu'-1}(2 q), written out from the Bateman table."""
+    k = bateman_k_table(nu_max, 2.0 * q)
+    nu = np.arange(nu_max + 1)
+    tot = nu[:, None] + nu[None, :]
+    return np.where(tot % 2 == 0, (-1.0) ** nu[:, None] * k[tot // 2], 0.0)
+
+
+def knife_g(q, nu_max):
+    """log det(1 - N) of the knife edge at H = 1, both channels."""
+    return sum(logdet_one_minus(build_kernel(KNIFE, q, nu_max, mode)[0])
+               for mode in BoundaryMode)
+
+
 def det3(m):
     """Cofactor expansion of a 3x3 determinant, written out longhand."""
     return (
@@ -49,45 +58,36 @@ def det3(m):
 
 class TestKnifeEdgeKernel:
     def test_single_entry_is_bateman_value(self):
-        kernel = build_kernel(KNIFE, 0.7, 0)
-        assert kernel.entries.shape == (1, 1)
-        assert kernel.entries[0, 0] == pytest.approx(bateman_k(-1, 1.4), rel=1e-13)
+        entries, orders = build_kernel(KNIFE, 0.7, 0, BoundaryMode.DIRICHLET)
+        assert entries.shape == (1, 1)
+        assert np.array_equal(orders, [0])
+        assert entries[0, 0] == pytest.approx(bateman_k(-1, 1.4), rel=1e-13)
+        entries, orders = build_kernel(KNIFE, 0.7, 0, BoundaryMode.NEUMANN)
+        assert entries.shape == (0, 0)
+        assert orders.size == 0
 
     def test_cross_parity_entry_is_zero(self):
-        kernel = build_kernel(KNIFE, 0.7, 1)
-        assert kernel.entries[0, 1] == 0.0
-        assert kernel.entries[1, 0] == 0.0
+        # At zero tilt and positive radius the even and odd orders
+        # decouple, and the scattered matrix holds exact zeros between them.
+        entries, orders = build_kernel(Geometry(R=1.0, H=1.0), 0.7, 1, BoundaryMode.DIRICHLET)
+        assert np.array_equal(orders, [0, 1])
+        assert entries[0, 1] == 0.0
+        assert entries[1, 0] == 0.0
 
     def test_literal_alternating_form(self):
-        q, nu_max = 1.3, 6
-        kernel = build_kernel(KNIFE, q, nu_max)
-        k = bateman_k_table(nu_max, 2.0 * q * KNIFE.H)
-        for nu in range(nu_max + 1):
-            for nu2 in range(nu_max + 1):
-                if (nu + nu2) % 2:
-                    expected = 0.0
-                else:
-                    expected = (-1.0) ** nu * k[(nu + nu2) // 2]
-                assert kernel.entries[nu, nu2] == pytest.approx(expected, rel=1e-13)
-
-    def test_mode_kernels_match_parity_blocks(self):
-        q, nu_max = 0.9, 9
-        full = build_kernel(KNIFE, q, nu_max)
-        for mode in BoundaryMode:
-            block = parity_block(full, mode)
-            direct = build_kernel(KNIFE, q, nu_max, mode=mode)
-            assert np.array_equal(block.nu_indices, direct.nu_indices)
-            np.testing.assert_allclose(block.entries, direct.entries, rtol=1e-13)
-            assert direct.channel == block.channel
+        # Each channel's kernel is the matching-parity part of the
+        # combined kernel (-1)^nu k_{-nu-nu'-1}(2 q H).
+        q, nu_max = 1.3, 7
+        full = literal_knife_kernel(q, nu_max)
+        for mode, start in ((BoundaryMode.DIRICHLET, 0), (BoundaryMode.NEUMANN, 1)):
+            entries, orders = build_kernel(KNIFE, q, nu_max, mode)
+            assert np.array_equal(orders, np.arange(start, nu_max + 1, 2))
+            np.testing.assert_allclose(entries, full[np.ix_(orders, orders)], rtol=1e-13)
 
     def test_block_additivity(self):
         for q in (0.3, 1.0, 3.0):
-            full = build_kernel(KNIFE, q, 40)
-            total = logdet_one_minus(full)
-            parts = sum(
-                logdet_one_minus(parity_block(full, mode)) for mode in BoundaryMode
-            )
-            assert total == pytest.approx(parts, abs=1e-12)
+            total = logdet_one_minus(literal_knife_kernel(q, 40))
+            assert total == pytest.approx(knife_g(q, 40), abs=1e-12)
 
 
 class TestBruteForceAssembly:
@@ -101,19 +101,19 @@ class TestBruteForceAssembly:
     )
     def test_entries_match_scalar_assembly(self, geom, q):
         for mode in BoundaryMode:
-            kernel = build_kernel(geom, q, 2, mode=mode)
-            for i, nu in enumerate(kernel.nu_indices):
-                for j, nu2 in enumerate(kernel.nu_indices):
+            entries, orders = build_kernel(geom, q, 2, mode)
+            for i, nu in enumerate(orders):
+                for j, nu2 in enumerate(orders):
                     expected = brute_entry(geom, q, int(nu), int(nu2), mode)
-                    assert kernel.entries[i, j] == pytest.approx(
+                    assert entries[i, j] == pytest.approx(
                         expected, rel=1e-12, abs=1e-15
                     )
 
     def test_theta0_cross_parity_below_noise(self):
-        kernel = build_kernel(Geometry(R=2.0, H=1.0), 0.8, 5, mode=BoundaryMode.DIRICHLET)
-        scale = np.abs(kernel.entries).max()
-        tot = kernel.nu_indices[:, None] + kernel.nu_indices[None, :]
-        assert np.abs(kernel.entries[tot % 2 == 1]).max() <= 1e-12 * scale
+        entries, orders = build_kernel(Geometry(R=2.0, H=1.0), 0.8, 5, BoundaryMode.DIRICHLET)
+        scale = np.abs(entries).max()
+        tot = orders[:, None] + orders[None, :]
+        assert np.abs(entries[tot % 2 == 1]).max() <= 1e-12 * scale
 
 
 class TestLogDet:
@@ -131,17 +131,20 @@ class TestLogDet:
 
     def test_three_by_three_against_cofactors(self):
         for geom, q in ((Geometry(R=1.0, H=1.0), 0.9), (Geometry(R=3.0, H=0.5), 1.4)):
-            kernel = build_kernel(geom, q, 2, mode=BoundaryMode.DIRICHLET)
-            expected = math.log(det3(np.eye(3) - kernel.entries))
-            assert logdet_one_minus(kernel) == pytest.approx(expected, rel=1e-13)
+            entries, _ = build_kernel(geom, q, 2, BoundaryMode.DIRICHLET)
+            expected = math.log(det3(np.eye(3) - entries))
+            assert logdet_one_minus(entries) == pytest.approx(expected, rel=1e-13)
 
     def test_similarity_invariance(self):
+        # An orthogonal similarity keeps the kernel symmetric and its
+        # log-determinant unchanged.
         rng = np.random.default_rng(7)
-        kernel = build_kernel(KNIFE, 0.8, 30)
-        base = logdet_one_minus(kernel)
+        entries = literal_knife_kernel(0.8, 30)
+        base = logdet_one_minus(entries)
         for _ in range(5):
-            scale = np.exp(rng.uniform(-3, 3, size=31))
-            conjugated = kernel.entries * np.outer(scale, 1.0 / scale)
+            Q, _ = np.linalg.qr(rng.normal(size=(31, 31)))
+            conjugated = Q @ entries @ Q.T
+            conjugated = 0.5 * (conjugated + conjugated.T)
             assert logdet_one_minus(conjugated) == pytest.approx(base, abs=1e-12)
 
     def test_spectral_radius_violation_raises(self):
@@ -157,12 +160,12 @@ class TestLogDet:
     def test_ladder_matches_leading_blocks(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(9, 9)) / 10.0
-        for entries in (a @ a.T, a):
-            sizes = [0, 2, 5, 9]
-            ladder = logdet_one_minus(entries, sizes)
-            for s, got in zip(sizes, ladder):
-                assert got == pytest.approx(
-                    logdet_one_minus(entries[:s, :s]), rel=1e-13, abs=1e-15)
+        entries = a @ a.T
+        sizes = [0, 2, 5, 9]
+        ladder = logdet_one_minus(entries, sizes)
+        for s, got in zip(sizes, ladder):
+            assert got == pytest.approx(
+                logdet_one_minus(entries[:s, :s]), rel=1e-13, abs=1e-15)
 
     def test_ladder_sizes_validated(self):
         with pytest.raises(DomainError):
@@ -179,7 +182,7 @@ class TestLogDet:
         upper = base.copy()
         upper[0, 1] = math.nan
         # An overflowed kernel is reported as such, not as a loss of
-        # positivity, whichever route it takes.
+        # positivity or of symmetry.
         for entries in (diagonal, -diagonal, pair, -pair, upper):
             with pytest.raises(PhysicalRegimeError, match="nonfinite"):
                 logdet_one_minus(entries)
@@ -199,11 +202,8 @@ class TestLogDet:
         assert logdet_one_minus(np.asfortranarray(s)) == logdet_one_minus(s)
         assert np.array_equal(logdet_one_minus(np.asfortranarray(s), sizes),
                               logdet_one_minus(s, sizes))
-        assert logdet_one_minus(a.T) == logdet_one_minus(np.ascontiguousarray(a.T))
-        assert np.array_equal(logdet_one_minus(a.T, sizes),
-                              logdet_one_minus(np.ascontiguousarray(a.T), sizes))
         b = rng.normal(size=(7, 7, 3)) / 10.0
-        members = [b[..., 0] @ b[..., 0].T, b[..., 1], b[..., 2] @ b[..., 2].T]
+        members = [b[..., k] @ b[..., k].T for k in range(3)]
         stack = np.moveaxis(np.stack(members, axis=-1), -1, 0)
         assert not stack.flags.c_contiguous
         ladder = logdet_one_minus(stack, sizes)
@@ -211,15 +211,13 @@ class TestLogDet:
             assert np.array_equal(ladder[j], logdet_one_minus(entries, sizes))
 
     def test_stack_matches_single_calls(self):
-        # Symmetric members take the Cholesky route and nonsymmetric ones
-        # LU, within one stack; every result must be bitwise the single
-        # call's.
+        # Every result must be bitwise the single call's.
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(5, 9, 9)) / 10.0
-        members = [a[0] @ a[0].T, a[1], a[2] @ a[2].T, a[3], a[4] @ a[4].T]
-        knife = [build_kernel(KNIFE, q, 16, mode=BoundaryMode.DIRICHLET).entries
+        a = rng.normal(size=(3, 9, 9)) / 10.0
+        members = [m @ m.T for m in a]
+        knife = [build_kernel(KNIFE, q, 16, BoundaryMode.DIRICHLET)[0]
                  for q in (0.05, 0.3, 2.0)]
-        for stack in (np.stack(members), np.stack(members[::2]), np.stack(knife)):
+        for stack in (np.stack(members), np.stack(knife)):
             whole = logdet_one_minus(stack)
             ladder = logdet_one_minus(stack, [0, 2, 5, stack.shape[1]])
             assert whole.shape == (len(stack),)
@@ -235,54 +233,54 @@ class TestLogDet:
         with pytest.raises(PhysicalRegimeError, match="matrix 2 of the stack.*minor of order 2 "):
             logdet_one_minus(stack, [1, 3])
 
+    def test_nonsymmetric_matrix_rejected(self):
+        a = np.array([[0.1, 0.2], [0.0, 0.1]])
+        with pytest.raises(DomainError, match="symmetric"):
+            logdet_one_minus(a)
+        with pytest.raises(DomainError, match="symmetric"):
+            logdet_one_minus(a, [1, 2])
+        stack = np.stack([np.diag([0.1, 0.2])] * 4)
+        stack[3] = a
+        with pytest.raises(DomainError, match="matrix 3 of the stack"):
+            logdet_one_minus(stack)
+
 
 class TestKernelShapeAndDecay:
     def test_monotone_decay_beyond_peak(self):
         qs = np.linspace(0.2, 8.0, 25)
-        mags = [abs(logdet_one_minus(build_kernel(KNIFE, q, 20))) for q in qs]
+        mags = [abs(knife_g(q, 20)) for q in qs]
         peak = int(np.argmax(mags))
         tail = mags[peak:]
         assert all(a >= b for a, b in zip(tail, tail[1:]))
 
     def test_truncation_monotonicity(self):
         for q in (0.5, 1.5):
-            mags = [
-                abs(logdet_one_minus(build_kernel(KNIFE, q, nu_max)))
-                for nu_max in (2, 5, 10, 20, 40)
-            ]
+            mags = [abs(knife_g(q, nu_max)) for nu_max in (2, 5, 10, 20, 40)]
             assert all(b >= a - 1e-15 for a, b in zip(mags, mags[1:]))
 
     def test_entries_vanish_at_large_q(self):
-        near = np.abs(build_kernel(KNIFE, 5.0, 10).entries).max()
-        far = np.abs(build_kernel(KNIFE, 30.0, 10).entries).max()
+        near = np.abs(build_kernel(KNIFE, 5.0, 10, BoundaryMode.DIRICHLET)[0]).max()
+        far = np.abs(build_kernel(KNIFE, 30.0, 10, BoundaryMode.DIRICHLET)[0]).max()
         assert far < near
         assert far < 1e-15
 
     def test_finite_radius_entries_finite(self):
         for geom in (Geometry(R=1.0, H=1.0), Geometry(R=10.0, H=1.0, theta=0.9)):
             for mode in BoundaryMode:
-                kernel = build_kernel(geom, 2.0, 30, mode=mode)
-                assert np.all(np.isfinite(kernel.entries))
+                entries, _ = build_kernel(geom, 2.0, 30, mode)
+                assert np.all(np.isfinite(entries))
 
-    def test_q_scaled_records_qh(self):
-        kernel = build_kernel(Geometry(R=2.0, H=0.5), 3.0, 2, mode=BoundaryMode.NEUMANN)
-        assert kernel.q_scaled == pytest.approx(1.5)
+    def test_kernel_depends_on_q_through_qh(self):
+        # In the scaled variable x = q H the kernel depends on geometry
+        # ratios only.
+        small, _ = build_kernel(Geometry(R=2.0, H=0.5), 3.0, 6, BoundaryMode.NEUMANN)
+        large, _ = build_kernel(Geometry(R=4.0, H=1.0), 1.5, 6, BoundaryMode.NEUMANN)
+        np.testing.assert_allclose(small, large, rtol=1e-13, atol=1e-300)
 
 
 class TestArgumentValidation:
-    def test_combined_kernel_needs_knife_untilted(self):
-        with pytest.raises(DomainError):
-            build_kernel(Geometry(R=1.0, H=1.0), 1.0, 4)
-        with pytest.raises(DomainError):
-            build_kernel(Geometry(R=0.0, H=1.0, theta=0.3), 1.0, 4)
-
     def test_bad_q_and_numax(self):
         with pytest.raises(DomainError):
-            build_kernel(KNIFE, 0.0, 4)
+            build_kernel(KNIFE, 0.0, 4, BoundaryMode.DIRICHLET)
         with pytest.raises(DomainError):
-            build_kernel(KNIFE, 1.0, -1)
-
-    def test_parity_block_rejects_mode_kernels(self):
-        kernel = build_kernel(KNIFE, 1.0, 4, mode=BoundaryMode.DIRICHLET)
-        with pytest.raises(DomainError):
-            parity_block(kernel, BoundaryMode.DIRICHLET)
+            build_kernel(KNIFE, 1.0, -1, BoundaryMode.DIRICHLET)
