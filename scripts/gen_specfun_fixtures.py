@@ -5,16 +5,16 @@ with its frozen output ``tests/fixtures/specfun_fixtures.txt``.  It uses
 mpmath only (never the package under test) so the fixtures stay an
 independent yardstick.
 
-Families and their meaning (matching the public API of
-``paracasimir.specfun``):
+Families and their meaning (each row n of a family is checked against
+row n of the matching order table of ``paracasimir.specfun``):
 
-    regular            D_n(x)                      pcf_regular
-    regular_deriv      D_n'(x)                     pcf_regular(..., with_derivative)
-    regular_imag       i^n D_n(ix), real valued    pcf_regular_imag
-    regular_imag_deriv d/dx of the line above      pcf_regular_imag(..., with_derivative)
-    outgoing           D_{-n-1}(x)                 pcf_outgoing
-    outgoing_deriv     D_{-n-1}'(x)                pcf_outgoing(..., with_derivative)
-    bateman            k_{-2n-1}(u)                bateman_k
+    regular            D_n(x)                      pcf_regular_table
+    regular_deriv      D_n'(x)                     pcf_regular_table(..., with_derivative)
+    regular_imag       i^n D_n(ix), real valued    pcf_regular_imag_table
+    regular_imag_deriv d/dx of the line above      pcf_regular_imag_table(..., with_derivative)
+    outgoing           D_{-n-1}(x)                 pcf_outgoing_table
+    outgoing_deriv     D_{-n-1}'(x)                pcf_outgoing_table(..., with_derivative)
+    bateman            k_{-2n-1}(u)                bateman_k_table
 
 Output format: whitespace-separated columns ``family n x value_sign
 value_logmag`` with 20 significant digits, ``#`` comments allowed.

@@ -16,29 +16,14 @@ Quick start:
     >>> res.extrapolated        # E H^2/(hbar c L), about -0.0067411
 """
 
-from .specfun import (
-    DomainError,
-    ParabolicPoint,
-    SignedLog,
-    UnsupportedOrderError,
-    bateman_k,
-    pcf_outgoing,
-    pcf_regular,
-    pcf_regular_imag,
-)
+from .specfun import DomainError
 from .scattering import (
     BoundaryMode,
     Geometry,
     SingularDenominatorError,
-    mode_for_parity,
-    parabolic_amplitude,
     plane_amplitude,
 )
-from .translation import (
-    AccuracyError,
-    theta0_element,
-    tilted_element,
-)
+from .translation import AccuracyError
 from .roundtrip import (
     PhysicalRegimeError,
     build_kernel,
@@ -70,22 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DomainError",
-    "UnsupportedOrderError",
-    "SignedLog",
-    "ParabolicPoint",
-    "pcf_regular",
-    "pcf_regular_imag",
-    "pcf_outgoing",
-    "bateman_k",
     "BoundaryMode",
     "Geometry",
     "SingularDenominatorError",
     "plane_amplitude",
-    "parabolic_amplitude",
-    "mode_for_parity",
     "AccuracyError",
-    "theta0_element",
-    "tilted_element",
     "PhysicalRegimeError",
     "build_kernel",
     "logdet_one_minus",

@@ -67,8 +67,8 @@ class EdgeFit:
 
 def parallel_plates(H: float) -> float:
     """Parallel-plate energy per unit area, -pi^2/(720 H^3)."""
-    if not H > 0:
-        raise DomainError("H must be positive")
+    if not 0 < H < math.inf:
+        raise DomainError("H must be finite and positive")
     return -math.pi ** 2 / (720.0 * H ** 3)
 
 
@@ -79,10 +79,10 @@ def pfa_energy(H: float, R: float) -> float:
     the PFA with it; that case returns 0.0 under `EdgeLimitWarning`,
     since the physical energy is instead set by the edge scale 1/H^2.
     """
-    if not H > 0:
-        raise DomainError("H must be positive")
-    if R < 0:
-        raise DomainError("R must be nonnegative")
+    if not 0 < H < math.inf:
+        raise DomainError("H must be finite and positive")
+    if not 0 <= R < math.inf:
+        raise DomainError("R must be finite and nonnegative")
     if R == 0.0:
         warnings.warn("PFA vanishes for a zero-thickness edge; the true "
                       "energy scales as 1/H^2", EdgeLimitWarning, stacklevel=2)
@@ -105,8 +105,8 @@ def edge_pfa_disk(H: float, r: float, C_perp: float) -> tuple:
     derivative; panels are packed around phi = 0 where the integrand
     peaks over a width sqrt(2 H / r).
     """
-    if not (H > 0 and r > 0):
-        raise DomainError("H and r must be positive")
+    if not (0 < H < math.inf and 0 < r < math.inf):
+        raise DomainError("H and r must be finite and positive")
     width = math.sqrt(2.0 * H / r)
     half_pi = math.pi / 2.0
     edges = [0.0]

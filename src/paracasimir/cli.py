@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .specfun import DomainError
 
@@ -65,8 +65,8 @@ class RunConfig:
             raise DomainError(f"channel must be one of {_CHANNEL_CHOICES}")
         if self.format not in _FORMAT_CHOICES:
             raise DomainError(f"format must be one of {_FORMAT_CHOICES}")
-        if self.radius < 0 or self.separation <= 0:
-            raise DomainError("need radius >= 0 and separation > 0")
+        if not (0 <= self.radius < math.inf and 0 < self.separation < math.inf):
+            raise DomainError("need finite radius >= 0 and finite separation > 0")
         if self.numax < 0 or self.quad_nodes < 2 or self.points < 1:
             raise DomainError("need numax >= 0, quad_nodes >= 2, points >= 1")
         if not self.tolerance > 0:
@@ -181,17 +181,14 @@ def build_config(argv=None) -> RunConfig:
 
 
 def _quadrature(config):
-    from .energy import QuadratureSpec, default_quadrature
+    from .energy import default_quadrature
     from .scattering import Geometry
     geom = Geometry(config.radius, config.separation,
                     math.radians(config.angle_deg))
     base = default_quadrature(geom)
     qmax = config.qmax_scaled if config.qmax_scaled is not None else base.qmax_scaled
-    return geom, QuadratureSpec(node_count=config.quad_nodes,
-                                panel_count=base.panel_count,
-                                qmin_scaled=base.qmin_scaled,
-                                qmax_scaled=qmax,
-                                tolerance=config.tolerance)
+    return geom, replace(base, node_count=config.quad_nodes, qmax_scaled=qmax,
+                         tolerance=config.tolerance)
 
 
 def _worker_count() -> int:

@@ -80,7 +80,12 @@ class _Block(NamedTuple):
 
 
 def _knife_start(mode: BoundaryMode) -> int:
-    """Parity of the orders that carry ``mode`` at the knife edge."""
+    """Parity of the orders that carry ``mode`` at the knife edge.
+
+    On the degenerate surface mu = 0 the regular wave of even order has
+    vanishing normal derivative and the odd one has a node, so even
+    orders carry the Dirichlet channel and odd orders the Neumann one.
+    """
     return 0 if mode is BoundaryMode.DIRICHLET else 1
 
 

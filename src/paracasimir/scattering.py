@@ -14,7 +14,8 @@ regular parabolic wave of order n into the outgoing one with amplitude
     Neumann:    F_n = - i^{n+1} D_n'(i mu0~) / D_{-n-1}'(mu0~)
 
 at scaled argument mu0~ = mu0 sqrt(2q).  Both are real; they grow like
-n!, so they are handed out as `SignedLog` values and only ever enter
+n!, so `parabolic_amplitude_table` hands them out as (sign, log
+magnitude) tables over orders 0..nmax, and they only ever enter
 determinants through factorial-free ratios.
 
 At R = 0 the cylinder degenerates to a half-plane (knife edge).  There
@@ -22,8 +23,7 @@ the amplitude of the parity-matched channel (even n Dirichlet, odd n
 Neumann) reduces to the closed form -n! sqrt(2/pi), which this module
 special-cases exactly; the opposite-parity amplitude decouples because
 the corresponding wave has a node on the degenerate surface.  The
-parity rule itself is exposed as `mode_for_parity` so the kernel
-assembly can apply it in one place.
+kernel assembly applies that parity rule, in one place.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from scipy.special import gammaln
 
 from .specfun import (
     DomainError,
-    SignedLog,
     pcf_outgoing_table,
     pcf_regular_imag_table,
 )
@@ -47,9 +46,7 @@ __all__ = [
     "Geometry",
     "SingularDenominatorError",
     "plane_amplitude",
-    "parabolic_amplitude",
     "parabolic_amplitude_table",
-    "mode_for_parity",
 ]
 
 
@@ -127,18 +124,6 @@ def plane_amplitude(mode: BoundaryMode) -> float:
     raise DomainError(f"unknown boundary mode {mode!r}")
 
 
-def mode_for_parity(n: int) -> BoundaryMode:
-    """The channel that survives at the knife edge for partial-wave order n.
-
-    On the degenerate surface mu = 0 the regular wave of even order has
-    vanishing normal derivative and the odd one has a node, so even
-    orders carry the Dirichlet channel and odd orders the Neumann one.
-    """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    return BoundaryMode.DIRICHLET if n % 2 == 0 else BoundaryMode.NEUMANN
-
-
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 
 
@@ -152,9 +137,9 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
 
     At mu0_scaled = 0 every order is served the knife-edge closed form
     -n! sqrt(2/pi) regardless of parity; selecting which orders
-    physically participate there is the kernel assembler's job, via
-    `mode_for_parity`.  This keeps the amplitude a continuous function
-    of mu0_scaled on the orders that matter.
+    physically participate there is the kernel assembler's job.  This
+    keeps the amplitude a continuous function of mu0_scaled on the
+    orders that matter.
 
     Returns ``(sign, logmag)`` arrays.
     """
@@ -181,22 +166,3 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
         signs = np.where(knife, -1.0, signs)
         logs = np.where(knife, closed[:, None] if mu.ndim else closed, logs)
     return signs, logs
-
-
-def parabolic_amplitude(n: int, mode: BoundaryMode, mu0_scaled: float) -> SignedLog:
-    """Scattering amplitude of the parabolic cylinder for one order.
-
-    Parameters
-    ----------
-    n : int
-        Partial-wave order, n >= 0.
-    mode : BoundaryMode
-        Scalar channel.
-    mu0_scaled : float
-        Surface coordinate scaled by sqrt(2q); zero selects the exact
-        knife-edge closed form -n! sqrt(2/pi).
-    """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    signs, logs = parabolic_amplitude_table(n, mode, mu0_scaled)
-    return SignedLog(int(signs[n]), float(logs[n]))

@@ -2,25 +2,26 @@
 
 The scattering machinery needs three families of parabolic cylinder
 functions at integer order, plus the Bateman k-function that collapses
-the plane-to-parabola translation integral at zero tilt:
+the plane-to-parabola translation integral at zero tilt.  Each is
+evaluated as a whole table over orders 0..nmax, since every consumer
+needs all the orders up to its truncation:
 
-``pcf_regular``
-    D_n(x) for integer n >= 0 and real x (the Hermite-type family).
-``pcf_regular_imag``
+``pcf_regular_table``
+    D_n(x) for real x (the Hermite-type family).
+``pcf_regular_imag_table``
     The real combinations i^n D_n(ix) and i^(n+1) D_n'(ix) appearing on
     the imaginary axis, computed without complex intermediates.
-``pcf_outgoing``
+``pcf_outgoing_table``
     D_{-n-1}(x) for x >= 0, irregular at the origin.
-``bateman_k``
-    k_ell(u) = e^{-u} U(-ell/2, 0, 2u) / Gamma(ell/2 + 1) at negative
-    integer order ell.
+``bateman_m_log`` and ``bateman_k_table``
+    k_ell(u) = e^{-u} U(-ell/2, 0, 2u) / Gamma(ell/2 + 1) at the odd
+    negative orders ell = -2n-1 (the even ones are exact zeros), as
+    logs of m_n = (-1)^n k_{-2n-1} or as plain floats.
 
 Orders run to several hundred and scaled arguments to about a hundred,
-so results are returned in a signed-log representation (`SignedLog`)
-that cannot overflow.  Whole-table variants (``*_table`` and
-``bateman_m_log``) serve the vectorized consumers in the kernel and
-energy modules; the imaginary-axis, outgoing and Bateman tables take a
-1-d array of arguments, one per frequency node, and run their order
+so the pcf tables hold (sign, log magnitude) pairs that cannot
+overflow.  The imaginary-axis, outgoing and Bateman tables take a 1-d
+array of arguments, one per frequency node, and run their order
 recurrence once for all of them.
 
 Recurrence directions were chosen by measurement against arbitrary
@@ -45,16 +46,10 @@ from ._quad import panel_grid
 
 __all__ = [
     "DomainError",
-    "UnsupportedOrderError",
-    "SignedLog",
     "ParabolicPoint",
-    "pcf_regular",
-    "pcf_regular_imag",
-    "pcf_outgoing",
     "pcf_regular_table",
     "pcf_regular_imag_table",
     "pcf_outgoing_table",
-    "bateman_k",
     "bateman_k_table",
     "bateman_m_log",
 ]
@@ -68,50 +63,6 @@ _BIG = math.exp(_LOG_BIG)
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the function."""
-
-
-class UnsupportedOrderError(ValueError):
-    """The requested order is outside the range this library evaluates."""
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number stored as sign and natural log of magnitude.
-
-    ``sign`` is -1, 0 or +1; the represented value is
-    ``sign * exp(logmag)``.  Zero is encoded as ``sign = 0`` with
-    ``logmag = -inf``.  Products compose by multiplying signs and adding
-    log magnitudes, which is how factorially large amplitudes are kept
-    finite throughout the kernel assembly.
-    """
-
-    sign: int
-    logmag: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "SignedLog":
-        if value == 0.0:
-            return cls(0, -math.inf)
-        return cls(1 if value > 0 else -1, math.log(abs(value)))
-
-    @property
-    def value(self) -> float:
-        """The represented float, possibly under- or overflowing to 0/inf."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.logmag)
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLog(0, -math.inf)
-        return SignedLog(self.sign * other.sign, self.logmag + other.logmag)
-
-    def __truediv__(self, other: "SignedLog") -> "SignedLog":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by an exactly zero SignedLog")
-        if self.sign == 0:
-            return SignedLog(0, -math.inf)
-        return SignedLog(self.sign * other.sign, self.logmag - other.logmag)
 
 
 @dataclass(frozen=True)
@@ -198,6 +149,9 @@ def pcf_regular_table(nmax: int, x: float, with_derivative: bool = False):
 
     Returns ``(sign, logmag)``, or ``(sign, logmag, dsign, dlogmag)``
     with the derivative from D_n'(x) = n D_{n-1}(x) - (x/2) D_n(x).
+    Relative accuracy is at the 1e-13 level for n <= 200, |x| <= 50,
+    except within a rounding-dominated neighborhood of a zero of the
+    function itself.
     """
     nmax = _check_order(nmax)
     x = float(x)
@@ -237,22 +191,6 @@ def pcf_regular_table(nmax: int, x: float, with_derivative: bool = False):
         s1, l1 = s[:-1].copy(), l[:-1] + np.log(n_arr)
         ds[1:], dl[1:] = _signed_log_sum(s1, l1, t2s[1:], t2l[1:])
     return s, l, ds, dl
-
-
-def pcf_regular(n: int, x: float, with_derivative: bool = False):
-    """D_n(x) for integer n >= 0 and real x, as a SignedLog.
-
-    With ``with_derivative`` returns the pair (D_n(x), D_n'(x)).
-    Relative accuracy is at the 1e-13 level for n <= 200, |x| <= 50,
-    except within a rounding-dominated neighborhood of a zero of the
-    function itself.
-    """
-    n = _check_order(n)
-    if with_derivative:
-        s, l, ds, dl = pcf_regular_table(n, x, with_derivative=True)
-        return (SignedLog(int(s[n]), float(l[n])), SignedLog(int(ds[n]), float(dl[n])))
-    s, l = pcf_regular_table(n, x)
-    return SignedLog(int(s[n]), float(l[n]))
 
 
 def _argument_array(x):
@@ -321,20 +259,6 @@ def pcf_regular_imag_table(nmax: int, x, with_derivative: bool = False):
         ld = np.where(mag > 0.0, np.log(mag) + m + quarter, -np.inf)
     sd = np.where(mag > 0.0, (-1.0) ** n_arr, 0.0)
     return _shaped(scalar, sv, lv, sd, ld)
-
-
-def pcf_regular_imag(n: int, x: float, with_derivative: bool = False):
-    """The real number i^n D_n(ix) for x >= 0, as a SignedLog.
-
-    With ``with_derivative`` also returns the real number
-    i^{n+1} D_n'(ix).  No complex arithmetic is performed.
-    """
-    n = _check_order(n)
-    if with_derivative:
-        sv, lv, sd, ld = pcf_regular_imag_table(n, x, with_derivative=True)
-        return (SignedLog(int(sv[n]), float(lv[n])), SignedLog(int(sd[n]), float(ld[n])))
-    sv, lv = pcf_regular_imag_table(n, x)
-    return SignedLog(int(sv[n]), float(lv[n]))
 
 
 # Seed quadratures of the outgoing and Bateman tables: equal Gauss-Legendre
@@ -439,19 +363,6 @@ def pcf_outgoing_table(nmax: int, x, with_derivative: bool = False):
     return _shaped(scalar, sb, lb[:-1], -sb, ld)
 
 
-def pcf_outgoing(n: int, x: float, with_derivative: bool = False):
-    """D_{-n-1}(x) for integer n >= 0 and x >= 0, as a SignedLog.
-
-    With ``with_derivative`` returns the pair (D_{-n-1}(x), D_{-n-1}'(x)).
-    """
-    n = _check_order(n)
-    if with_derivative:
-        sb, lb, sd, ld = pcf_outgoing_table(n, x, with_derivative=True)
-        return (SignedLog(int(sb[n]), float(lb[n])), SignedLog(int(sd[n]), float(ld[n])))
-    sb, lb = pcf_outgoing_table(n, x)
-    return SignedLog(int(sb[n]), float(lb[n]))
-
-
 def _bateman_seeds(n: int, u: np.ndarray):
     """log m_n(u) and log T_n(u), T_n = sum_{k>n} m_k, for n >= 1.
 
@@ -542,19 +453,3 @@ def bateman_k_table(nmax: int, u: float) -> np.ndarray:
     logm = bateman_m_log(nmax, float(u))
     signs = (-1.0) ** np.arange(nmax + 1)
     return signs * np.exp(logm)
-
-
-def bateman_k(ell: int, u: float) -> float:
-    """The Bateman function k_ell(u) for integer ell <= -1 and u > 0.
-
-    k_ell(u) = e^{-u} U(-ell/2, 0, 2u) / Gamma(ell/2 + 1).  For negative
-    even ell the reciprocal gamma factor vanishes and the result is an
-    exact zero.  Orders ell >= 0 are not evaluated here.
-    """
-    if not isinstance(ell, (int, np.integer)) or isinstance(ell, bool):
-        raise DomainError(f"order must be an integer, got {ell!r}")
-    if ell >= 0:
-        raise UnsupportedOrderError("only negative orders are supported")
-    n = (-ell - 1) // 2
-    logm = bateman_m_log(n, float(u))
-    return 0.0 if ell % 2 == 0 else (-1.0) ** n * math.exp(logm[n])

@@ -21,9 +21,9 @@ from .specfun import (
     pcf_regular_imag_table,
     pcf_regular_table,
 )
-from .scattering import BoundaryMode, Geometry, mode_for_parity, parabolic_amplitude
+from .scattering import BoundaryMode, Geometry, parabolic_amplitude_table
 from .translation import green_parabolic, theta0_element, tilted_element
-from .roundtrip import build_kernel, logdet_one_minus
+from .roundtrip import _knife_start, build_kernel, logdet_one_minus
 from .energy import energy_per_length
 
 __all__ = [
@@ -80,14 +80,12 @@ class IdentityCheck:
 def _check_knife_amplitudes() -> IdentityCheck:
     """Amplitudes at the knife edge equal -n! sqrt(2/pi), matching parity."""
     worst = 0.0
-    log_root = 0.5 * math.log(2.0 / math.pi)
-    for n in range(61):
-        amp = parabolic_amplitude(n, mode_for_parity(n), 0.0)
-        expect = gammaln(n + 1.0) + log_root
-        defect = abs(amp.logmag - expect)
-        if amp.sign != -1:
-            defect = math.inf
-        worst = max(worst, defect)
+    expect = gammaln(np.arange(61.0) + 1.0) + 0.5 * math.log(2.0 / math.pi)
+    for mode in BoundaryMode:
+        signs, logs = parabolic_amplitude_table(60, mode, 0.0)
+        orders = slice(_knife_start(mode), None, 2)
+        defect = np.abs(logs[orders] - expect[orders])
+        worst = max(worst, float(np.max(np.where(signs[orders] == -1.0, defect, math.inf))))
     return IdentityCheck("knife-edge amplitudes", worst, 1e-10)
 
 

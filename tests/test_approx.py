@@ -29,7 +29,7 @@ class TestParallelPlates:
             parallel_plates(1.0) / 8.0, rel=1e-15
         )
 
-    @pytest.mark.parametrize("H", [0.0, -1.0])
+    @pytest.mark.parametrize("H", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_separation(self, H):
         with pytest.raises(DomainError):
             parallel_plates(H)
@@ -55,7 +55,8 @@ class TestPfaEnergy:
         with pytest.warns(EdgeLimitWarning):
             assert pfa_energy(1.0, 0.0) == 0.0
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("args", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0),
+                                      (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
     def test_invalid_arguments(self, args):
         with pytest.raises(DomainError):
             pfa_energy(*args)
@@ -94,7 +95,9 @@ class TestEdgePfaDisk:
         assert far[1] / near[1] == pytest.approx(4.0**-1.5, rel=1e-15)
         assert far[0] / near[0] == pytest.approx(4.0**-1.5, rel=0.02)
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (math.nan, 1.0, 1.0),
+                                      (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),
+                                      (1.0, math.inf, 1.0)])
     def test_invalid_geometry(self, args):
         with pytest.raises(DomainError):
             edge_pfa_disk(*args)

@@ -54,6 +54,10 @@ class TestRunConfig:
             {"command": "energy", "quad_nodes": 1},
             {"command": "energy", "points": 0},
             {"command": "energy", "tolerance": 0.0},
+            {"command": "pfa", "radius": math.nan},
+            {"command": "pfa", "radius": math.inf},
+            {"command": "pfa", "separation": math.nan},
+            {"command": "pfa", "separation": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -144,19 +148,28 @@ class TestCommandOutput:
         row = dict(zip(header, rows[0]))
         assert float(row["c_perp"]) == pytest.approx(0.0067415, abs=2e-5)
 
-    def test_runs_are_byte_identical(self, tmp_path):
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["cperp", "--numax", "32", "--output"]
-        assert main(argv + [str(first)]) == 0
-        assert main(argv + [str(second)]) == 0
-
+    def test_runs_are_byte_identical(self, tmp_path, monkeypatch):
         def stable_lines(path):
             # The config echo records the output path, which is the one
             # cell allowed to differ between otherwise identical runs.
             return [line for line in path.read_bytes().splitlines()
                     if not line.startswith(b"# path")]
 
-        assert stable_lines(first) == stable_lines(second)
+        # The sweeps run one point per task on PARACASIMIR_THREADS
+        # workers; one or two workers must give the same bytes, row
+        # order included.
+        for argv in (
+            ["cperp", "--numax", "32"],
+            ["ctheta-sweep", "--from", "0", "--to", "60", "--points", "3", "--numax", "16"],
+            ["h-sweep", "--radius", "1", "--from", "0.5", "--to", "2", "--points", "3",
+             "--numax", "16"],
+        ):
+            first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+            monkeypatch.setenv("PARACASIMIR_THREADS", "1")
+            assert main(argv + ["--output", str(first)]) == 0
+            monkeypatch.setenv("PARACASIMIR_THREADS", "2")
+            assert main(argv + ["--output", str(second)]) == 0
+            assert stable_lines(first) == stable_lines(second), argv
 
     def test_ctheta_sweep_endpoint_exact(self, tmp_path):
         out = tmp_path / "sweep.csv"

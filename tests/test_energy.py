@@ -310,3 +310,21 @@ class TestClassicalCoefficient:
         value = classical_coefficient(nu_max=24)
         assert value == pytest.approx(0.0472, abs=8e-4)
         assert value > 0.0
+
+
+def test_package_names():
+    # The test oracles theta0_element, tilted_element and ParabolicPoint
+    # stay importable from their own modules but are not package names.
+    import paracasimir
+
+    assert set(paracasimir.__all__) == {
+        "__version__", "DomainError", "BoundaryMode", "Geometry",
+        "SingularDenominatorError", "plane_amplitude", "AccuracyError",
+        "PhysicalRegimeError", "build_kernel", "logdet_one_minus",
+        "FitRejectedError", "QuadratureSpec", "EnergyResult", "default_quadrature",
+        "energy_per_length", "extrapolate_numax", "c_theta", "classical_coefficient",
+        "thermal_energy", "EdgeLimitWarning", "EdgeFit", "pfa_energy", "edge_pfa_disk",
+        "parallel_plates", "edge_coefficient_fit", "edge_fit_window_sweep",
+    }
+    assert len(paracasimir.__all__) == 26
+    assert all(hasattr(paracasimir, name) for name in paracasimir.__all__)

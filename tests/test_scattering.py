@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from paracasimir.scattering import (
     BoundaryMode,
     Geometry,
-    mode_for_parity,
-    parabolic_amplitude,
     parabolic_amplitude_table,
     plane_amplitude,
 )
+from paracasimir.roundtrip import _knife_start
 from paracasimir.specfun import DomainError
 
 
@@ -55,38 +54,34 @@ class TestGeometry:
 class TestKnifeEdgeAmplitudes:
     def test_spot_values(self):
         expected = -math.sqrt(2.0 / math.pi)
-        amp = parabolic_amplitude(0, BoundaryMode.DIRICHLET, 0.0)
-        assert amp.value == pytest.approx(expected, rel=1e-13)
-        amp = parabolic_amplitude(1, BoundaryMode.NEUMANN, 0.0)
-        assert amp.value == pytest.approx(expected, rel=1e-13)
+        signs, logs = parabolic_amplitude_table(0, BoundaryMode.DIRICHLET, 0.0)
+        assert signs[0] * math.exp(logs[0]) == pytest.approx(expected, rel=1e-13)
+        signs, logs = parabolic_amplitude_table(1, BoundaryMode.NEUMANN, 0.0)
+        assert signs[1] * math.exp(logs[1]) == pytest.approx(expected, rel=1e-13)
         for mode in BoundaryMode:
-            amp = parabolic_amplitude(5, mode, 0.0)
-            assert amp.value == pytest.approx(-120.0 * math.sqrt(2.0 / math.pi), rel=1e-13)
+            signs, logs = parabolic_amplitude_table(5, mode, 0.0)
+            assert signs[5] * math.exp(logs[5]) == pytest.approx(
+                -120.0 * math.sqrt(2.0 / math.pi), rel=1e-13)
 
     def test_factorial_form_up_to_60(self):
         # At the knife edge, the amplitude of the parity-matched channel
         # is exactly -n! sqrt(2/pi); compare in log space so 60! cannot
         # overflow the check itself.
-        for n in range(61):
-            amp = parabolic_amplitude(n, mode_for_parity(n), 0.0)
-            assert amp.sign == -1
-            expected_log = math.lgamma(n + 1) + 0.5 * math.log(2.0 / math.pi)
-            assert amp.logmag == pytest.approx(expected_log, abs=1e-10, rel=0.0)
-
-    def test_parity_helper(self):
-        assert mode_for_parity(0) is BoundaryMode.DIRICHLET
-        assert mode_for_parity(4) is BoundaryMode.DIRICHLET
-        assert mode_for_parity(1) is BoundaryMode.NEUMANN
-        assert mode_for_parity(7) is BoundaryMode.NEUMANN
+        for mode in BoundaryMode:
+            signs, logs = parabolic_amplitude_table(60, mode, 0.0)
+            for n in range(_knife_start(mode), 61, 2):
+                assert signs[n] == -1
+                expected_log = math.lgamma(n + 1) + 0.5 * math.log(2.0 / math.pi)
+                assert logs[n] == pytest.approx(expected_log, abs=1e-10, rel=0.0)
 
     def test_continuity_at_small_radius(self):
         # No branch jump between the closed form at 0 and the ratio
         # formula just off it.
-        for n in range(0, 12):
-            at_zero = parabolic_amplitude(n, mode_for_parity(n), 0.0)
-            nearby = parabolic_amplitude(n, mode_for_parity(n), 1e-8)
-            assert nearby.sign == at_zero.sign
-            assert nearby.logmag == pytest.approx(at_zero.logmag, abs=1e-6)
+        for mode in BoundaryMode:
+            signs, logs = parabolic_amplitude_table(11, mode, np.array([0.0, 1e-8]))
+            orders = slice(_knife_start(mode), None, 2)
+            assert np.array_equal(signs[orders, 1], signs[orders, 0])
+            assert logs[orders, 1] == pytest.approx(logs[orders, 0], abs=1e-6)
 
 
 class TestFiniteRadiusAmplitudes:
@@ -101,23 +96,14 @@ class TestFiniteRadiusAmplitudes:
         signs, _ = parabolic_amplitude_table(20, BoundaryMode.NEUMANN, mu0_scaled)
         assert np.array_equal(signs, (-1.0) ** np.arange(21))
 
-    def test_table_matches_scalar(self):
-        signs, logs = parabolic_amplitude_table(9, BoundaryMode.NEUMANN, 1.7)
-        for n in (0, 3, 9):
-            amp = parabolic_amplitude(n, BoundaryMode.NEUMANN, 1.7)
-            assert amp.sign == signs[n]
-            # The scalar path runs its own shorter backward recurrence,
-            # so agreement is at the last-few-digits level, not bitwise.
-            assert amp.logmag == pytest.approx(logs[n], abs=1e-12)
-
     @given(st.integers(0, 80), st.floats(1e-3, 10.0, allow_subnormal=False))
     @settings(max_examples=60, deadline=None)
     def test_amplitudes_finite(self, n, mu0_scaled):
         for mode in BoundaryMode:
-            amp = parabolic_amplitude(n, mode, mu0_scaled)
-            assert amp.sign in (-1, 1)
-            assert math.isfinite(amp.logmag)
+            signs, logs = parabolic_amplitude_table(n, mode, mu0_scaled)
+            assert np.all(np.abs(signs) == 1.0)
+            assert np.all(np.isfinite(logs))
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
-            parabolic_amplitude(0, BoundaryMode.DIRICHLET, -0.5)
+            parabolic_amplitude_table(0, BoundaryMode.DIRICHLET, -0.5)

@@ -2,9 +2,11 @@
 
 The backbone is the frozen fixture table generated once by
 ``scripts/gen_specfun_fixtures.py`` with mpmath at 50+ digits; every
-exported evaluator must agree with it to 1e-10 relative error.  On top
-of that sit closed-form spot values, recurrence and derivative
-identities, and contracts for the sign/log container types.
+order table (``pcf_regular_table``, ``pcf_regular_imag_table``,
+``pcf_outgoing_table``, ``bateman_k_table``) must agree with it to 1e-10
+relative error.  On top of that sit closed-form spot values, recurrence
+and derivative identities, the overflow and argument contracts of the
+tables, and the parabolic coordinate map.
 """
 
 import math
@@ -19,20 +21,19 @@ from hypothesis import strategies as st
 from paracasimir.specfun import (
     DomainError,
     ParabolicPoint,
-    SignedLog,
-    UnsupportedOrderError,
-    bateman_k,
     bateman_k_table,
     bateman_m_log,
-    pcf_outgoing,
     pcf_outgoing_table,
-    pcf_regular,
-    pcf_regular_imag,
     pcf_regular_imag_table,
     pcf_regular_table,
 )
 
 LOG_TOL = 1e-10
+
+
+def value_at(n, sign, logmag):
+    """The float sign[n] * exp(logmag[n]) of a sign/log table."""
+    return float(sign[n] * math.exp(logmag[n]))
 
 
 def group_by_x(records):
@@ -96,40 +97,26 @@ class TestFixtureAgreement:
                 assert math.copysign(1.0, v) == sign, f"bateman u={u} n={n}"
                 assert math.log(abs(v)) == pytest.approx(logmag, abs=LOG_TOL, rel=0.0)
 
-    def test_scalar_entry_points_match_tables(self, specfun_by_family):
-        n, x, sign, logmag = specfun_by_family["regular"][7]
-        val = pcf_regular(n, x)
-        assert (val.sign, val.logmag) == pytest.approx((sign, logmag), abs=LOG_TOL)
-        n, u, sign, logmag = specfun_by_family["bateman"][3]
-        v = bateman_k(-2 * n - 1, u)
-        assert math.copysign(1.0, v) == sign
-        assert math.log(abs(v)) == pytest.approx(logmag, abs=LOG_TOL, rel=0.0)
-
 
 class TestSpotValues:
     def test_regular(self):
-        assert pcf_regular(0, 0.0).value == 1.0
-        assert pcf_regular(1, 1.0).value == pytest.approx(math.exp(-0.25), rel=1e-14)
-        assert pcf_regular(2, 0.0).value == pytest.approx(-1.0, rel=1e-14)
+        assert value_at(0, *pcf_regular_table(0, 0.0)) == 1.0
+        assert value_at(1, *pcf_regular_table(1, 1.0)) == pytest.approx(math.exp(-0.25), rel=1e-14)
+        assert value_at(2, *pcf_regular_table(2, 0.0)) == pytest.approx(-1.0, rel=1e-14)
 
     def test_regular_imag(self):
-        assert pcf_regular_imag(0, 0.0).value == 1.0
-        assert pcf_regular_imag(1, 1.0).value == pytest.approx(-math.exp(0.25), rel=1e-14)
-        _, deriv = pcf_regular_imag(0, 2.0, with_derivative=True)
-        assert deriv.value == pytest.approx(math.e, rel=1e-14)
+        assert value_at(0, *pcf_regular_imag_table(0, 0.0)) == 1.0
+        assert value_at(1, *pcf_regular_imag_table(1, 1.0)) == pytest.approx(
+            -math.exp(0.25), rel=1e-14)
+        _, _, *deriv = pcf_regular_imag_table(0, 2.0, with_derivative=True)
+        assert value_at(0, *deriv) == pytest.approx(math.e, rel=1e-14)
 
     def test_outgoing(self):
-        assert pcf_outgoing(0, 0.0).value == pytest.approx(math.sqrt(math.pi / 2), rel=1e-14)
+        assert value_at(0, *pcf_outgoing_table(0, 0.0)) == pytest.approx(
+            math.sqrt(math.pi / 2), rel=1e-14)
         expected = math.exp(0.25) * math.sqrt(math.pi / 2) * math.erfc(1 / math.sqrt(2))
-        assert pcf_outgoing(0, 1.0).value == pytest.approx(expected, rel=1e-13)
-        assert pcf_outgoing(1, 0.0).value == pytest.approx(1.0, rel=1e-13)
-
-    def test_bateman_even_orders_are_exact_zeros(self):
-        assert bateman_k(-2, 0.7) == 0.0
-        assert bateman_k(-4, 3.1) == 0.0
-        for ell in (-2, -6, -40, -398):
-            for u in (1e-3, 0.3, 7.0, 100.0):
-                assert bateman_k(ell, u) == 0.0
+        assert value_at(0, *pcf_outgoing_table(0, 1.0)) == pytest.approx(expected, rel=1e-13)
+        assert value_at(1, *pcf_outgoing_table(1, 0.0)) == pytest.approx(1.0, rel=1e-13)
 
     def test_bateman_against_independent_float_oracle(self):
         # scipy's confluent hypergeometric U is an entirely separate
@@ -139,7 +126,7 @@ class TestSpotValues:
             expected = (
                 math.exp(-u) * sp.hyperu(-ell / 2, 0, 2 * u) / sp.gamma(ell / 2 + 1)
             )
-            assert bateman_k(ell, u) == pytest.approx(expected, rel=1e-6)
+            assert bateman_k_table(n, u)[n] == pytest.approx(expected, rel=1e-6)
 
     @pytest.mark.parametrize("u", [6e-5, 3e-4])
     def test_bateman_small_argument_against_quadrature(self, u):
@@ -297,14 +284,13 @@ class TestRecurrences:
 
 class TestOverflowContract:
     def test_large_order_large_argument(self):
-        val = pcf_regular(200, 50.0)
-        assert val.sign != 0 and math.isfinite(val.logmag)
-        val = pcf_regular_imag(200, 100.0)
-        assert val.sign == 1 and math.isfinite(val.logmag)
-        val = pcf_outgoing(200, 100.0)
-        assert val.sign == 1 and val.logmag < 0 and math.isfinite(val.logmag)
-        v = bateman_k(-401, 100.0)
-        assert math.isfinite(v)
+        s, l = pcf_regular_table(200, 50.0)
+        assert s[200] != 0 and math.isfinite(l[200])
+        s, l = pcf_regular_imag_table(200, 100.0)
+        assert s[200] == 1 and math.isfinite(l[200])
+        s, l = pcf_outgoing_table(200, 100.0)
+        assert s[200] == 1 and l[200] < 0 and math.isfinite(l[200])
+        assert math.isfinite(bateman_k_table(200, 100.0)[200])
 
     @pytest.mark.parametrize("fn", [pcf_regular_imag_table, pcf_outgoing_table])
     @pytest.mark.parametrize("with_derivative", [False, True])
@@ -331,15 +317,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "fn,args",
         [
-            (pcf_regular, (-1, 1.0)),
-            (pcf_regular, (2.5, 1.0)),
-            (pcf_regular, (0, float("inf"))),
-            (pcf_regular_imag, (0, -1.0)),
-            (pcf_outgoing, (1, -0.5)),
-            (bateman_k, (-1, 0.0)),
-            (bateman_k, (-1, -2.0)),
-            (bateman_k, (1.5, 1.0)),
-            (bateman_k, (-1, float("inf"))),
+            (pcf_regular_table, (-1, 1.0)),
+            (pcf_regular_table, (2.5, 1.0)),
+            (pcf_regular_table, (0, float("inf"))),
+            (pcf_regular_imag_table, (0, -1.0)),
+            (pcf_outgoing_table, (1, -0.5)),
+            (bateman_m_log, (0, 0.0)),
+            (bateman_m_log, (0, -2.0)),
+            (bateman_m_log, (1.5, 1.0)),
+            (bateman_m_log, (0, float("inf"))),
             (pcf_outgoing_table, (3, [0.5, -1e-3])),
             (pcf_outgoing_table, (3, [0.5, float("nan")])),
             (pcf_outgoing_table, (3, [float("inf"), 2.0])),
@@ -352,48 +338,9 @@ class TestErrors:
         with pytest.raises(DomainError):
             fn(*args)
 
-    @pytest.mark.parametrize("ell", [0, 2, 17])
-    def test_nonnegative_bateman_orders_rejected(self, ell):
-        with pytest.raises(UnsupportedOrderError):
-            bateman_k(ell, 1.0)
-
     def test_empty_u_rejected(self):
         with pytest.raises(DomainError):
             bateman_m_log(3, [])
-
-
-class TestSignedLog:
-    @given(
-        st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-6),
-        st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-6),
-    )
-    @settings(max_examples=80)
-    def test_product_matches_float_product(self, a, b):
-        prod = SignedLog.from_value(a) * SignedLog.from_value(b)
-        assert prod.value == pytest.approx(a * b, rel=1e-13)
-
-    @given(
-        st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-6),
-        st.floats(-1e6, 1e6).filter(lambda v: abs(v) > 1e-6),
-    )
-    @settings(max_examples=80)
-    def test_quotient_matches_float_quotient(self, a, b):
-        quot = SignedLog.from_value(a) / SignedLog.from_value(b)
-        assert quot.value == pytest.approx(a / b, rel=1e-13)
-
-    def test_zero_encoding(self):
-        zero = SignedLog.from_value(0.0)
-        assert zero.sign == 0 and zero.logmag == -math.inf
-        assert zero.value == 0.0
-        assert (zero * SignedLog.from_value(3.0)).sign == 0
-        with pytest.raises(ZeroDivisionError):
-            SignedLog.from_value(1.0) / zero
-
-    def test_round_trip(self):
-        # exp(log(v)) loses about |log v|*eps of relative accuracy, so
-        # huge magnitudes round-trip at the 1e-13 level, not 1e-15.
-        for v in (-2.5, 1e-200, -1e200, 7.0):
-            assert SignedLog.from_value(v).value == pytest.approx(v, rel=1e-13)
 
 
 class TestCoordinates:
