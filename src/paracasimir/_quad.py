@@ -8,10 +8,24 @@ integrals on ordinary bounded intervals.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import roots_legendre
 
 __all__ = ["panel_grid", "expmap_grid"]
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(node_count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    xg, wg = roots_legendre(node_count)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
 
 
 def panel_grid(edges, node_count: int):
@@ -21,7 +35,7 @@ def panel_grid(edges, node_count: int):
     panel with ``node_count`` nodes.  Returns flat (x, w) arrays.
     """
     edges = np.asarray(edges, dtype=float)
-    xg, wg = roots_legendre(node_count)
+    xg, wg = _legendre_rule(node_count)
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

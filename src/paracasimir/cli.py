@@ -69,8 +69,8 @@ class RunConfig:
             raise DomainError("need finite radius >= 0 and finite separation > 0")
         if self.numax < 0 or self.quad_nodes < 2 or self.points < 1:
             raise DomainError("need numax >= 0, quad_nodes >= 2, points >= 1")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise DomainError("tolerance must be finite and positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

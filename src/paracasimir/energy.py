@@ -83,8 +83,8 @@ class QuadratureSpec:
             raise DomainError("node_count must be >= 2 and panel_count >= 1")
         if not 0.0 < self.qmin_scaled < self.qmax_scaled:
             raise DomainError("need 0 < qmin_scaled < qmax_scaled")
-        if not self.tolerance > 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError("tolerance must be finite and positive")
 
 
 def default_quadrature(geom: Geometry) -> QuadratureSpec:

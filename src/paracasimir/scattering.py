@@ -85,8 +85,9 @@ class Geometry:
     The focus-to-plane distance d = H + R/2 and the surface coordinate
     mu0 = sqrt(R) are derived.  The kernel uses d = H + R/2 at every
     tilt, so H is the closest gap only at theta = 0 or R = 0.  At tilt
-    the closest gap is d - R/(2 cos theta), and the vertex lies
-    H + (R/2)(1 - cos theta) above the plane.
+    the closest gap is ``gap`` = d - R/(2 cos theta), and the vertex lies
+    H + (R/2)(1 - cos theta) above the plane.  A tilt at which the
+    cylinder touches or cuts the plane (gap <= 0) raises `DomainError`.
     """
 
     R: float
@@ -100,6 +101,18 @@ class Geometry:
             raise DomainError(f"H must be finite and positive, got {self.H}")
         if not abs(self.theta) < math.pi / 2:
             raise DomainError("theta must lie strictly inside (-pi/2, pi/2)")
+        if not self.gap > 0.0:
+            raise DomainError(f"the cylinder touches or cuts the plane: closest gap "
+                              f"d - R/(2 cos theta) = {self.gap:.6g}")
+
+    @property
+    def gap(self) -> float:
+        """Closest distance between the cylinder and the plane, d - R/(2 cos theta).
+
+        Written as H - (R/2)(1/cos theta - 1), so it equals H exactly at
+        theta = 0 and at R = 0.
+        """
+        return self.H - self.R / 2.0 * (1.0 / math.cos(self.theta) - 1.0)
 
     @property
     def d(self) -> float:

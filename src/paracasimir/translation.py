@@ -107,14 +107,22 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     space).
 
     With the square root of the positive weight folded into the powers,
-    P[u, i] = sqrt(weight(u)) t(u)^n_i, the real part of P^H P is A^T A
-    for the real matrix A = [Re P; Im P].  G is therefore symmetric
-    positive semidefinite by construction, and exactly symmetric in
-    floating point.
+    P[i, u] = sqrt(weight(u)) t(u)^n_i, G is the real part of P P^H.
+    P is laid out order-major, one row per order, so its float64 view
+    V = P.view(float64) holds each row's real and imaginary parts
+    interleaved, and G = V V^T is a single symmetric rank-k product
+    (BLAS syrk) with no copy of the real and imaginary parts.  G is
+    therefore positive semidefinite by construction, and exactly
+    symmetric in floating point (numpy mirrors the triangle syrk fills).
 
-    Powers of t are built by cumulative products, so no complex
-    logarithm (and hence no branch choice) is ever taken; |t| <= 1 for
-    |theta| <= pi/2, so the powers cannot overflow.
+    The powers are built by doubling: with the first s rows filled,
+    rows s .. 2s-1 are those rows times z^s, z = t^step, and z^s comes
+    from repeated squaring, so about log2(rows) vectorized products fill
+    the table.  Row k is a product of O(log k) factors z^(2^j), each
+    carrying the O(2^j eps) rounding of its squarings, so the row's
+    rounding error is O(k eps), as with a cumulative product.  No
+    complex logarithm (and hence no branch choice) is ever taken;
+    |t| <= 1 for |theta| <= pi/2, so the powers cannot overflow.
 
     Returns (G, w).
     """
@@ -124,13 +132,17 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     t = np.tan(half)
     c2 = np.abs(np.cos(half)) ** 2
     root = np.sqrt(wq * np.exp(-w * (np.cosh(u) - 1.0)) / c2)
-    cols = (nu_max - start) // step + 1
-    P = np.empty((u.size, cols), dtype=complex)
-    P[:, 0] = root * t ** start
-    P[:, 1:] = (t ** step)[:, None]
-    np.cumprod(P, axis=1, out=P)
-    A = np.concatenate([P.real, P.imag])
-    return A.T @ A, w
+    rows = (nu_max - start) // step + 1
+    P = np.empty((rows, u.size), dtype=complex)
+    P[0] = root * t ** start
+    z, filled = t ** step, 1
+    while filled < rows:
+        more = min(filled, rows - filled)
+        np.multiply(P[:more], z, out=P[filled:filled + more])
+        filled += more
+        z = z * z
+    V = P.view(np.float64)
+    return V @ V.T, w
 
 
 def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):

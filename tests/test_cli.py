@@ -58,6 +58,7 @@ class TestRunConfig:
             {"command": "pfa", "radius": math.inf},
             {"command": "pfa", "separation": math.nan},
             {"command": "pfa", "separation": math.inf},
+            {"command": "energy", "tolerance": math.inf},
         ],
     )
     def test_validation(self, kwargs):

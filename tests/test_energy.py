@@ -69,6 +69,7 @@ class TestQuadratureSpec:
             {"panel_count": 0},
             {"tolerance": -1.0},
             {"qmin_scaled": 2.0, "qmax_scaled": 1.0},
+            {"tolerance": math.inf},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

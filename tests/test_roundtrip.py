@@ -264,7 +264,7 @@ class TestKernelShapeAndDecay:
         assert far < 1e-15
 
     def test_finite_radius_entries_finite(self):
-        for geom in (Geometry(R=1.0, H=1.0), Geometry(R=10.0, H=1.0, theta=0.9)):
+        for geom in (Geometry(R=1.0, H=1.0), Geometry(R=10.0, H=1.0, theta=0.5)):
             for mode in BoundaryMode:
                 entries, _ = build_kernel(geom, 2.0, 30, mode)
                 assert np.all(np.isfinite(entries))

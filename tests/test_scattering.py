@@ -50,6 +50,21 @@ class TestGeometry:
         with pytest.raises(DomainError):
             Geometry(**kwargs)
 
+    def test_touching_bodies_rejected(self):
+        # R = 1, H = 0.1 touches the plane at theta = arccos(5/6) ~ 0.586.
+        with pytest.raises(DomainError, match="-0.005"):
+            Geometry(1.0, 0.1, 0.6)
+
+    @pytest.mark.parametrize("R, H, theta", [(2.0, 0.5, 0.0), (0.0, 0.7, 1.2),
+                                             (0.3, 0.1, 0.0), (0.0, 1.0, 0.0)])
+    def test_gap_is_H_untilted_or_at_zero_radius(self, R, H, theta):
+        assert Geometry(R, H, theta).gap == H
+
+    def test_gap_at_tilt(self):
+        geom = Geometry(1.0, 0.1, 0.3)
+        assert geom.gap == pytest.approx(geom.d - 0.5 / math.cos(0.3), rel=1e-14)
+        assert geom.gap == pytest.approx(0.0766, abs=1e-4)
+
 
 class TestKnifeEdgeAmplitudes:
     def test_spot_values(self):

@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
+from paracasimir._quad import _legendre_rule, panel_grid
 from paracasimir.specfun import DomainError, ParabolicPoint
 from paracasimir.translation import (
+    _U_EDGES_DAMPING,
+    _U_EDGES_FIXED,
     AccuracyError,
     _gram,
+    _u_grid,
     green_parabolic,
     theta0_element,
     tilted_element,
@@ -146,6 +153,80 @@ class TestParityGram:
             quarter, _ = _gram(0.4, 1.0, 0.7, 60, start=start, step=2)
             np.testing.assert_allclose(quarter, full[start::2, start::2],
                                        rtol=0, atol=1e-14 * np.abs(full).max())
+
+
+def cumprod_gram(q, d, theta, nu_max, start, step):
+    """The tilted Gram built the direct way: cumulative-product powers in
+    a (u, order) table P and G = A^T A with A = [Re P; Im P]."""
+    w = 2.0 * q * d
+    u, wq = _u_grid(w, 16)
+    half = 0.5 * (theta - 1j * u)
+    t = np.tan(half)
+    root = np.sqrt(wq * np.exp(-w * (np.cosh(u) - 1.0)) / np.abs(np.cos(half)) ** 2)
+    P = np.empty((u.size, (nu_max - start) // step + 1), dtype=complex)
+    P[:, 0] = root * t ** start
+    P[:, 1:] = (t ** step)[:, None]
+    np.cumprod(P, axis=1, out=P)
+    A = np.concatenate([P.real, P.imag])
+    return A.T @ A
+
+
+class TestGramProperties:
+    """`_gram` over tilt, frequency (down to w -> 0, where the u range
+    grows like ln(1/w)), order and parity."""
+
+    @given(theta_deg=st.floats(0.0, 89.5),
+           log_q=st.floats(math.log10(1e-4), math.log10(20.0)),
+           nu_max=st.integers(0, 400),
+           layout=st.sampled_from([(0, 2), (1, 2), (0, 1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_psd_and_matches_cumprod(self, theta_deg, log_q, nu_max, layout):
+        start, step = layout
+        nu_max = max(nu_max, start)
+        q, theta = 10.0 ** log_q, math.radians(theta_deg)
+        G, _ = _gram(q, 1.0, theta, nu_max, start=start, step=step)
+        assert np.array_equal(G, G.T)
+        expected = cumprod_gram(q, 1.0, theta, nu_max, start, step)
+        diag = np.sqrt(np.diag(expected))
+        assert np.all(np.abs(G - expected) <= 1e-12 * np.outer(diag, diag))
+        assert np.linalg.eigvalsh(G)[0] >= -1e-12 * np.abs(G).max()
+
+
+def direct_grid(edges, count):
+    """Gauss-Legendre panels on ``edges`` from a fresh `roots_legendre`."""
+    edges = np.asarray(edges, dtype=float)
+    xg, wg = roots_legendre(count)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    return ((mid[:, None] + half[:, None] * xg[None, :]).ravel(),
+            (half[:, None] * wg[None, :]).ravel())
+
+
+class TestLegendreRule:
+    """The Gauss-Legendre rule is cached; the grids built from it are not
+    allowed to move."""
+
+    @pytest.mark.parametrize("count", [2, 10, 16, 20, 32])
+    def test_panel_grid_matches_direct_rule(self, count):
+        edges = [0.0, 0.3, 1.0, 2.5, 7.0]
+        x, w = panel_grid(edges, count)
+        x_ref, w_ref = direct_grid(edges, count)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = _legendre_rule(16)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    @pytest.mark.parametrize("w", [1e-3, 0.01, 0.3, 2.0, 50.0, 400.0])
+    def test_u_grid_unchanged(self, w):
+        upper = math.acosh(1.0 + _U_EDGES_DAMPING[-1] / w)
+        edges = {math.acosh(1.0 + e / w) for e in _U_EDGES_DAMPING} | set(_U_EDGES_FIXED)
+        u, wq = _u_grid(w, 16)
+        edges = sorted({0.0, upper, *(e for e in edges if 1e-3 < e < upper)})
+        u_ref, wq_ref = direct_grid(edges, 16)
+        assert np.array_equal(u, u_ref) and np.array_equal(wq, wq_ref)
 
 
 class TestGreenOracle:
