@@ -17,18 +17,9 @@ Quick start:
 """
 
 from .specfun import DomainError
-from .scattering import (
-    BoundaryMode,
-    Geometry,
-    SingularDenominatorError,
-    plane_amplitude,
-)
+from .scattering import BoundaryMode, Geometry
 from .translation import AccuracyError
-from .roundtrip import (
-    PhysicalRegimeError,
-    build_kernel,
-    logdet_one_minus,
-)
+from .roundtrip import PhysicalRegimeError
 from .energy import (
     EnergyResult,
     FitRejectedError,
@@ -57,12 +48,8 @@ __all__ = [
     "DomainError",
     "BoundaryMode",
     "Geometry",
-    "SingularDenominatorError",
-    "plane_amplitude",
     "AccuracyError",
     "PhysicalRegimeError",
-    "build_kernel",
-    "logdet_one_minus",
     "FitRejectedError",
     "QuadratureSpec",
     "EnergyResult",

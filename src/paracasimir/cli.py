@@ -4,10 +4,10 @@ Every command writes one table (CSV with a config echo in ``#`` lines,
 or JSON as one object per line) so figures and regressions can be
 rebuilt from artifacts alone.  Numeric rows always carry their error
 estimates.  Output is deterministic: fixed grids, fixed summation
-order, and a worker pool that only reorders work, never results.
-
-The only environment variable honored is PARACASIMIR_THREADS, the
-sweep worker-pool size (default 1).
+order, and sweep points computed one after another.  A flag that a
+command would ignore is rejected, and ``--output`` is opened only once
+there is a table or a diagnostic to write, so a rejected run leaves an
+existing file untouched.
 """
 
 from __future__ import annotations
@@ -16,12 +16,23 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
+from .approx import EdgeLimitWarning, pfa_energy
+from .energy import (
+    FitRejectedError,
+    _tilt_coefficient,
+    default_quadrature,
+    energy_per_length,
+    thermal_energy,
+)
+from .roundtrip import PhysicalRegimeError
+from .scattering import Geometry
 from .specfun import DomainError
+from .testing import run_identity_suite
+from .translation import AccuracyError
 
 __all__ = ["RunConfig", "parse_config_file", "build_config", "run", "main"]
 
@@ -71,6 +82,10 @@ class RunConfig:
             raise DomainError("need numax >= 0, quad_nodes >= 2, points >= 1")
         if not 0 < self.tolerance < math.inf:
             raise DomainError("tolerance must be finite and positive")
+        if self.command in ("cperp", "ctheta-sweep", "h-sweep", "pfa") and self.angle_deg != 0:
+            raise DomainError(f"{self.command} computes at zero tilt; it takes no --angle")
+        if self.command in ("cperp", "ctheta-sweep") and self.radius != 0:
+            raise DomainError(f"{self.command} computes the knife edge; it takes no --radius")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -181,30 +196,12 @@ def build_config(argv=None) -> RunConfig:
 
 
 def _quadrature(config):
-    from .energy import default_quadrature
-    from .scattering import Geometry
     geom = Geometry(config.radius, config.separation,
                     math.radians(config.angle_deg))
     base = default_quadrature(geom)
     qmax = config.qmax_scaled if config.qmax_scaled is not None else base.qmax_scaled
     return geom, replace(base, node_count=config.quad_nodes, qmax_scaled=qmax,
                          tolerance=config.tolerance)
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PARACASIMIR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    count = _worker_count()
-    if count <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, items))
 
 
 def _linspace(lo: float, hi: float, count: int):
@@ -222,7 +219,6 @@ def _geomspace(lo: float, hi: float, count: int):
 
 
 def _rows_energy(config):
-    from .energy import energy_per_length
     geom, spec = _quadrature(config)
     res = energy_per_length(geom, spec, config.numax, config.channel)
     header = ["radius", "separation", "angle_deg", "channel", "nu_max",
@@ -237,7 +233,6 @@ def _rows_energy(config):
 
 
 def _rows_cperp(config):
-    from .energy import _tilt_coefficient
     _, spec = _quadrature(config)
     res = _tilt_coefficient(0.0, config.numax, spec, config.channel)
     header = ["channel", "nu_max", "c_perp", "trunc_error", "quad_error"]
@@ -249,7 +244,6 @@ def _rows_cperp(config):
 
 
 def _rows_ctheta(config):
-    from .energy import _tilt_coefficient
     _, spec = _quadrature(config)
     lo = config.sweep_from if config.sweep_from is not None else 0.0
     hi = config.sweep_to if config.sweep_to is not None else 90.0
@@ -262,14 +256,10 @@ def _rows_ctheta(config):
                 "channel": config.channel, "trunc_error": res.trunc_error,
                 "quad_error": res.quad_error}
 
-    rows = _map_ordered(point, _linspace(lo, hi, config.points))
-    return header, rows, True
+    return header, [point(theta) for theta in _linspace(lo, hi, config.points)], True
 
 
 def _rows_hsweep(config):
-    from .approx import pfa_energy
-    from .energy import energy_per_length
-    from .scattering import Geometry
     if config.radius <= 0:
         raise DomainError("h-sweep requires --radius > 0")
     lo = config.sweep_from if config.sweep_from is not None else 0.25
@@ -289,12 +279,10 @@ def _rows_hsweep(config):
                 "trunc_error": res.trunc_error * h2,
                 "quad_error": res.quad_error * h2}
 
-    rows = _map_ordered(point, _geomspace(lo, hi, config.points))
-    return header, rows, True
+    return header, [point(ratio) for ratio in _geomspace(lo, hi, config.points)], True
 
 
 def _rows_thermal(config):
-    from .energy import thermal_energy
     geom, spec = _quadrature(config)
     if config.temperature is None or config.temperature < 0:
         raise DomainError("thermal requires --temperature >= 0")
@@ -311,7 +299,6 @@ def _rows_thermal(config):
 
 
 def _rows_pfa(config):
-    from .approx import EdgeLimitWarning, pfa_energy
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = pfa_energy(config.separation, config.radius)
@@ -324,7 +311,6 @@ def _rows_pfa(config):
 
 
 def _rows_validate(config):
-    from .testing import run_identity_suite
     checks = run_identity_suite()
     header = ["check", "measure", "bound", "passed"]
     rows = [{"check": c.name, "measure": c.measure, "bound": c.bound,
@@ -368,51 +354,44 @@ def _write_json(stream, config: RunConfig, header, rows):
         stream.write("\n")
 
 
+def _emit(config: RunConfig, write) -> None:
+    """Call ``write`` on the output: the ``--output`` file, opened now, or stdout."""
+    if config.path:
+        with open(config.path, "w", encoding="utf-8", newline="") as stream:
+            write(stream)
+    else:
+        write(sys.stdout)
+
+
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status.
 
     0: all requested computations converged.  1: a physical-regime,
     accuracy, or fit error occurred (a machine-readable JSON diagnostic
-    is written to the output), or a validation check failed.
+    is written to the output), or a validation check failed.  Nothing is
+    written, and ``--output`` is not opened, before the command has a
+    table or a diagnostic; any other error propagates first.
     """
-    from .energy import FitRejectedError
-    from .roundtrip import PhysicalRegimeError
-    from .scattering import SingularDenominatorError
-    from .translation import AccuracyError
-    stream = open(config.path, "w", encoding="utf-8", newline="") \
-        if config.path else sys.stdout
     try:
-        try:
-            header, rows, converged = _DISPATCH[config.command](config)
-        except (PhysicalRegimeError, AccuracyError, FitRejectedError,
-                SingularDenominatorError) as exc:
-            stream.write(json.dumps({"error": type(exc).__name__,
-                                     "message": str(exc)}))
-            stream.write("\n")
-            return 1
-        if config.format == "csv":
-            _write_csv(stream, config, header, rows)
-        else:
-            _write_json(stream, config, header, rows)
-        return 0 if converged else 1
-    finally:
-        if config.path:
-            stream.close()
+        header, rows, converged = _DISPATCH[config.command](config)
+    except (PhysicalRegimeError, AccuracyError, FitRejectedError) as exc:
+        record = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+        _emit(config, lambda stream: stream.write(record + "\n"))
+        return 1
+    writer = _write_csv if config.format == "csv" else _write_json
+    _emit(config, lambda stream: writer(stream, config, header, rows))
+    return 0 if converged else 1
 
 
 def main(argv=None) -> int:
-    """Console entry point."""
+    """Console entry point.
+
+    A rejected argument, or a config or output file that cannot be
+    opened, is reported on stderr with exit status 2.
+    """
     try:
-        config = build_config(argv)
-    except DomainError as exc:
-        print(f"paracasimir: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"paracasimir: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
-    except DomainError as exc:
+        return run(build_config(argv))
+    except (DomainError, OSError) as exc:
         print(f"paracasimir: {exc}", file=sys.stderr)
         return 2
 

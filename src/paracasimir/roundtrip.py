@@ -272,21 +272,20 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     """One boundary mode's truncated round-trip kernel at frequency-axis q.
 
     Returns ``(entries, orders)``: ``entries[i, j]`` couples partial-wave
-    order ``orders[i]`` to ``orders[j]`` in the balanced gauge.  On the
-    knife edge the mode lives on the matching-parity orders only, while
-    for positive radius all orders 0..nu_max take part.  The matrix is
-    scattered from the blocks of `kernel_blocks` at this one node;
-    entries between different blocks are exact zeros.
+    order ``orders[i]`` to ``orders[j]`` in the balanced gauge.  The
+    matrix is scattered from the blocks of `kernel_blocks` at this one
+    node, and ``orders`` lists the orders those blocks cover: on the
+    knife edge the mode's parity only, for positive radius all orders
+    0..nu_max.  Entries between different blocks are exact zeros.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be positive and finite")
     if not isinstance(nu_max, (int, np.integer)) or nu_max < 0:
         raise DomainError("nu_max must be a nonnegative integer")
-    nu_max = int(nu_max)
     mode = BoundaryMode(mode)
-    knife = geom.R == 0.0
-    orders = np.arange(_knife_start(mode) if knife else 0, nu_max + 1, 2 if knife else 1)
-    _, blocks = next(kernel_blocks(geom, q, nu_max, (mode,)))
+    _, blocks = next(kernel_blocks(geom, q, int(nu_max), (mode,)))
+    covered = [idx for idx, _ in blocks[mode]]
+    orders = np.sort(np.concatenate(covered)) if covered else np.arange(0)
     entries = np.zeros((orders.size, orders.size))
     for idx, stack in blocks[mode]:
         sel = np.searchsorted(orders, idx)

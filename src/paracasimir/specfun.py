@@ -18,6 +18,9 @@ needs all the orders up to its truncation:
     negative orders ell = -2n-1 (the even ones are exact zeros), as
     logs of m_n = (-1)^n k_{-2n-1} or as plain floats.
 
+The module holds these tables only; the coordinate map `ParabolicPoint`
+lives in `paracasimir.testing` with the oracles that use it.
+
 Orders run to several hundred and scaled arguments to about a hundred,
 so the pcf tables hold (sign, log magnitude) pairs that cannot
 overflow.  The imaginary-axis, outgoing and Bateman tables take a 1-d
@@ -37,7 +40,6 @@ lives in ``tests/fixtures`` and is produced by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx
@@ -46,7 +48,6 @@ from ._quad import panel_grid
 
 __all__ = [
     "DomainError",
-    "ParabolicPoint",
     "pcf_regular_table",
     "pcf_regular_imag_table",
     "pcf_outgoing_table",
@@ -63,51 +64,6 @@ _BIG = math.exp(_LOG_BIG)
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the function."""
-
-
-@dataclass(frozen=True)
-class ParabolicPoint:
-    """A point in parabolic cylinder coordinates (lam, mu, z).
-
-    The Cartesian map is x = mu*lam, y = (lam^2 - mu^2)/2, z = z, with
-    the convention mu >= 0 (mu is the radial coordinate; the surface
-    mu = sqrt(R) is a parabolic cylinder of tip radius R).
-    """
-
-    lam: float
-    mu: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise DomainError("mu must be nonnegative")
-
-    def to_cartesian(self) -> tuple[float, float, float]:
-        return (self.mu * self.lam, (self.lam**2 - self.mu**2) / 2.0, self.z)
-
-    @classmethod
-    def from_cartesian(cls, x: float, y: float, z: float = 0.0) -> "ParabolicPoint":
-        """Invert the coordinate map, choosing mu >= 0 and sign(lam) = sign(x).
-
-        The differences r - y and r + y are formed cancellation-free so
-        the round trip through ``to_cartesian`` is accurate to machine
-        precision for all quadrants.
-        """
-        r = math.hypot(x, y)
-        if r == 0.0:
-            return cls(0.0, 0.0, z)
-        if y >= 0.0:
-            lam2 = r + y
-            mu2 = x * x / lam2
-        else:
-            mu2 = r - y
-            lam2 = x * x / mu2
-        lam = math.sqrt(lam2)
-        if x < 0.0:
-            lam = -lam
-        elif x == 0.0 and y < 0.0:
-            lam = 0.0
-        return cls(lam, math.sqrt(mu2), z)
 
 
 def _check_order(n) -> int:

@@ -59,6 +59,14 @@ class TestRunConfig:
             {"command": "pfa", "separation": math.nan},
             {"command": "pfa", "separation": math.inf},
             {"command": "energy", "tolerance": math.inf},
+            # Flags the command would ignore: these compute at zero tilt,
+            # and cperp and ctheta-sweep at the knife edge.
+            {"command": "cperp", "angle_deg": 30.0},
+            {"command": "ctheta-sweep", "angle_deg": 10.0},
+            {"command": "h-sweep", "radius": 1.0, "angle_deg": 30.0},
+            {"command": "pfa", "radius": 1.0, "angle_deg": 60.0},
+            {"command": "cperp", "radius": 2.0},
+            {"command": "ctheta-sweep", "radius": 1.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -149,16 +157,13 @@ class TestCommandOutput:
         row = dict(zip(header, rows[0]))
         assert float(row["c_perp"]) == pytest.approx(0.0067415, abs=2e-5)
 
-    def test_runs_are_byte_identical(self, tmp_path, monkeypatch):
+    def test_runs_are_byte_identical(self, tmp_path):
         def stable_lines(path):
             # The config echo records the output path, which is the one
             # cell allowed to differ between otherwise identical runs.
             return [line for line in path.read_bytes().splitlines()
                     if not line.startswith(b"# path")]
 
-        # The sweeps run one point per task on PARACASIMIR_THREADS
-        # workers; one or two workers must give the same bytes, row
-        # order included.
         for argv in (
             ["cperp", "--numax", "32"],
             ["ctheta-sweep", "--from", "0", "--to", "60", "--points", "3", "--numax", "16"],
@@ -166,9 +171,7 @@ class TestCommandOutput:
              "--numax", "16"],
         ):
             first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-            monkeypatch.setenv("PARACASIMIR_THREADS", "1")
             assert main(argv + ["--output", str(first)]) == 0
-            monkeypatch.setenv("PARACASIMIR_THREADS", "2")
             assert main(argv + ["--output", str(second)]) == 0
             assert stable_lines(first) == stable_lines(second), argv
 
@@ -293,6 +296,18 @@ class TestExitCodes:
     def test_h_sweep_without_radius_returns_2(self, capsys):
         assert main(["h-sweep"]) == 2
         assert "radius" in capsys.readouterr().err
+
+    def test_failed_run_leaves_output_untouched(self, capsys, tmp_path):
+        # The output file is opened only once there is something to write.
+        keep = tmp_path / "keep.csv"
+        keep.write_text("precious\n", encoding="utf-8")
+        assert main(["h-sweep", "--output", str(keep)]) == 2
+        assert "radius" in capsys.readouterr().err
+        assert keep.read_text(encoding="utf-8") == "precious\n"
+        # An output file that cannot be opened is reported, not raised.
+        missing = tmp_path / "no_such_dir" / "table.csv"
+        assert main(["pfa", "--radius", "1", "--output", str(missing)]) == 2
+        assert "no_such_dir" in capsys.readouterr().err
 
     def test_missing_config_file_returns_2(self, capsys, tmp_path):
         assert main(["energy", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -13,7 +13,7 @@ from paracasimir.scattering import (
     plane_amplitude,
 )
 from paracasimir.specfun import DomainError, bateman_k_table
-from paracasimir.translation import tilted_element
+from paracasimir.testing import tilted_element
 
 KNIFE = Geometry(R=0.0, H=1.0)
 

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 from paracasimir.specfun import (
     DomainError,
-    ParabolicPoint,
     bateman_k_table,
     bateman_m_log,
     pcf_outgoing_table,
     pcf_regular_imag_table,
     pcf_regular_table,
 )
+from paracasimir.testing import ParabolicPoint
 
 LOG_TOL = 1e-10
 

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
 from paracasimir._quad import _legendre_rule, panel_grid
-from paracasimir.specfun import DomainError, ParabolicPoint
+from paracasimir.specfun import DomainError
+from paracasimir.testing import ParabolicPoint, green_parabolic, theta0_element, tilted_element
 from paracasimir.translation import (
     _U_EDGES_DAMPING,
     _U_EDGES_FIXED,
     AccuracyError,
     _gram,
     _u_grid,
-    green_parabolic,
-    theta0_element,
-    tilted_element,
 )
 
 
