@@ -84,8 +84,13 @@ class RunConfig:
             raise DomainError("tolerance must be finite and positive")
         if self.command in ("cperp", "ctheta-sweep", "h-sweep", "pfa") and self.angle_deg != 0:
             raise DomainError(f"{self.command} computes at zero tilt; it takes no --angle")
-        if self.command in ("cperp", "ctheta-sweep") and self.radius != 0:
-            raise DomainError(f"{self.command} computes the knife edge; it takes no --radius")
+        if self.command in ("cperp", "ctheta-sweep") and (self.radius, self.separation) != (0, 1):
+            raise DomainError(f"{self.command} computes c(theta) of the knife edge, which does "
+                              "not depend on H; it takes no --radius or --separation")
+        if self.command == "validate" and any(getattr(self, k) != getattr(RunConfig, k) for k in
+                                              ("numax", "radius", "separation", "angle_deg")):
+            raise DomainError("validate runs fixed identity checks; it takes no --numax, "
+                              "--radius, --separation or --angle")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -24,6 +24,7 @@ a ladder of orders and extrapolated by `extrapolate_numax`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -34,7 +35,7 @@ from scipy.optimize import brentq
 from ._quad import expmap_grid, panel_grid
 from .specfun import DomainError
 from .scattering import BoundaryMode, Geometry
-from .roundtrip import kernel_blocks, logdet_one_minus
+from .roundtrip import _BATCH_NODES, kernel_blocks, logdet_one_minus
 from .translation import AccuracyError
 
 __all__ = [
@@ -396,36 +397,42 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
 _Z_EDGES = (0.25, 0.6, 1.1, 1.8, 2.8, 4.2, 6.2, 9.0, 13.0, 18.5)
 
 
-def _z_integral(geom: Geometry, xn: float, orders: list, channel: str,
-                spec: QuadratureSpec) -> np.ndarray:
-    """(1/pi) Integral dz g(sqrt(xn^2 + z^2)), one value per order."""
+def _z_nodes(xn: float, spec: QuadratureSpec):
+    """Nodes x and weights w of the term (1/pi) Int dz g(sqrt(xn^2 + z^2)) = g(x) @ w / pi."""
     if xn == 0.0:
-        z, wz = _grid(spec)
-        xq = z
-    else:
-        if xn >= spec.qmax_scaled:
-            return np.zeros(len(orders))
-        zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
-        edges = [0.0] + [e for e in _Z_EDGES if e < zmax] + [zmax]
-        z, wz = panel_grid(edges, spec.node_count)
-        xq = np.hypot(xn, z)
-    g = _g_series(geom, xq, orders, channel)
-    return (g @ wz) / math.pi
+        return _grid(spec)
+    zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
+    edges = [0.0] + [e for e in _Z_EDGES if e < zmax] + [zmax]
+    z, wz = panel_grid(edges, spec.node_count)
+    return np.hypot(xn, z), wz
 
 
 def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
                    channel: str, spec: QuadratureSpec) -> np.ndarray:
-    totals = 0.5 * _z_integral(geom, 0.0, orders, channel, spec)
-    n = 1
-    while True:
+    """Matsubara sum, n = 0 at half weight, one value per order.
+
+    Consecutive terms share one `_g_series` call of at most _BATCH_NODES
+    nodes (a larger term has its own), and no batch is evaluated after
+    the stop rule fires.  No node depends on the others in its call, so
+    the sum is bitwise that of one call per term.
+    """
+    totals, batch = None, []
+    for n in itertools.count():
         xn = 2.0 * math.pi * n * T_scaled
-        term = _z_integral(geom, xn, orders, channel, spec)
-        totals = totals + term
-        if xn >= spec.qmax_scaled or (
-                abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1])):
-            break
-        n += 1
-    return totals
+        grid = _z_nodes(xn, spec) if xn < spec.qmax_scaled else None
+        if batch and (grid is None or
+                      sum(x.size for _, x, _ in batch) + grid[0].size > _BATCH_NODES):
+            g = _g_series(geom, np.concatenate([x for _, x, _ in batch]), orders, channel)
+            cuts = np.cumsum([x.size for _, x, _ in batch[:-1]])
+            for part, (k, _, w) in zip(np.split(g, cuts, axis=1), batch):
+                term = (np.ascontiguousarray(part) @ w) / math.pi
+                totals = totals + term if k else 0.5 * term
+                if k and abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+                    return totals
+            batch = []
+        if grid is None:
+            return totals
+        batch.append((n, *grid))
 
 
 def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
@@ -439,8 +446,11 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     tolerance.  As T_scaled grows only n = 0 survives and the energy
     approaches -(T_scaled/H^2) times the classical coefficient; as
     T_scaled -> 0 the sum goes over into the zero-temperature
-    frequency integral.  The error budget, and the `AccuracyError` on
-    a failed node-doubling check, are those of `energy_per_length`.
+    frequency integral.  Terms are evaluated in batches of at most 512
+    frequency nodes, so memory does not grow with 1/T, and the values
+    are bitwise those of one evaluation per term.  The error budget,
+    and the `AccuracyError` on a failed node-doubling check, are those
+    of `energy_per_length`.
     """
     if T_scaled < 0.0 or not math.isfinite(T_scaled):
         raise DomainError("T_scaled must be nonnegative and finite")

@@ -61,8 +61,9 @@ class PhysicalRegimeError(ArithmeticError):
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 
 # Byte budget of one block's stack of nodes in `kernel_blocks`: 4 nodes
-# at 81 orders, 270 at 11, and one node from 182 orders up.
+# at 81 orders, 270 at 11, and one node from 129 orders up.
 _RUN_BYTES = 256 * 1024
+_BATCH_NODES = 512  # frequency nodes of one batch of Matsubara terms in `energy`
 
 
 class _Block(NamedTuple):
@@ -303,17 +304,17 @@ def _cholesky_ladders(m: np.ndarray, head: np.ndarray, stacked: bool) -> np.ndar
     Row j of the result holds the ladder of m[j]; its entry s belongs to
     the leading s x s block, since the Cholesky factor of a leading
     block is the leading block of the factor, so one factorization
-    serves them all.  The matrices are overwritten.  ``head`` holds the
-    N that each m = 1 - N was formed from; it is read only when a
-    factorization fails, to tell an overflowed kernel from a loss of
-    positivity.
+    serves them all.  Each matrix is overwritten by its factor, and the
+    diagonals are read from the factored stack as one strided view.
+    ``head`` holds the N that each m = 1 - N was formed from; it is read
+    only when a factorization fails, to tell an overflowed kernel from a
+    loss of positivity.
     """
     run, n = m.shape[:2]
-    diag = np.empty((run, n))
     for j in range(run):
         # m[j] is exactly symmetric and C-ordered, so its transpose is the
         # same matrix in Fortran order and LAPACK works on it in place.
-        factor, info = lapack.dpotrf(m[j].T, lower=True, clean=False, overwrite_a=True)
+        _, info = lapack.dpotrf(m[j].T, lower=True, clean=False, overwrite_a=True)
         if info > 0:
             if not np.all(np.isfinite(head[j, :info, :info])):
                 raise PhysicalRegimeError("kernel contains nonfinite entries")
@@ -322,9 +323,8 @@ def _cholesky_ladders(m: np.ndarray, head: np.ndarray, stacked: bool) -> np.ndar
                 f"1 - N is not positive definite: {where}its leading minor of "
                 f"order {info} (of {n}) is not positive; increase quadrature "
                 "resolution or check the geometry")
-        diag[j] = np.diagonal(factor)
     ladders = np.zeros((run, n + 1))
-    np.cumsum(2.0 * np.log(diag), axis=1, out=ladders[:, 1:])
+    np.cumsum(2.0 * np.log(np.diagonal(m, axis1=1, axis2=2)), axis=1, out=ladders[:, 1:])
     return ladders
 
 

@@ -60,13 +60,20 @@ class TestRunConfig:
             {"command": "pfa", "separation": math.inf},
             {"command": "energy", "tolerance": math.inf},
             # Flags the command would ignore: these compute at zero tilt,
-            # and cperp and ctheta-sweep at the knife edge.
+            # cperp and ctheta-sweep c(theta) of the knife edge, which does
+            # not depend on H, and validate its fixed identity checks.
             {"command": "cperp", "angle_deg": 30.0},
             {"command": "ctheta-sweep", "angle_deg": 10.0},
             {"command": "h-sweep", "radius": 1.0, "angle_deg": 30.0},
             {"command": "pfa", "radius": 1.0, "angle_deg": 60.0},
             {"command": "cperp", "radius": 2.0},
             {"command": "ctheta-sweep", "radius": 1.0},
+            {"command": "cperp", "separation": 2.0},
+            {"command": "ctheta-sweep", "separation": 0.5},
+            {"command": "validate", "numax": 3},
+            {"command": "validate", "radius": 2.0},
+            {"command": "validate", "separation": 2.0},
+            {"command": "validate", "angle_deg": 10.0},
         ],
     )
     def test_validation(self, kwargs):

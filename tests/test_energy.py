@@ -21,7 +21,7 @@ from paracasimir.energy import (
     extrapolate_numax,
     thermal_energy,
 )
-from paracasimir._quad import panel_grid
+from paracasimir._quad import expmap_grid, panel_grid
 from paracasimir.roundtrip import build_kernel, kernel_blocks
 from paracasimir.scattering import BoundaryMode, Geometry
 from paracasimir.specfun import DomainError, bateman_k_table, bateman_m_log
@@ -188,6 +188,46 @@ class TestCTheta:
         assert 0.0060 < value < 0.0070
 
 
+def _term_grid(xn, spec):
+    """Nodes and weights of one Matsubara term, written out independently
+    of the library: the spec's log grid at n = 0, else z-panels up to the
+    cutoff, mapped to x = sqrt(xn^2 + z^2)."""
+    if xn == 0.0:
+        return expmap_grid(spec.qmin_scaled, spec.qmax_scaled,
+                           spec.panel_count, spec.node_count)
+    zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
+    edges = [0.0] + [e for e in energy_module._Z_EDGES if e < zmax] + [zmax]
+    z, w = panel_grid(edges, spec.node_count)
+    return np.hypot(xn, z), w
+
+
+def _term_sizes(T_scaled, spec):
+    """Node count of every term with x_n below the cutoff, in order of n."""
+    sizes, n = [], 0
+    while 2.0 * math.pi * n * T_scaled < spec.qmax_scaled:
+        sizes.append(_term_grid(2.0 * math.pi * n * T_scaled, spec)[0].size)
+        n += 1
+    return sizes
+
+
+def _matsubara_sum_per_term(geom, T_scaled, orders, channel, spec):
+    """The Matsubara sum with one `_g_series` call per term, on that
+    term's own grid, under the same stop rule."""
+    def term(xn):
+        x, w = _term_grid(xn, spec)
+        return (energy_module._g_series(geom, x, orders, channel) @ w) / math.pi
+
+    totals = 0.5 * term(0.0)
+    n = 1
+    while 2.0 * math.pi * n * T_scaled < spec.qmax_scaled:
+        t = term(2.0 * math.pi * n * T_scaled)
+        totals = totals + t
+        if abs(t[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+            break
+        n += 1
+    return totals
+
+
 class TestThermal:
     def test_zero_temperature_delegates(self):
         cold = thermal_energy(KNIFE, 0.0, nu_max=16)
@@ -230,6 +270,73 @@ class TestThermal:
         monkeypatch.setattr(energy_module, "_matsubara_sum", matsubara_sum)
         with pytest.raises(AccuracyError):
             thermal_energy(KNIFE, 0.05, nu_max=LADDER)
+
+    # ``batches`` counts the batches of the full ladder's evaluation, and
+    # ``unused`` the nodes of its last batch that lie beyond the stop.
+    @pytest.mark.parametrize("T_scaled,nu_max,spec,batches,unused", [
+        (0.5, 32, None, 1, 0),                                # all terms, one batch
+        (0.3, 32, None, 2, 0),                                # all terms, two
+        (0.01, LADDER, None, 29, 350),                        # many batches
+        (0.05, LADDER, QuadratureSpec(tolerance=1e-2), 4, 0),   # stops at a batch end
+        (0.05, LADDER, QuadratureSpec(tolerance=1e-3), 5, 160), # stops inside one
+    ])
+    def test_batched_sum_is_bitwise_per_term(self, monkeypatch, T_scaled, nu_max, spec,
+                                             batches, unused):
+        calls = []
+        g_series = energy_module._g_series
+
+        def recording(geom, x, orders, channel):
+            calls.append((len(orders), x.size))
+            return g_series(geom, x, orders, channel)
+
+        monkeypatch.setattr(energy_module, "_g_series", recording)
+        got = thermal_energy(KNIFE, T_scaled, nu_max=nu_max, spec=spec)
+        batched = [size for rungs, size in calls if rungs > 1]
+        calls.clear()
+        monkeypatch.setattr(energy_module, "_matsubara_sum", _matsubara_sum_per_term)
+        want = thermal_energy(KNIFE, T_scaled, nu_max=nu_max, spec=spec)
+        per_term = [size for rungs, size in calls if rungs > 1]
+        for field in ("value", "extrapolated", "trunc_error", "quad_error"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert len(batched) == batches
+        assert sum(batched) - sum(per_term) == unused
+
+    @pytest.mark.parametrize("T_scaled,spec", [
+        (0.001, None),                          # every term below the cap
+        (0.3, QuadratureSpec(node_count=40)),   # every term alone, n = 0 above it
+    ])
+    def test_batches_bound_memory(self, monkeypatch, T_scaled, spec):
+        # Each call of `_g_series` holds consecutive terms, from n = 0 on,
+        # and exceeds the cap only as a single term: memory is bounded by
+        # the batch, not by 1/T.
+        runs = []
+        g_series, matsubara_sum = energy_module._g_series, energy_module._matsubara_sum
+
+        def recording(geom, x, orders, channel):
+            runs[-1][1].append(x.size)
+            return g_series(geom, x, orders, channel)
+
+        def marking(geom, T, orders, channel, spec):
+            runs.append((spec, []))
+            return matsubara_sum(geom, T, orders, channel, spec)
+
+        monkeypatch.setattr(energy_module, "_g_series", recording)
+        monkeypatch.setattr(energy_module, "_matsubara_sum", marking)
+        thermal_energy(KNIFE, T_scaled, nu_max=8, spec=spec)
+        cap = energy_module._BATCH_NODES
+        assert len(runs) == 2  # the evaluation and its node-doubling check
+        for run_spec, sizes in runs:
+            terms = iter(_term_sizes(T_scaled, run_spec))
+            for size in sizes:
+                group = [next(terms)]
+                while sum(group) < size:
+                    group.append(next(terms))
+                assert sum(group) == size
+                assert size <= cap or len(group) == 1
+        if spec is None:
+            assert len(runs[0][1]) > 100 and max(s for _, sizes in runs for s in sizes) <= cap
+        else:
+            assert max(runs[1][1]) > cap
 
 
 class TestLadderAgainstLU:
