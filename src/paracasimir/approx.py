@@ -123,33 +123,20 @@ def edge_pfa_disk(H: float, r: float, C_perp: float) -> tuple:
     return exact, asymptote
 
 
-def _fit_line(x: np.ndarray, y: np.ndarray, weights: np.ndarray):
-    sw = np.sqrt(weights)
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    return coef
-
-
 def edge_coefficient_fit(samples, fit_window: tuple = (math.radians(80.0),
-                                                       math.radians(89.0)),
-                         weights=None) -> EdgeFit:
+                                                       math.radians(89.0))) -> EdgeFit:
     """Fit c(theta) = c_parallel_half + (theta - pi/2) * c_edge.
 
     ``samples`` is a sequence of (theta, c) pairs in radians; only
-    those with theta inside ``fit_window`` enter the fit, and at least
-    four must survive.  ``weights`` (parallel to samples) default to
-    uniform.  The linear model is exact only asymptotically; the
-    default window hugs the broadside limit because farther out the
-    curvature of c(theta) contaminates the slope, which is why the
-    window sensitivity (see `edge_fit_window_sweep`) should be
-    reported with any quoted coefficient.
+    those with theta inside ``fit_window`` enter the unweighted
+    least-squares fit, and at least four must survive.  The linear
+    model is exact only asymptotically; the default window hugs the
+    broadside limit because farther out the curvature of c(theta)
+    contaminates the slope, which is why the window sensitivity (see
+    `edge_fit_window_sweep`) should be reported with any quoted
+    coefficient.
     """
     samples = list(samples)
-    if weights is None:
-        weights = np.ones(len(samples))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(samples),) or np.any(weights < 0):
-        raise DomainError("weights must be nonnegative, one per sample")
     lo, hi = fit_window
     if not lo < hi:
         raise DomainError("fit_window must be an increasing (lo, hi) pair")
@@ -160,7 +147,8 @@ def edge_coefficient_fit(samples, fit_window: tuple = (math.radians(80.0),
         raise DomainError("need at least four samples inside the fit window")
     x = theta[keep] - math.pi / 2.0
     y = c[keep]
-    slope, intercept = _fit_line(x, y, weights[keep])
+    design = np.column_stack([x, np.ones_like(x)])
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     residual = float(np.max(np.abs(intercept + slope * x - y)))
     return EdgeFit(float(intercept), float(slope), (float(lo), float(hi)),
                    residual)
@@ -174,8 +162,8 @@ _DEFAULT_WINDOWS = (
 )
 
 
-def edge_fit_window_sweep(samples, windows=_DEFAULT_WINDOWS, weights=None) -> list:
-    """Refit the edge coefficient over several windows.
+def edge_fit_window_sweep(samples) -> list:
+    """Refit the edge coefficient over the four default windows.
 
     Reports how the slope moves as the window approaches the broadside
     limit; the spread across windows is the honest systematic error of
@@ -183,9 +171,9 @@ def edge_fit_window_sweep(samples, windows=_DEFAULT_WINDOWS, weights=None) -> li
     skipped.
     """
     fits = []
-    for window in windows:
+    for window in _DEFAULT_WINDOWS:
         try:
-            fits.append(edge_coefficient_fit(samples, window, weights))
+            fits.append(edge_coefficient_fit(samples, window))
         except DomainError:
             continue
     return fits

@@ -4,10 +4,11 @@ Every command writes one table (CSV with a config echo in ``#`` lines,
 or JSON as one object per line) so figures and regressions can be
 rebuilt from artifacts alone.  Numeric rows always carry their error
 estimates.  Output is deterministic: fixed grids, fixed summation
-order, and sweep points computed one after another.  A flag that a
-command would ignore is rejected, and ``--output`` is opened only once
-there is a table or a diagnostic to write, so a rejected run leaves an
-existing file untouched.
+order, and sweep points computed one after another.  `READS` lists the
+settings each command reads; any other setting must hold its default,
+so the echo holds only settings that made the table.  ``--output`` is
+opened only once there is a table or a diagnostic to write, so a
+rejected run leaves an existing file untouched.
 """
 
 from __future__ import annotations
@@ -36,8 +37,20 @@ from .translation import AccuracyError
 
 __all__ = ["RunConfig", "parse_config_file", "build_config", "run", "main"]
 
-COMMANDS = ("energy", "cperp", "ctheta-sweep", "h-sweep", "thermal", "pfa",
-            "validate")
+_ENERGY = ("radius", "separation", "angle_deg", "numax", "quad_nodes", "qmax_scaled",
+           "channel")
+_CPERP = ("numax", "quad_nodes", "qmax_scaled", "channel")
+_SWEEP = ("sweep_from", "sweep_to", "points")
+# The RunConfig fields each command reads, besides command, format and path.
+READS = {
+    "energy": _ENERGY,
+    "cperp": _CPERP,
+    "ctheta-sweep": _CPERP + _SWEEP,
+    "h-sweep": ("radius",) + _CPERP + _SWEEP,
+    "thermal": _ENERGY + ("tolerance", "temperature"),
+    "pfa": ("radius", "separation"),
+    "validate": (),
+}
 _CHANNEL_CHOICES = ("em", "dirichlet", "neumann")
 _FORMAT_CHOICES = ("csv", "json")
 
@@ -50,7 +63,8 @@ class RunConfig:
     their range from ``sweep_from``/``sweep_to``/``points`` and the
     thermal command its temperature (k_B T H / hbar c) from
     ``temperature``.  ``qmax_scaled = None`` lets the library pick the
-    cutoff for the geometry.
+    cutoff for the geometry.  A field outside ``READS[command]`` must
+    hold its default.
     """
 
     command: str
@@ -70,7 +84,7 @@ class RunConfig:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in READS:
             raise DomainError(f"unknown command {self.command!r}")
         if self.channel not in _CHANNEL_CHOICES:
             raise DomainError(f"channel must be one of {_CHANNEL_CHOICES}")
@@ -82,15 +96,11 @@ class RunConfig:
             raise DomainError("need numax >= 0, quad_nodes >= 2, points >= 1")
         if not 0 < self.tolerance < math.inf:
             raise DomainError("tolerance must be finite and positive")
-        if self.command in ("cperp", "ctheta-sweep", "h-sweep", "pfa") and self.angle_deg != 0:
-            raise DomainError(f"{self.command} computes at zero tilt; it takes no --angle")
-        if self.command in ("cperp", "ctheta-sweep") and (self.radius, self.separation) != (0, 1):
-            raise DomainError(f"{self.command} computes c(theta) of the knife edge, which does "
-                              "not depend on H; it takes no --radius or --separation")
-        if self.command == "validate" and any(getattr(self, k) != getattr(RunConfig, k) for k in
-                                              ("numax", "radius", "separation", "angle_deg")):
-            raise DomainError("validate runs fixed identity checks; it takes no --numax, "
-                              "--radius, --separation or --angle")
+        unread = [f.name for f in fields(self) if f.name not in
+                  READS[self.command] + ("command", "format", "path")
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise DomainError(f"{self.command} does not read {', '.join(unread)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,22 +114,16 @@ class RunConfig:
         return cls(**data)
 
 
-_OPTIONAL_FLOATS = ("qmax_scaled", "sweep_from", "sweep_to", "temperature")
-
-
 def _parse_value(key: str, text: str):
+    """Parse ``text`` by the annotation of field ``key``: an int, float or
+    str, or None for ``none`` where the annotation allows it."""
     kind = {f.name: f.type for f in fields(RunConfig)}.get(key)
     if kind is None:
         raise DomainError(f"unknown config key {key!r}")
-    if key in _OPTIONAL_FLOATS:
-        return None if text.lower() == "none" else float(text)
-    if key == "path":
-        return None if text.lower() == "none" else text
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+    base, *optional = kind.split(" | ")
+    if optional and text.lower() == "none":
+        return None
+    return {"int": int, "float": float, "str": str}[base](text)
 
 
 def parse_config_file(path: str) -> dict:
@@ -138,7 +142,10 @@ def parse_config_file(path: str) -> dict:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value'")
             key, text = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            values[key] = _parse_value(key, text.strip())
+            try:
+                values[key] = _parse_value(key, text.strip())
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,8 +81,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.node_count < 2 or self.panel_count < 1:
             raise DomainError("node_count must be >= 2 and panel_count >= 1")
-        if not 0.0 < self.qmin_scaled < self.qmax_scaled:
-            raise DomainError("need 0 < qmin_scaled < qmax_scaled")
+        if not 0.0 < self.qmin_scaled < self.qmax_scaled < math.inf:
+            raise DomainError("need 0 < qmin_scaled < qmax_scaled < inf")
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError("tolerance must be finite and positive")
 
@@ -314,26 +313,18 @@ def _tilt_coefficient(theta: float, nu_max, spec: QuadratureSpec | None,
     """c(theta) with its error budget, carried in an `EnergyResult`.
 
     ``value``, ``extrapolated`` and the series are -cos(theta) times the
-    knife edge's energy at H = 1, and the two errors cos(theta) times
-    its errors; at broadside the result is exact, with an empty series.
-    This is the one place the broadside value, the order floor and the
-    cosine scaling live: `c_theta` returns its ``extrapolated``, and the
-    CLI's cperp and ctheta-sweep rows print its fields.
+    knife edge's energy at H = 1 on the ladder ``nu_max``, and the two
+    errors cos(theta) times its errors; at broadside the result is
+    exact, with an empty series.  This is the one place the broadside
+    value and the cosine scaling live: `c_theta` returns its
+    ``extrapolated``, and the CLI's cperp and ctheta-sweep rows print
+    its fields.
     """
     _modes(channel)
     if abs(abs(theta) - math.pi / 2.0) < 1e-12:
         exact = math.pi ** 2 / (1440.0 if channel == "em" else 2880.0)
         return EnergyResult(exact, [], exact, 0.0, 0.0, channel)
-    request = nu_max if isinstance(nu_max, (int, np.integer)) else max(nu_max)
-    eff = nu_max
-    if abs(theta) > math.radians(80.0) and request < 200:
-        eff = 200
-        if abs(theta) > math.radians(85.0):
-            warnings.warn(
-                "tilt above 85 degrees: truncation order raised to 200, "
-                "expect slow convergence toward the broadside limit",
-                stacklevel=3)
-    res = energy_per_length(Geometry(R=0.0, H=1.0, theta=theta), spec, eff, channel)
+    res = energy_per_length(Geometry(R=0.0, H=1.0, theta=theta), spec, nu_max, channel)
     cos = math.cos(theta)
     return replace(res, value=-cos * res.value,
                    series=[(n, -cos * v) for n, v in res.series],
@@ -349,10 +340,11 @@ def c_theta(theta: float, nu_max=100, spec: QuadratureSpec | None = None,
     cosine factor keeps the product finite through the broadside limit,
     where C itself diverges.  At |theta| = pi/2 the coefficient is the
     parallel-plate value pi^2/1440 (split evenly between the boundary
-    conditions), returned exactly.  Close to that limit the
-    partial-wave series degrades, so beyond 80 degrees the truncation
-    order is floored at 200; beyond 85 degrees a request below the
-    floor triggers a warning because convergence is slow there.
+    conditions), returned exactly.  Elsewhere it is computed on the
+    ladder ``nu_max`` as given.  Close to broadside the partial-wave
+    series converges slowly, so a short ladder there falls short of the
+    limit; cos(theta) times the truncation error of `energy_per_length`
+    on the same ladder, which ctheta-sweep prints, says by how much.
     """
     return _tilt_coefficient(theta, nu_max, spec, channel).extrapolated
 

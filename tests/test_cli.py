@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from paracasimir.cli import RunConfig, build_config, main, parse_config_file, run
-from paracasimir.energy import c_theta, energy_per_length
+from paracasimir.cli import READS, RunConfig, build_config, main, parse_config_file, run
+from paracasimir.energy import energy_per_length
 from paracasimir.scattering import Geometry
 from paracasimir.specfun import DomainError
 from paracasimir.testing import IdentityCheck
@@ -74,11 +74,42 @@ class TestRunConfig:
             {"command": "validate", "radius": 2.0},
             {"command": "validate", "separation": 2.0},
             {"command": "validate", "angle_deg": 10.0},
+            # pfa reads only radius and separation, energy no tolerance or
+            # temperature (thermal does), h-sweep sets H from --from/--to,
+            # and validate reads no setting at all.
+            {"command": "pfa", "channel": "neumann"},
+            {"command": "pfa", "numax": 5},
+            {"command": "pfa", "tolerance": 0.1},
+            {"command": "energy", "tolerance": 0.5},
+            {"command": "energy", "temperature": 0.3},
+            {"command": "energy", "sweep_from": 5.0},
+            {"command": "h-sweep", "radius": 1.0, "separation": 7.0},
+            {"command": "validate", "quad_nodes": 12},
+            {"command": "validate", "qmax_scaled": 30.0},
+            {"command": "validate", "tolerance": 1e-3},
+            {"command": "validate", "channel": "dirichlet"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             RunConfig(**kwargs)
+
+    def test_each_command_accepts_exactly_the_settings_it_reads(self):
+        # One valid non-default value per setting; every setting but
+        # command, format and path is listed.
+        values = {"radius": 2.0, "separation": 2.0, "angle_deg": 10.0, "numax": 16,
+                  "quad_nodes": 12, "qmax_scaled": 30.0, "tolerance": 1e-3,
+                  "channel": "neumann", "sweep_from": 0.5, "sweep_to": 2.0,
+                  "points": 3, "temperature": 0.2}
+        assert set(values) | {"command", "format", "path"} == set(RunConfig("energy").to_dict())
+        for command, reads in READS.items():
+            assert set(reads) <= set(values), command
+            for key, value in values.items():
+                if key in reads:
+                    assert getattr(RunConfig(command, **{key: value}), key) == value
+                else:
+                    with pytest.raises(DomainError, match=key):
+                        RunConfig(command, **{key: value})
 
 
 class TestConfigFile:
@@ -108,6 +139,15 @@ class TestConfigFile:
         path.write_text("radius 1.5\n", encoding="utf-8")
         with pytest.raises(DomainError, match="1"):
             parse_config_file(str(path))
+
+    @pytest.mark.parametrize("line", ["numax = 1.5", "radius = abc"])
+    def test_malformed_value(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# header\n{line}\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="bad.cfg:2:"):
+            parse_config_file(str(path))
+        assert main(["energy", "--config", str(path)]) == 2
+        assert "bad.cfg:2:" in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -199,10 +239,10 @@ class TestCommandOutput:
         first = dict(zip(header, rows[0]))
         assert float(first["c_theta"]) == pytest.approx(0.00674, abs=3e-4)
 
-    def test_ctheta_sweep_floors_the_order(self, tmp_path):
-        # Above 80 degrees the row is the library's c_theta, whose ladder
-        # is floored at order 200, and its errors are cos(theta) times
-        # those of the floored energy.
+    def test_ctheta_sweep_uses_the_asked_ladder(self, tmp_path):
+        # Near broadside the row is still computed on the asked ladder:
+        # -cos(theta) times the knife edge's energy at H = 1, and
+        # cos(theta) times its errors.
         out = tmp_path / "sweep.csv"
         code = main([
             "ctheta-sweep", "--from", "82", "--to", "82", "--points", "1",
@@ -212,10 +252,10 @@ class TestCommandOutput:
         _, header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         theta = math.radians(82.0)
-        assert float(row["c_theta"]) == c_theta(theta, 16)
-        floored = energy_per_length(Geometry(0.0, 1.0, theta), nu_max=200)
-        assert float(row["trunc_error"]) == math.cos(theta) * floored.trunc_error
-        assert float(row["quad_error"]) == math.cos(theta) * floored.quad_error
+        res = energy_per_length(Geometry(0.0, 1.0, theta), nu_max=16)
+        assert float(row["c_theta"]) == -math.cos(theta) * res.extrapolated
+        assert float(row["trunc_error"]) == math.cos(theta) * res.trunc_error
+        assert float(row["quad_error"]) == math.cos(theta) * res.quad_error
 
     def test_h_sweep_ratio_column(self, tmp_path):
         out = tmp_path / "hsweep.csv"
@@ -295,6 +335,8 @@ class TestExitCodes:
     def test_invalid_value_returns_2(self, capsys):
         assert main(["energy", "--numax", "-3"]) == 2
         assert "paracasimir:" in capsys.readouterr().err
+        assert main(["energy", "--qmax-scaled", "inf"]) == 2
+        assert "qmax_scaled" in capsys.readouterr().err
 
     def test_thermal_without_temperature_returns_2(self, capsys):
         assert main(["thermal"]) == 2
@@ -315,6 +357,30 @@ class TestExitCodes:
         missing = tmp_path / "no_such_dir" / "table.csv"
         assert main(["pfa", "--radius", "1", "--output", str(missing)]) == 2
         assert "no_such_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config", [
+        (["pfa", "--channel", "neumann"], None),
+        (["pfa", "--numax", "5"], None),
+        (["pfa", "--tolerance", "0.1"], None),
+        (["energy", "--tolerance", "0.5"], None),
+        (["energy"], "temperature = 0.3\n"),
+        (["energy"], "sweep_from = 5\n"),
+        (["h-sweep", "--radius", "1", "--separation", "7"], None),
+        (["validate", "--quad-nodes", "12"], None),
+        (["validate", "--qmax-scaled", "30"], None),
+        (["validate", "--tolerance", "1e-3"], None),
+        (["validate", "--channel", "dirichlet"], None),
+    ])
+    def test_unread_setting_exits_2(self, capsys, tmp_path, argv, config):
+        keep = tmp_path / "keep.csv"
+        keep.write_text("precious\n", encoding="utf-8")
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--output", str(keep)]) == 2
+        assert "does not read" in capsys.readouterr().err
+        assert keep.read_text(encoding="utf-8") == "precious\n"
 
     def test_missing_config_file_returns_2(self, capsys, tmp_path):
         assert main(["energy", "--config", str(tmp_path / "nope.cfg")]) == 2
