@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .approx import EdgeLimitWarning, pfa_energy
 from .energy import (
     FitRejectedError,
+    _CHANNELS,
     _tilt_coefficient,
     default_quadrature,
     energy_per_length,
@@ -51,7 +52,7 @@ READS = {
     "pfa": ("radius", "separation"),
     "validate": (),
 }
-_CHANNEL_CHOICES = ("em", "dirichlet", "neumann")
+_CHANNEL_CHOICES = tuple(_CHANNELS)
 _FORMAT_CHOICES = ("csv", "json")
 
 
@@ -233,9 +234,7 @@ def _geomspace(lo: float, hi: float, count: int):
 def _rows_energy(config):
     geom, spec = _quadrature(config)
     res = energy_per_length(geom, spec, config.numax, config.channel)
-    header = ["radius", "separation", "angle_deg", "channel", "nu_max",
-              "energy", "extrapolated", "trunc_error", "quad_error"]
-    return header, [{
+    return [{
         "radius": config.radius, "separation": config.separation,
         "angle_deg": config.angle_deg, "channel": config.channel,
         "nu_max": res.series[-1][0], "energy": res.value,
@@ -247,8 +246,7 @@ def _rows_energy(config):
 def _rows_cperp(config):
     _, spec = _quadrature(config)
     res = _tilt_coefficient(0.0, config.numax, spec, config.channel)
-    header = ["channel", "nu_max", "c_perp", "trunc_error", "quad_error"]
-    return header, [{
+    return [{
         "channel": config.channel, "nu_max": res.series[-1][0],
         "c_perp": res.extrapolated, "trunc_error": res.trunc_error,
         "quad_error": res.quad_error,
@@ -259,7 +257,6 @@ def _rows_ctheta(config):
     _, spec = _quadrature(config)
     lo = config.sweep_from if config.sweep_from is not None else 0.0
     hi = config.sweep_to if config.sweep_to is not None else 90.0
-    header = ["theta_deg", "c_theta", "channel", "trunc_error", "quad_error"]
 
     def point(theta_deg):
         res = _tilt_coefficient(math.radians(theta_deg), config.numax, spec,
@@ -268,7 +265,7 @@ def _rows_ctheta(config):
                 "channel": config.channel, "trunc_error": res.trunc_error,
                 "quad_error": res.quad_error}
 
-    return header, [point(theta) for theta in _linspace(lo, hi, config.points)], True
+    return [point(theta) for theta in _linspace(lo, hi, config.points)], True
 
 
 def _rows_hsweep(config):
@@ -279,7 +276,6 @@ def _rows_hsweep(config):
     if not 0 < lo <= hi:
         raise DomainError("h-sweep range must satisfy 0 < from <= to")
     _, spec = _quadrature(config)
-    header = ["h_over_r", "energy_h2", "pfa_ratio", "trunc_error", "quad_error"]
 
     def point(ratio):
         H = ratio * config.radius
@@ -291,7 +287,7 @@ def _rows_hsweep(config):
                 "trunc_error": res.trunc_error * h2,
                 "quad_error": res.quad_error * h2}
 
-    return header, [point(ratio) for ratio in _geomspace(lo, hi, config.points)], True
+    return [point(ratio) for ratio in _geomspace(lo, hi, config.points)], True
 
 
 def _rows_thermal(config):
@@ -300,9 +296,7 @@ def _rows_thermal(config):
         raise DomainError("thermal requires --temperature >= 0")
     res = thermal_energy(geom, config.temperature, config.numax, spec,
                          config.channel)
-    header = ["t_scaled", "channel", "nu_max", "energy", "extrapolated",
-              "trunc_error", "quad_error"]
-    return header, [{
+    return [{
         "t_scaled": config.temperature, "channel": config.channel,
         "nu_max": res.series[-1][0], "energy": res.value,
         "extrapolated": res.extrapolated, "trunc_error": res.trunc_error,
@@ -315,8 +309,7 @@ def _rows_pfa(config):
         warnings.simplefilter("always")
         value = pfa_energy(config.separation, config.radius)
     edge_limited = any(issubclass(w.category, EdgeLimitWarning) for w in caught)
-    header = ["radius", "separation", "pfa_energy", "edge_limited", "error"]
-    return header, [{
+    return [{
         "radius": config.radius, "separation": config.separation,
         "pfa_energy": value, "edge_limited": edge_limited, "error": 0.0,
     }], True
@@ -324,10 +317,9 @@ def _rows_pfa(config):
 
 def _rows_validate(config):
     checks = run_identity_suite()
-    header = ["check", "measure", "bound", "passed"]
     rows = [{"check": c.name, "measure": c.measure, "bound": c.bound,
              "passed": c.passed} for c in checks]
-    return header, rows, all(c.passed for c in checks)
+    return rows, all(c.passed for c in checks)
 
 
 _DISPATCH = {
@@ -385,11 +377,12 @@ def run(config: RunConfig) -> int:
     table or a diagnostic; any other error propagates first.
     """
     try:
-        header, rows, converged = _DISPATCH[config.command](config)
+        rows, converged = _DISPATCH[config.command](config)
     except (PhysicalRegimeError, AccuracyError, FitRejectedError) as exc:
         record = json.dumps({"error": type(exc).__name__, "message": str(exc)})
         _emit(config, lambda stream: stream.write(record + "\n"))
         return 1
+    header = list(rows[0])
     writer = _write_csv if config.format == "csv" else _write_json
     _emit(config, lambda stream: writer(stream, config, header, rows))
     return 0 if converged else 1

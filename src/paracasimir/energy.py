@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from ._quad import expmap_grid, panel_grid
 from .specfun import DomainError
 from .scattering import BoundaryMode, Geometry
-from .roundtrip import _BATCH_NODES, kernel_blocks, logdet_one_minus
+from .roundtrip import kernel_blocks, logdet_one_minus
 from .translation import AccuracyError
 
 __all__ = [
@@ -106,7 +106,8 @@ class EnergyResult:
     ``value`` is the energy at the largest truncation order of
     ``series``; ``extrapolated`` is the infinite-order estimate.  Both
     are E/(hbar c L), negative for attraction.  ``trunc_error`` bounds
-    the truncation-plus-fit uncertainty of ``extrapolated``;
+    the truncation-plus-fit uncertainty of ``extrapolated``, and is
+    infinite for a series of one order, which gives no estimate;
     ``quad_error`` is a node-doubling estimate of the frequency-grid
     error.
     """
@@ -213,14 +214,15 @@ def extrapolate_numax(series) -> tuple:
     so disagreement between the tail laws shows up honestly rather
     than being averaged away.
 
-    A constant series short-circuits to (constant, 0).  Increments
-    that fail to shrink monotonically with one sign raise
-    `FitRejectedError`: extrapolating such a series would be
-    guesswork, and the caller should raise nu_max instead.
+    A series of fewer than two points has no truncation estimate and
+    raises `FitRejectedError`; a constant series short-circuits to
+    (constant, 0).  Increments that fail to shrink monotonically with
+    one sign raise `FitRejectedError` too: extrapolating such a series
+    would be guesswork, and the caller should raise nu_max instead.
     """
     pts = sorted({(int(n), float(v)) for n, v in series})
-    if not pts:
-        raise FitRejectedError("empty truncation series")
+    if len(pts) < 2:
+        raise FitRejectedError("need at least two orders to estimate the truncation error")
     n = np.array([p[0] for p in pts], dtype=float)
     v = np.array([p[1] for p in pts])
     if np.all(v == v[0]):
@@ -260,7 +262,8 @@ def _finish(evaluate, spec: QuadratureSpec, orders: list, channel: str) -> Energ
 
     ``evaluate(spec, orders)`` returns the energy at each truncation
     order.  The ladder is extrapolated (falling back to the top rung,
-    with the last increment as its error, when the fit is rejected) and
+    with the last increment as its error, when the fit is rejected; a
+    ladder of one rung has no increment, and its error is infinite) and
     the lowest rung is recomputed with doubled frequency nodes for the
     quadrature error.  A nonfinite value, or a quadrature error above
     1e-3 of the value, raises `AccuracyError`: the frequency grid, not
@@ -274,7 +277,7 @@ def _finish(evaluate, spec: QuadratureSpec, orders: list, channel: str) -> Energ
         trunc_error = abs(extrapolated - value) + fit_err
     except FitRejectedError:
         extrapolated = value
-        trunc_error = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
+        trunc_error = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
     fine = replace(spec, node_count=2 * spec.node_count)
     check = float(evaluate(fine, orders[:1])[0])
     quad_error = abs(check - float(values[0]))
@@ -366,11 +369,8 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
     one channel), two thirds of it in the log-dets.
     """
     xmin, xmax = 3e-5, 11.0
-    tlo, thi = math.log(xmin / 0.3), math.log(xmax / 0.3)
-    npan = math.ceil((thi - tlo) / 0.5)
-    t, wt = panel_grid(np.linspace(tlo, thi, npan + 1), 10)
-    x = 0.3 * np.exp(t)
-    wx = wt * x
+    npan = math.ceil(math.log(xmax / xmin) / 0.5)
+    x, wx = expmap_grid(xmin, xmax, npan, 10)
     # At truncation order 2 mult base - 1 both parity blocks hold mult base orders.
     base = nu_max // 2 + 1
     g = np.zeros(x.size)
@@ -386,6 +386,7 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
     return -(total + tail) / (2.0 * math.pi)
 
 
+_BATCH_NODES = 512  # frequency nodes of one batch of Matsubara terms
 _Z_EDGES = (0.25, 0.6, 1.1, 1.8, 2.8, 4.2, 6.2, 9.0, 13.0, 18.5)
 
 

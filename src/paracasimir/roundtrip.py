@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from .specfun import DomainError, bateman_m_log
+from .specfun import DomainError, bateman_k_table, bateman_m_log
 from .scattering import (
     BoundaryMode,
     Geometry,
@@ -63,7 +63,6 @@ _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 # Byte budget of one block's stack of nodes in `kernel_blocks`: 4 nodes
 # at 81 orders, 270 at 11, and one node from 129 orders up.
 _RUN_BYTES = 256 * 1024
-_BATCH_NODES = 512  # frequency nodes of one batch of Matsubara terms in `energy`
 
 
 class _Block(NamedTuple):
@@ -229,9 +228,9 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     if untilted:
         # One row per node: k_{-2n-1} at the knife edge, else log m_n plus
         # the balanced gauge's constant.
-        logm = np.ascontiguousarray(bateman_m_log(nu_max, 2.0 * q * geom.d).T)
-        table = ((-1.0) ** np.arange(nu_max + 1) * np.exp(logm) if knife
-                 else _LOG_SQRT_HALF_PI + logm)
+        w = 2.0 * q * geom.d
+        table = np.ascontiguousarray((bateman_k_table(nu_max, w) if knife
+                                      else _LOG_SQRT_HALF_PI + bateman_m_log(nu_max, w)).T)
     layouts = {mode: _layout(geom, nu_max, mode, table) for mode in modes}
     if not knife:
         amplitudes = {mode: _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))

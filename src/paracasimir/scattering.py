@@ -19,12 +19,13 @@ magnitude) tables over orders 0..nmax, and they only ever enter
 determinants through factorial-free ratios.  No denominator can vanish:
 `pcf_outgoing_table` gives D_{-n-1} > 0 and D_{-n-1}' < 0 on x >= 0.
 
-At R = 0 the cylinder degenerates to a half-plane (knife edge).  There
-the amplitude of the parity-matched channel (even n Dirichlet, odd n
-Neumann) reduces to the closed form -n! sqrt(2/pi), which this module
-special-cases exactly; the opposite-parity amplitude decouples because
-the corresponding wave has a node on the degenerate surface.  The
-kernel assembly applies that parity rule, in one place.
+At R = 0 the cylinder degenerates to a half-plane (knife edge), and
+the same ratio formula serves it: at mu0~ = 0 the amplitude of the
+parity-matched channel (even n Dirichlet, odd n Neumann) is
+-n! sqrt(2/pi), and that of the other parity vanishes exactly, because
+the corresponding regular wave has a node (or a vanishing derivative)
+on the degenerate surface.  The kernel assembly applies that parity
+rule, in one place.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from .specfun import (
     DomainError,
@@ -128,9 +128,6 @@ def plane_amplitude(mode: BoundaryMode) -> float:
     raise DomainError(f"unknown boundary mode {mode!r}")
 
 
-_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
-
-
 def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
     """Sign/log tables of the cylinder amplitude F_n for n = 0..nmax.
 
@@ -139,11 +136,9 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
     (nmax+1, len(mu0_scaled)), or (nmax+1,) for scalar input.  The
     special-function tables behind it are built once for all arguments.
 
-    At mu0_scaled = 0 every order is served the knife-edge closed form
-    -n! sqrt(2/pi) regardless of parity; selecting which orders
-    physically participate there is the kernel assembler's job.  This
-    keeps the amplitude a continuous function of mu0_scaled on the
-    orders that matter.
+    At mu0_scaled = 0 the parity-matched orders get -n! sqrt(2/pi) and
+    the others sign 0 and log -inf, from the same ratio formula as every
+    other argument.
 
     Returns ``(sign, logmag)`` arrays.
     """
@@ -160,9 +155,4 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
         signs, logs = -sd * sdd, ld - ldd
     else:
         raise DomainError(f"unknown boundary mode {mode!r}")
-    knife = mu == 0.0
-    if knife.any():
-        closed = gammaln(np.arange(nmax + 1.0) + 1.0) + _LOG_SQRT_2_OVER_PI
-        signs = np.where(knife, -1.0, signs)
-        logs = np.where(knife, closed[:, None] if mu.ndim else closed, logs)
     return signs, logs

@@ -208,13 +208,9 @@ def pcf_regular_imag_table(nmax: int, x, with_derivative: bool = False):
     t2 = np.full((nmax + 1, x.size), -np.inf)
     if nmax >= 1:
         t2[1:] = np.log(n_arr[1:].astype(float)) + logt[:nmax]
-    m = np.maximum(t1, t2)
-    m = np.where(np.isneginf(m), 0.0, m)
-    mag = np.exp(t1 - m) + np.exp(t2 - m)
-    with np.errstate(divide="ignore"):
-        ld = np.where(mag > 0.0, np.log(mag) + m + quarter, -np.inf)
-    sd = np.where(mag > 0.0, (-1.0) ** n_arr, 0.0)
-    return _shaped(scalar, sv, lv, sd, ld)
+    sign, ld = _signed_log_sum(1.0, t1, 1.0, t2)
+    sd = np.where(sign > 0.0, (-1.0) ** n_arr, 0.0)
+    return _shaped(scalar, sv, lv, sd, ld + quarter)
 
 
 # Seed quadratures of the outgoing and Bateman tables: equal Gauss-Legendre
@@ -314,8 +310,7 @@ def pcf_outgoing_table(nmax: int, x, with_derivative: bool = False):
     with np.errstate(divide="ignore"):
         t1 = lb[:-1] + np.log(x / 2.0)
     t2 = np.log(np.arange(1, nmax + 2, dtype=float))[:, None] + lb[1:]
-    m = np.maximum(t1, t2)
-    ld = m + np.log(np.exp(t1 - m) + np.exp(t2 - m))
+    _, ld = _signed_log_sum(1.0, t1, 1.0, t2)
     return _shaped(scalar, sb, lb[:-1], -sb, ld)
 
 
@@ -400,12 +395,14 @@ def bateman_m_log(nmax: int, u):
     return out[:, 0] if scalar else out
 
 
-def bateman_k_table(nmax: int, u: float) -> np.ndarray:
+def bateman_k_table(nmax: int, u) -> np.ndarray:
     """k_{-2n-1}(u) for n = 0..nmax as plain floats (signs included).
 
+    ``u`` is a scalar or a 1-d array, as for `bateman_m_log`; the table
+    has shape (nmax+1, len(u)), or (nmax+1,) for scalar input.
     Magnitudes below the float64 range underflow to zero, which is
     harmless in the kernel sums these feed.
     """
-    logm = bateman_m_log(nmax, float(u))
+    logm = bateman_m_log(nmax, u)
     signs = (-1.0) ** np.arange(nmax + 1)
-    return signs * np.exp(logm)
+    return (signs[:, None] if logm.ndim == 2 else signs) * np.exp(logm)

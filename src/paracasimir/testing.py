@@ -62,30 +62,6 @@ class ParabolicPoint:
     def to_cartesian(self) -> tuple[float, float, float]:
         return (self.mu * self.lam, (self.lam**2 - self.mu**2) / 2.0, self.z)
 
-    @classmethod
-    def from_cartesian(cls, x: float, y: float, z: float = 0.0) -> "ParabolicPoint":
-        """Invert the coordinate map, choosing mu >= 0 and sign(lam) = sign(x).
-
-        The differences r - y and r + y are formed cancellation-free so
-        the round trip through ``to_cartesian`` is accurate to machine
-        precision for all quadrants.
-        """
-        r = math.hypot(x, y)
-        if r == 0.0:
-            return cls(0.0, 0.0, z)
-        if y >= 0.0:
-            lam2 = r + y
-            mu2 = x * x / lam2
-        else:
-            mu2 = r - y
-            lam2 = x * x / mu2
-        lam = math.sqrt(lam2)
-        if x < 0.0:
-            lam = -lam
-        elif x == 0.0 and y < 0.0:
-            lam = 0.0
-        return cls(lam, math.sqrt(mu2), z)
-
 
 def theta0_element(n: int, n2: int, q: float, d: float) -> float:
     """Untilted translation element, symmetrized convention.
@@ -267,7 +243,11 @@ class IdentityCheck:
 
 
 def _check_knife_amplitudes() -> IdentityCheck:
-    """Amplitudes at the knife edge equal -n! sqrt(2/pi), matching parity."""
+    """Amplitudes at the knife edge equal -n! sqrt(2/pi), matching parity.
+
+    The closed form is checked against the ratio of the pcf tables at
+    argument 0, the same formula that serves every positive radius.
+    """
     worst = 0.0
     expect = gammaln(np.arange(61.0) + 1.0) + 0.5 * math.log(2.0 / math.pi)
     for mode in BoundaryMode:

@@ -54,6 +54,8 @@ class TestExtrapolation:
     def test_too_few_points_rejected(self):
         with pytest.raises(FitRejectedError):
             extrapolate_numax([(10, 1.0), (20, 0.9), (40, 0.85)])
+        with pytest.raises(FitRejectedError):
+            extrapolate_numax([(8, 1.0)])
 
     def test_alternating_tail_rejected(self):
         series = [(n, 1.0 + (-0.5) ** (n // 10)) for n in (10, 20, 30, 40, 50)]
@@ -114,6 +116,13 @@ class TestEnergyPerLength:
         assert result.quad_error >= 0.0
         assert result.channel == "em"
         assert abs(result.extrapolated) >= abs(result.series[-1][1]) * (1 - 1e-6)
+
+    def test_one_rung_has_no_truncation_estimate(self):
+        # nu_max = 8 expands to the single rung [8], which gives no
+        # increment to estimate the truncation error from.
+        result = energy_per_length(KNIFE, nu_max=8)
+        assert [n for n, _ in result.series] == [8]
+        assert result.trunc_error == math.inf
 
     def test_knife_edge_ballpark(self):
         # Tight agreement with the frozen constants is the acceptance

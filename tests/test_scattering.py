@@ -73,25 +73,29 @@ class TestKnifeEdgeAmplitudes:
         assert signs[0] * math.exp(logs[0]) == pytest.approx(expected, rel=1e-13)
         signs, logs = parabolic_amplitude_table(1, BoundaryMode.NEUMANN, 0.0)
         assert signs[1] * math.exp(logs[1]) == pytest.approx(expected, rel=1e-13)
-        for mode in BoundaryMode:
+        # Each channel's own parity carries -n! sqrt(2/pi); the other
+        # parity vanishes exactly.
+        for mode, own, other in ((BoundaryMode.DIRICHLET, 4, 5), (BoundaryMode.NEUMANN, 5, 4)):
             signs, logs = parabolic_amplitude_table(5, mode, 0.0)
-            assert signs[5] * math.exp(logs[5]) == pytest.approx(
-                -120.0 * math.sqrt(2.0 / math.pi), rel=1e-13)
+            assert signs[own] * math.exp(logs[own]) == pytest.approx(
+                -math.factorial(own) * math.sqrt(2.0 / math.pi), rel=1e-13)
+            assert signs[other] == 0 and logs[other] == -math.inf
 
     def test_factorial_form_up_to_60(self):
         # At the knife edge, the amplitude of the parity-matched channel
-        # is exactly -n! sqrt(2/pi); compare in log space so 60! cannot
-        # overflow the check itself.
+        # is exactly -n! sqrt(2/pi) and the other parity's is zero;
+        # compare in log space so 60! cannot overflow the check itself.
         for mode in BoundaryMode:
             signs, logs = parabolic_amplitude_table(60, mode, 0.0)
             for n in range(_knife_start(mode), 61, 2):
                 assert signs[n] == -1
                 expected_log = math.lgamma(n + 1) + 0.5 * math.log(2.0 / math.pi)
                 assert logs[n] == pytest.approx(expected_log, abs=1e-10, rel=0.0)
+            other = slice(1 - _knife_start(mode), None, 2)
+            assert np.all(signs[other] == 0) and np.all(logs[other] == -np.inf)
 
     def test_continuity_at_small_radius(self):
-        # No branch jump between the closed form at 0 and the ratio
-        # formula just off it.
+        # No jump in the ratio formula between argument 0 and just off it.
         for mode in BoundaryMode:
             signs, logs = parabolic_amplitude_table(11, mode, np.array([0.0, 1e-8]))
             orders = slice(_knife_start(mode), None, 2)
