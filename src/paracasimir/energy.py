@@ -159,9 +159,8 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((len(orders), x.size))
-    runs = kernel_blocks(geom, x / geom.H, orders[-1], _modes(channel))
-    for nodes, run in runs:
-        for idx, stack in (b for blocks in run.values() for b in blocks):
+    for nodes, blocks in kernel_blocks(geom, x / geom.H, orders[-1], _modes(channel)):
+        for idx, stack in blocks:
             cuts = np.searchsorted(idx, orders, side="right")
             out[:, nodes] += logdet_one_minus(stack, cuts).T
     return out
@@ -406,8 +405,10 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
 
     Consecutive terms share one `_g_series` call of at most _BATCH_NODES
     nodes (a larger term has its own), and no batch is evaluated after
-    the stop rule fires.  No node depends on the others in its call, so
-    the sum is bitwise that of one call per term.
+    the stop rule fires.  A node's kernel blocks do not depend on the
+    other nodes of its call, but its Bateman table column can differ in
+    the last bits, so the sum agrees with one call per term to rounding
+    (bitwise in the cases `test_batched_sum_is_bitwise_per_term` checks).
     """
     totals, batch = None, []
     for n in itertools.count():
@@ -441,7 +442,7 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     T_scaled -> 0 the sum goes over into the zero-temperature
     frequency integral.  Terms are evaluated in batches of at most 512
     frequency nodes, so memory does not grow with 1/T, and the values
-    are bitwise those of one evaluation per term.  The error budget,
+    agree with one evaluation per term to rounding.  The error budget,
     and the `AccuracyError` on a failed node-doubling check, are those
     of `energy_per_length`.
     """

@@ -24,7 +24,6 @@ scatters one node's blocks into a single matrix for inspection.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,20 +64,6 @@ _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 _RUN_BYTES = 256 * 1024
 
 
-class _Block(NamedTuple):
-    """One decoupled diagonal block of the kernel.
-
-    ``idx`` holds its partial-wave orders.  At zero tilt ``pairs[i]`` is
-    the series' element table of node i at (n + n') // 2 over the block,
-    and ``sign`` the vector (-1)^(n // 2); both are made once per
-    frequency series.
-    """
-
-    idx: np.ndarray
-    pairs: np.ndarray | None = None
-    sign: np.ndarray | None = None
-
-
 def _knife_start(mode: BoundaryMode) -> int:
     """Parity of the orders that carry ``mode`` at the knife edge.
 
@@ -115,44 +100,42 @@ def _knife_block_from_gram(G: np.ndarray, w: float, out: np.ndarray) -> np.ndarr
     return np.multiply(G, math.exp(-w) / math.pi, out=out)
 
 
-def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled):
+def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: np.ndarray):
     """Signs and half-logs of the normalized cylinder amplitudes.
 
-    Returns (sigma, half) with sigma the amplitude signs and
-    half = 0.5 * log|F_nu / nu!|, the per-row balancing weight.  For a
-    1-d array of arguments column i belongs to mu0_scaled[i].
+    Returns (sigma, half), arrays of shape (nu_max + 1, len(mu0_scaled))
+    whose column i belongs to mu0_scaled[i]: sigma holds the amplitude
+    signs and half = 0.5 * log|F_nu / nu!|, the per-row balancing weight.
     """
     sigma, logf = parabolic_amplitude_table(nu_max, mode, mu0_scaled)
-    lfact = gammaln(np.arange(nu_max + 1) + 1.0)
-    half = 0.5 * (logf - (lfact[:, None] if logf.ndim == 2 else lfact))
-    return sigma, half
+    return sigma, 0.5 * (logf - gammaln(np.arange(nu_max + 1) + 1.0)[:, None])
 
 
 def _body_block_theta0(sigma: np.ndarray, half: np.ndarray, fp: float,
-                       pairs: np.ndarray, block: _Block) -> np.ndarray:
+                       pairs: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """One parity block of the positive-radius, zero-tilt kernel for a
     run of nodes, as a stack of shape (run, m, m).
 
     Column k of ``sigma`` and ``half`` and matrix k of ``pairs`` belong
     to node k of the run; pairs holds log sqrt(pi/2) + log m_(n+n')/2 of
-    the Bateman table at w = 2 q d over the block.  Entries of odd order
-    sum vanish by mirror parity, so the kernel splits into an even and
-    an odd block.  Within one block (n + n')/2 equals n//2 + n'//2 +
-    parity, so the element sign (-1)^((n + n')/2) is the outer product
-    of ``block.sign`` with itself times (-1)^parity.  The amplitude
-    signs are constant within a parity, and h_i + h_j is summed before
-    anything else is added, so every matrix is exactly symmetric.  The
-    stack is built in one buffer: a fresh temporary per step would cost
-    as much as the arithmetic.
+    the Bateman table at w = 2 q d over the block's orders ``idx``.
+    Entries of odd order sum vanish by mirror parity, so the kernel
+    splits into an even and an odd block.  Within one block (n + n')/2
+    equals n//2 + n'//2 + parity, so the element sign (-1)^((n + n')/2)
+    is the outer product of (-1)^(n // 2) with itself times
+    (-1)^parity.  The amplitude signs are constant within a parity, and
+    h_i + h_j is summed before anything else is added, so every matrix
+    is exactly symmetric.  The stack is built in one buffer: a fresh
+    temporary per step would cost as much as the arithmetic.
     """
-    idx = block.idx
+    sign = (-1.0) ** (idx // 2)
     h = half[idx].T
     entries = h[:, :, None] + h[:, None, :]
     entries += pairs
     with np.errstate(over="ignore"):
         np.exp(entries, out=entries)
-    entries *= (sigma[idx].T * (fp * (-1.0) ** (idx[0] % 2)) * block.sign)[:, :, None]
-    entries *= block.sign
+    entries *= (sigma[idx].T * (fp * (-1.0) ** (idx[0] % 2)) * sign)[:, :, None]
+    entries *= sign
     return entries
 
 
@@ -168,13 +151,12 @@ def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
     return out
 
 
-def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode, table) -> list:
-    """The nonempty decoupled blocks of one mode's kernel.
+def _block_orders(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
+    """The orders of each nonempty decoupled block of one mode's kernel.
 
     At zero radius only the mode's parity of orders takes part; at zero
-    tilt and positive radius the even and odd orders decouple; at tilt
-    every order couples to every other.  At zero tilt ``table`` holds
-    one row of elements per node, indexed by (n + n') // 2.
+    tilt and positive radius the even and odd orders decouple, evens
+    first; at tilt every order couples to every other.
     """
     if geom.R == 0.0:
         starts, step = (_knife_start(mode),), 2
@@ -182,16 +164,8 @@ def _layout(geom: Geometry, nu_max: int, mode: BoundaryMode, table) -> list:
         starts, step = (0, 1), 2
     else:
         starts, step = (0,), 1
-    blocks = []
-    for start in starts:
-        idx = np.arange(start, nu_max + 1, step)
-        if idx.size == 0:
-            continue
-        if table is None:
-            blocks.append(_Block(idx))
-        else:
-            blocks.append(_Block(idx, _by_pair(table, idx), (-1.0) ** (idx // 2)))
-    return blocks
+    blocks = (np.arange(start, nu_max + 1, step) for start in starts)
+    return [idx for idx in blocks if idx.size]
 
 
 def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
@@ -199,24 +173,24 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
 
     The nodes of the array ``q`` are taken in runs of consecutive nodes.
     For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
-    of ``q`` the run covers, and ``blocks`` maps each of ``modes`` to a
-    list of (orders, stack) pairs, one per diagonal block, where
-    stack[k] is the block's matrix at node q[nodes][k].  Orders outside
-    every block do not couple (or, at the knife edge, do not take part).
-    The determinant of 1 - N is the product over blocks, and truncating
-    at order nu keeps each block's leading orders up to nu.
+    of ``q`` the run covers, and ``blocks`` is one list of (orders,
+    stack) pairs, one per diagonal block, ordered by ``modes`` and then
+    by `_block_orders`; stack[k] is the block's matrix at node
+    q[nodes][k].  Orders outside every block do not couple (or, at the
+    knife edge, do not take part).  The determinant of 1 - N over a
+    mode is the product over its blocks, and truncating at order nu
+    keeps each block's leading orders up to nu.
 
     A run holds as many nodes as keep the largest block's stack within
     _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
     many nodes per call, and blocks of a few hundred orders one node at
     a time.  What does not depend on the node is computed once for the
-    series: the zero-tilt element table and, at positive radius, each
-    mode's amplitude signs and half-logs over all nodes, the block
-    layouts and their index, element and sign arrays.  At zero tilt a
-    run's stack is built from a view of the element table; at tilt each
-    node's matrix is written into its slot of the run's buffer, and at
-    positive radius the element matrix is built once per node for all
-    modes.
+    series: the zero-tilt element table and each block's Hankel view of
+    it, and, at positive radius, each mode's amplitude signs and
+    half-logs over all nodes.  At zero tilt a run's stack is built from
+    the block's view; at tilt each node's matrix is written into its
+    slot of the run's buffer, and at positive radius the element matrix
+    is built once per node for all modes.
 
     This is the only place the four constructions (knife or body,
     tilted or not) are chosen; `build_kernel` scatters the blocks into
@@ -224,48 +198,45 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     knife, untilted = geom.R == 0.0, geom.theta == 0.0
-    table = None
     if untilted:
         # One row per node: k_{-2n-1} at the knife edge, else log m_n plus
         # the balanced gauge's constant.
         w = 2.0 * q * geom.d
         table = np.ascontiguousarray((bateman_k_table(nu_max, w) if knife
                                       else _LOG_SQRT_HALF_PI + bateman_m_log(nu_max, w)).T)
-    layouts = {mode: _layout(geom, nu_max, mode, table) for mode in modes}
-    if not knife:
-        amplitudes = {mode: _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
-                      for mode in modes}
-    largest = max((b.idx.size for blocks in layouts.values() for b in blocks), default=1)
+    # One (mode, orders, Hankel view, sigma, half) entry per block.
+    layout = []
+    for mode in modes:
+        sigma, half = (None, None) if knife else _body_half_logs(
+            nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
+        layout += [(mode, idx, _by_pair(table, idx) if untilted else None, sigma, half)
+                   for idx in _block_orders(geom, nu_max, mode)]
+    largest = max((idx.size for _, idx, *_ in layout), default=1)
     run = max(1, _RUN_BYTES // (8 * largest * largest))
     for lo in range(0, q.size, run):
         nodes = slice(lo, min(lo + run, q.size))
         if knife and untilted:
-            out = {mode: [(b.idx, _knife_block_from_k(b.pairs[nodes], mode))
-                          for b in layouts[mode]] for mode in modes}
+            blocks = [(idx, _knife_block_from_k(pairs[nodes], mode))
+                      for mode, idx, pairs, *_ in layout]
         elif untilted:
-            out = {}
-            for mode in modes:
-                sigma, half = (table[:, nodes] for table in amplitudes[mode])
-                fp = plane_amplitude(mode)
-                out[mode] = [(b.idx, _body_block_theta0(sigma, half, fp, b.pairs[nodes], b))
-                             for b in layouts[mode]]
+            blocks = [(idx, _body_block_theta0(sigma[:, nodes], half[:, nodes],
+                                               plane_amplitude(mode), pairs[nodes], idx))
+                      for mode, idx, pairs, sigma, half in layout]
         else:
-            out = {mode: [(b.idx, np.empty((nodes.stop - lo, b.idx.size, b.idx.size)))
-                          for b in layouts[mode]] for mode in modes}
+            blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
+                      for _, idx, *_ in layout]
             for k, i in enumerate(range(lo, nodes.stop)):
                 if not knife:
                     sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
-                for mode in modes:
-                    for idx, stack in out[mode]:
-                        if knife:
-                            G, w = _gram(q[i], geom.d, geom.theta, nu_max,
-                                         start=int(idx[0]), step=2)
-                            _knife_block_from_gram(G, w, stack[k])
-                        else:
-                            sigma, half = (table[:, i] for table in amplitudes[mode])
-                            _body_block_tilted(sigma, half, plane_amplitude(mode),
-                                               sT, lT, stack[k])
-        yield nodes, out
+                for (mode, idx, _, sigma, half), (_, stack) in zip(layout, blocks):
+                    if knife:
+                        G, w = _gram(q[i], geom.d, geom.theta, nu_max,
+                                     start=int(idx[0]), step=2)
+                        _knife_block_from_gram(G, w, stack[k])
+                    else:
+                        _body_block_tilted(sigma[:, i], half[:, i], plane_amplitude(mode),
+                                           sT, lT, stack[k])
+        yield nodes, blocks
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):
@@ -284,10 +255,9 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
         raise DomainError("nu_max must be a nonnegative integer")
     mode = BoundaryMode(mode)
     _, blocks = next(kernel_blocks(geom, q, int(nu_max), (mode,)))
-    covered = [idx for idx, _ in blocks[mode]]
-    orders = np.sort(np.concatenate(covered)) if covered else np.arange(0)
+    orders = np.sort(np.concatenate([np.arange(0)] + [idx for idx, _ in blocks]))
     entries = np.zeros((orders.size, orders.size))
-    for idx, stack in blocks[mode]:
+    for idx, stack in blocks:
         sel = np.searchsorted(orders, idx)
         entries[np.ix_(sel, sel)] = stack[0]
     if not np.all(np.isfinite(entries)):

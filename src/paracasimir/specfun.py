@@ -81,17 +81,13 @@ def _signed_log_sum(s1, l1, s2, l2):
     magnitude and opposite sign loses relative accuracy exactly as the
     plain-float sum would; callers that need better must rearrange.
     """
-    s1 = np.asarray(s1, float)
-    l1 = np.asarray(l1, float)
-    s2 = np.asarray(s2, float)
-    l2 = np.asarray(l2, float)
     m = np.maximum(l1, l2)
     m = np.where(np.isneginf(m), 0.0, m)
     with np.errstate(invalid="ignore"):
         v = s1 * np.exp(l1 - m) + s2 * np.exp(l2 - m)
     sign = np.sign(v)
     with np.errstate(divide="ignore"):
-        logmag = np.where(v != 0.0, np.log(np.abs(v)) + m, -np.inf)
+        logmag = np.log(np.abs(v)) + m
     return sign, logmag
 
 

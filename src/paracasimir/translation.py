@@ -144,5 +144,5 @@ def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):
     parity = (-1.0) ** np.arange(nu_max + 1)
     signs = np.sign(G) * parity[None, :]
     with np.errstate(divide="ignore"):
-        logs = np.where(G != 0.0, np.log(np.abs(G)), -np.inf) - w - 0.5 * math.log(2.0 * math.pi)
+        logs = np.log(np.abs(G)) - w - 0.5 * math.log(2.0 * math.pi)
     return signs, logs

@@ -23,7 +23,7 @@ from paracasimir.energy import (
     thermal_energy,
 )
 from paracasimir._quad import expmap_grid, panel_grid
-from paracasimir.roundtrip import build_kernel, kernel_blocks
+from paracasimir.roundtrip import _block_orders, build_kernel, kernel_blocks
 from paracasimir.scattering import BoundaryMode, Geometry
 from paracasimir.specfun import DomainError, bateman_k_table, bateman_m_log
 from paracasimir.translation import AccuracyError
@@ -410,23 +410,33 @@ class TestLadderAgainstLU:
                 assert got[j, i] == pytest.approx(logdet, rel=1e-12)
 
 
-class TestBodyBlocksSymmetric:
-    """The positive-radius blocks are bitwise symmetric, so the ladder
+class TestKernelBlockStream:
+    """Each run of `kernel_blocks` is one flat list of (orders, stack)
+    pairs, laid out by `_block_orders` mode after mode, for all four
+    constructions.  Every block is bitwise symmetric, so the ladder
     above factors each with one Cholesky rather than one LU per rung."""
 
-    @pytest.mark.parametrize("theta", [0.0, 0.3])
-    def test_every_block_equals_its_transpose(self, theta):
-        geom = Geometry(1.0, 0.1, theta)
+    @pytest.mark.parametrize("modes", [tuple(BoundaryMode), (BoundaryMode.DIRICHLET,),
+                                       (BoundaryMode.NEUMANN,)],
+                             ids=["both", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("geom, per_mode",
+                             [(KNIFE, 1), (Geometry(0.0, 1.0, math.radians(85.0)), 1),
+                              (Geometry(1.0, 0.1), 2), (Geometry(1.0, 0.1, 0.3), 1)],
+                             ids=["knife-0", "knife-85", "body-0", "body-0.3"])
+    def test_blocks_follow_layout_and_equal_their_transpose(self, geom, per_mode, modes):
         q = np.geomspace(0.02, 200.0, 9)
-        count = 0
-        for nodes, run in kernel_blocks(geom, q, 60, tuple(BoundaryMode)):
-            for mode, blocks in run.items():
-                for idx, stack in blocks:
-                    assert len(stack) == nodes.stop - nodes.start
-                    for k, entries in enumerate(stack):
-                        assert np.array_equal(entries, entries.T), (mode, idx[0], k)
-                        count += 1
-        assert count == q.size * 2 * (2 if theta == 0.0 else 1)
+        layout = [idx for mode in modes for idx in _block_orders(geom, 60, mode)]
+        assert len(layout) == per_mode * len(modes)
+        covered = 0
+        for nodes, blocks in kernel_blocks(geom, q, 60, modes):
+            assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for idx in layout]
+            run = nodes.stop - nodes.start
+            for idx, stack in blocks:
+                assert stack.shape == (run, idx.size, idx.size)
+                for k, entries in enumerate(stack):
+                    assert np.array_equal(entries, entries.T), (idx[0], k)
+            covered += run
+        assert covered == q.size
 
 
 class TestClassicalCoefficient:
