@@ -4,11 +4,12 @@ Every command writes one table (CSV with a config echo in ``#`` lines,
 or JSON as one object per line) so figures and regressions can be
 rebuilt from artifacts alone.  Numeric rows always carry their error
 estimates.  Output is deterministic: fixed grids, fixed summation
-order, and sweep points computed one after another.  `READS` lists the
-settings each command reads; any other setting must hold its default,
-so the echo holds only settings that made the table.  ``--output`` is
-opened only once there is a table or a diagnostic to write, so a
-rejected run leaves an existing file untouched.
+order, and sweep points computed one after another.  `COMMANDS` holds
+each command's help line, the settings it reads and its rows function;
+any other setting must hold its default, so the echo holds only settings
+that made the table.  ``--output`` is opened only once there is a table
+or a diagnostic to write, so a rejected run leaves an existing file
+untouched.
 """
 
 from __future__ import annotations
@@ -42,16 +43,6 @@ _ENERGY = ("radius", "separation", "angle_deg", "numax", "quad_nodes", "qmax_sca
            "channel")
 _CPERP = ("numax", "quad_nodes", "qmax_scaled", "channel")
 _SWEEP = ("sweep_from", "sweep_to", "points")
-# The RunConfig fields each command reads, besides command, format and path.
-READS = {
-    "energy": _ENERGY,
-    "cperp": _CPERP,
-    "ctheta-sweep": _CPERP + _SWEEP,
-    "h-sweep": ("radius",) + _CPERP + _SWEEP,
-    "thermal": _ENERGY + ("tolerance", "temperature"),
-    "pfa": ("radius", "separation"),
-    "validate": (),
-}
 _CHANNEL_CHOICES = tuple(_CHANNELS)
 _FORMAT_CHOICES = ("csv", "json")
 
@@ -64,8 +55,8 @@ class RunConfig:
     their range from ``sweep_from``/``sweep_to``/``points`` and the
     thermal command its temperature (k_B T H / hbar c) from
     ``temperature``.  ``qmax_scaled = None`` lets the library pick the
-    cutoff for the geometry.  A field outside ``READS[command]`` must
-    hold its default.
+    cutoff for the geometry.  A field the command does not read, by its
+    entry in `COMMANDS`, must hold its default.
     """
 
     command: str
@@ -85,7 +76,7 @@ class RunConfig:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.command not in READS:
+        if self.command not in COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
         if self.channel not in _CHANNEL_CHOICES:
             raise DomainError(f"channel must be one of {_CHANNEL_CHOICES}")
@@ -98,7 +89,7 @@ class RunConfig:
         if not 0 < self.tolerance < math.inf:
             raise DomainError("tolerance must be finite and positive")
         unread = [f.name for f in fields(self) if f.name not in
-                  READS[self.command] + ("command", "format", "path")
+                  COMMANDS[self.command][1] + ("command", "format", "path")
                   and getattr(self, f.name) != f.default]
         if unread:
             raise DomainError(f"{self.command} does not read {', '.join(unread)}")
@@ -172,27 +163,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="paracasimir",
         description="Casimir energies of a parabolic cylinder facing a plane")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("energy", parents=[common],
-                   help="energy per unit length for one geometry")
-    sub.add_parser("cperp", parents=[common],
-                   help="knife-edge constant C of E = -C/H^2")
-    p = sub.add_parser("ctheta-sweep", parents=[common],
-                       help="tilt coefficient c(theta) over a range of angles")
-    p.add_argument("--from", dest="sweep_from", type=float, metavar="DEG")
-    p.add_argument("--to", dest="sweep_to", type=float, metavar="DEG")
-    p.add_argument("--points", type=int)
-    p = sub.add_parser("h-sweep", parents=[common],
-                       help="energy and PFA ratio versus H/R")
-    p.add_argument("--from", dest="sweep_from", type=float, metavar="H_OVER_R")
-    p.add_argument("--to", dest="sweep_to", type=float, metavar="H_OVER_R")
-    p.add_argument("--points", type=int)
-    p = sub.add_parser("thermal", parents=[common],
-                       help="finite-temperature energy per unit length")
-    p.add_argument("--temperature", type=float, metavar="T_SCALED")
-    sub.add_parser("pfa", parents=[common],
-                   help="proximity force approximation baseline")
-    sub.add_parser("validate", parents=[common],
-                   help="run the internal identity suite")
+    for name, (help_line, reads, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        if "points" in reads:
+            p.add_argument("--from", dest="sweep_from", type=float)
+            p.add_argument("--to", dest="sweep_to", type=float)
+            p.add_argument("--points", type=int)
+        if "temperature" in reads:
+            p.add_argument("--temperature", type=float, metavar="T_SCALED")
     return parser
 
 
@@ -322,14 +300,20 @@ def _rows_validate(config):
     return rows, all(c.passed for c in checks)
 
 
-_DISPATCH = {
-    "energy": _rows_energy,
-    "cperp": _rows_cperp,
-    "ctheta-sweep": _rows_ctheta,
-    "h-sweep": _rows_hsweep,
-    "thermal": _rows_thermal,
-    "pfa": _rows_pfa,
-    "validate": _rows_validate,
+# Each command: its help line, the RunConfig fields it reads besides
+# command, format and path, and the function that computes its rows.
+COMMANDS = {
+    "energy": ("energy per unit length for one geometry", _ENERGY, _rows_energy),
+    "cperp": ("knife-edge constant C of E = -C/H^2", _CPERP, _rows_cperp),
+    "ctheta-sweep": ("tilt coefficient c(theta) over a range of angles",
+                     _CPERP + _SWEEP, _rows_ctheta),
+    "h-sweep": ("energy and PFA ratio versus H/R", ("radius",) + _CPERP + _SWEEP,
+                _rows_hsweep),
+    "thermal": ("finite-temperature energy per unit length",
+                _ENERGY + ("tolerance", "temperature"), _rows_thermal),
+    "pfa": ("proximity force approximation baseline", ("radius", "separation"),
+            _rows_pfa),
+    "validate": ("run the internal identity suite", (), _rows_validate),
 }
 
 
@@ -377,7 +361,7 @@ def run(config: RunConfig) -> int:
     table or a diagnostic; any other error propagates first.
     """
     try:
-        rows, converged = _DISPATCH[config.command](config)
+        rows, converged = COMMANDS[config.command][2](config)
     except (PhysicalRegimeError, AccuracyError, FitRejectedError) as exc:
         record = json.dumps({"error": type(exc).__name__, "message": str(exc)})
         _emit(config, lambda stream: stream.write(record + "\n"))

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._quad import expmap_grid, panel_grid
-from .specfun import DomainError
+from .specfun import DomainError, _check_order
 from .scattering import BoundaryMode, Geometry
 from .roundtrip import kernel_blocks, logdet_one_minus
 from .translation import AccuracyError
@@ -127,14 +127,13 @@ def _grid(spec: QuadratureSpec):
 
 def _series_orders(nu_max) -> list:
     """Truncation ladder: either an explicit sequence or an octave run."""
-    if isinstance(nu_max, (int, np.integer)):
-        if nu_max < 0:
-            raise DomainError("nu_max must be nonnegative")
-        orders = sorted({max(8, int(nu_max) // k) for k in (8, 4, 2, 1)})
-        return [n for n in orders if n <= nu_max] or [int(nu_max)]
-    orders = sorted({int(n) for n in nu_max})
-    if not orders or orders[0] < 0:
-        raise DomainError("nu_max sequence must hold nonnegative integers")
+    if np.ndim(nu_max) == 0:
+        top = _check_order(nu_max)
+        orders = sorted({max(8, top // k) for k in (8, 4, 2, 1)})
+        return [n for n in orders if n <= top] or [top]
+    orders = sorted({_check_order(n) for n in nu_max})
+    if not orders:
+        raise DomainError("nu_max sequence must be nonempty")
     return orders
 
 

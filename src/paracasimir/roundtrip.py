@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from .specfun import DomainError, bateman_k_table, bateman_m_log
+from .specfun import DomainError, _check_order, bateman_k_table, bateman_m_log
 from .scattering import (
     BoundaryMode,
     Geometry,
@@ -251,10 +251,9 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be positive and finite")
-    if not isinstance(nu_max, (int, np.integer)) or nu_max < 0:
-        raise DomainError("nu_max must be a nonnegative integer")
+    nu_max = _check_order(nu_max)
     mode = BoundaryMode(mode)
-    _, blocks = next(kernel_blocks(geom, q, int(nu_max), (mode,)))
+    _, blocks = next(kernel_blocks(geom, q, nu_max, (mode,)))
     orders = np.sort(np.concatenate([np.arange(0)] + [idx for idx, _ in blocks]))
     entries = np.zeros((orders.size, orders.size))
     for idx, stack in blocks:

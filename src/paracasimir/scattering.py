@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .specfun import (
     DomainError,
     pcf_outgoing_table,
@@ -142,17 +140,9 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
 
     Returns ``(sign, logmag)`` arrays.
     """
-    mu = np.asarray(mu0_scaled, dtype=float)
-    if np.any(mu < 0):
-        raise DomainError("mu0_scaled must be nonnegative")
-    if mode is BoundaryMode.DIRICHLET:
-        sv, lv = pcf_regular_imag_table(nmax, mu)
-        sb, lb = pcf_outgoing_table(nmax, mu)
-        signs, logs = -sv * sb, lv - lb
-    elif mode is BoundaryMode.NEUMANN:
-        _, _, sd, ld = pcf_regular_imag_table(nmax, mu, with_derivative=True)
-        _, _, sdd, ldd = pcf_outgoing_table(nmax, mu, with_derivative=True)
-        signs, logs = -sd * sdd, ld - ldd
-    else:
+    if not isinstance(mode, BoundaryMode):
         raise DomainError(f"unknown boundary mode {mode!r}")
-    return signs, logs
+    neumann = mode is BoundaryMode.NEUMANN
+    *_, sv, lv = pcf_regular_imag_table(nmax, mu0_scaled, with_derivative=neumann)
+    *_, sb, lb = pcf_outgoing_table(nmax, mu0_scaled, with_derivative=neumann)
+    return -sv * sb, lv - lb

@@ -367,13 +367,9 @@ def bateman_m_log(nmax: int, u):
     |log m| * 1e-16 at large u, over orders to 5000 and u up to 1e4.
     """
     nmax = _check_order(nmax)
-    u_in = np.asarray(u, dtype=float)
-    scalar = u_in.ndim == 0
-    u_arr = np.atleast_1d(u_in)
-    if u_arr.size == 0:
-        raise DomainError("u must be nonempty")
-    if not np.all(np.isfinite(u_arr) & (u_arr > 0.0)):
-        raise DomainError("u must be positive and finite")
+    u_arr, scalar = _argument_array(u)
+    if not np.all(u_arr > 0.0):
+        raise DomainError("u must be positive")
     shift, log_tail = _bateman_seeds(nmax + 1, u_arr)
     m = np.ones_like(u_arr)
     tail = np.exp(log_tail - shift)
@@ -388,7 +384,7 @@ def bateman_m_log(nmax: int, u):
             tail = tail * f
             shift = shift + np.where(big, _LOG_BIG, 0.0)
         out[n - 1] = np.log(m) + shift
-    return out[:, 0] if scalar else out
+    return _shaped(scalar, out)[0]
 
 
 def bateman_k_table(nmax: int, u) -> np.ndarray:

@@ -4,13 +4,14 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from paracasimir.cli import READS, RunConfig, build_config, main, parse_config_file, run
+from paracasimir.cli import COMMANDS, RunConfig, build_config, main, parse_config_file, run
 from paracasimir.energy import energy_per_length
 from paracasimir.scattering import Geometry
 from paracasimir.specfun import DomainError
@@ -102,7 +103,7 @@ class TestRunConfig:
                   "channel": "neumann", "sweep_from": 0.5, "sweep_to": 2.0,
                   "points": 3, "temperature": 0.2}
         assert set(values) | {"command", "format", "path"} == set(RunConfig("energy").to_dict())
-        for command, reads in READS.items():
+        for command, (_, reads, _) in COMMANDS.items():
             assert set(reads) <= set(values), command
             for key, value in values.items():
                 if key in reads:
@@ -110,6 +111,27 @@ class TestRunConfig:
                 else:
                     with pytest.raises(DomainError, match=key):
                         RunConfig(command, **{key: value})
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_offers_the_flags_of_the_settings_it_reads(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        _, reads, _ = COMMANDS[command]
+        expected = set()
+        if {"sweep_from", "sweep_to", "points"} <= set(reads):
+            expected |= {"--from", "--to", "--points"}
+        if "temperature" in reads:
+            expected.add("--temperature")
+        assert flags & {"--from", "--to", "--points", "--temperature"} == expected
+
+    def test_help_lists_the_commands_in_table_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.findall(r"^    (\S+) +(.+)$", capsys.readouterr().out, re.M)
+        assert listed == [(name, line) for name, (line, _, _) in COMMANDS.items()]
 
 
 class TestConfigFile:

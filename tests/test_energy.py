@@ -124,6 +124,13 @@ class TestEnergyPerLength:
         assert [n for n, _ in result.series] == [8]
         assert result.trunc_error == math.inf
 
+    @pytest.mark.parametrize("nu_max", [-1, "80", 1.5, True, (10.7, 20.2, 40.9, 80.1),
+                                        (8, -16), ()])
+    def test_invalid_ladders_rejected(self, nu_max):
+        # A string is not read digit by digit, nor is a float truncated.
+        with pytest.raises(DomainError):
+            energy_per_length(KNIFE, nu_max=nu_max)
+
     def test_knife_edge_ballpark(self):
         # Tight agreement with the frozen constants is the acceptance
         # suite's job; here only the level of the plateau is pinned.

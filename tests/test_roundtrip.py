@@ -283,3 +283,5 @@ class TestArgumentValidation:
             build_kernel(KNIFE, 0.0, 4, BoundaryMode.DIRICHLET)
         with pytest.raises(DomainError):
             build_kernel(KNIFE, 1.0, -1, BoundaryMode.DIRICHLET)
+        with pytest.raises(DomainError):
+            build_kernel(KNIFE, 1.0, True, BoundaryMode.DIRICHLET)

@@ -126,3 +126,7 @@ class TestFiniteRadiusAmplitudes:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             parabolic_amplitude_table(0, BoundaryMode.DIRICHLET, -0.5)
+
+    def test_mode_must_be_a_boundary_mode(self):
+        with pytest.raises(DomainError, match="boundary mode"):
+            parabolic_amplitude_table(3, "neumann", 0.5)

@@ -342,6 +342,7 @@ class TestErrors:
             (bateman_m_log, (0, -2.0)),
             (bateman_m_log, (1.5, 1.0)),
             (bateman_m_log, (0, float("inf"))),
+            (bateman_m_log, (3, [[0.5, 1.0]])),
             (pcf_outgoing_table, (3, [0.5, -1e-3])),
             (pcf_outgoing_table, (3, [0.5, float("nan")])),
             (pcf_outgoing_table, (3, [float("inf"), 2.0])),
