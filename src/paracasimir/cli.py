@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .approx import EdgeLimitWarning, pfa_energy
 from .energy import (
     FitRejectedError,
+    QuadratureSpec,
     _CHANNELS,
     _tilt_coefficient,
     default_quadrature,
@@ -64,7 +65,7 @@ class RunConfig:
     separation: float = 1.0
     angle_deg: float = 0.0
     numax: int = 100
-    quad_nodes: int = 10
+    quad_nodes: int = QuadratureSpec.node_count
     qmax_scaled: float | None = None
     tolerance: float = 1e-6
     channel: str = "em"
@@ -160,11 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", dest="path", metavar="FILE",
                         help="write the table here instead of stdout")
     parser = argparse.ArgumentParser(
-        prog="paracasimir",
+        prog="paracasimir", allow_abbrev=False,
         description="Casimir energies of a parabolic cylinder facing a plane")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, reads, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_line)
+        p = sub.add_parser(name, parents=[common], help=help_line, allow_abbrev=False)
         if "points" in reads:
             p.add_argument("--from", dest="sweep_from", type=float)
             p.add_argument("--to", dest="sweep_to", type=float)

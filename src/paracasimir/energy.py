@@ -67,13 +67,17 @@ class QuadratureSpec:
     The integrand is strongly peaked around x ~ 0.3 and dies
     exponentially at large x, so the grid places ``panel_count``
     Gauss-Legendre panels of ``node_count`` nodes uniformly in log x
-    between ``qmin_scaled`` and ``qmax_scaled``.  ``tolerance`` is the
+    between ``qmin_scaled`` and ``qmax_scaled``.  The default 12 panels
+    of 10 nodes, each 0.72 wide in ln x, keep the top rung within 1e-3
+    of its error budget of a grid with twice the panels and twice the
+    nodes on every geometry `scripts/check_freq_grid.py` checks.
+    ``tolerance`` is the
     relative accuracy the caller is aiming for; it controls adaptive
     cutoffs such as the Matsubara-sum truncation, not the fixed grid.
     """
 
     node_count: int = 10
-    panel_count: int = 18
+    panel_count: int = 12
     qmin_scaled: float = 0.3 * math.exp(-5.0)
     qmax_scaled: float = 0.3 * math.exp(3.6)
     tolerance: float = 1e-6
@@ -404,10 +408,9 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
 
     Consecutive terms share one `_g_series` call of at most _BATCH_NODES
     nodes (a larger term has its own), and no batch is evaluated after
-    the stop rule fires.  A node's kernel blocks do not depend on the
-    other nodes of its call, but its Bateman table column can differ in
-    the last bits, so the sum agrees with one call per term to rounding
-    (bitwise in the cases `test_batched_sum_is_bitwise_per_term` checks).
+    the stop rule fires.  Neither a node's Bateman table column nor its
+    kernel blocks depend on the other nodes of its call, so the sum is
+    bitwise that of one call per term.
     """
     totals, batch = None, []
     for n in itertools.count():
@@ -441,7 +444,7 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     T_scaled -> 0 the sum goes over into the zero-temperature
     frequency integral.  Terms are evaluated in batches of at most 512
     frequency nodes, so memory does not grow with 1/T, and the values
-    agree with one evaluation per term to rounding.  The error budget,
+    are bitwise those of one evaluation per term.  The error budget,
     and the `AccuracyError` on a failed node-doubling check, are those
     of `energy_per_length`.
     """

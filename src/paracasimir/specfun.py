@@ -340,13 +340,17 @@ def _bateman_seeds(n: int, u: np.ndarray):
     hi = np.minimum(hi, tangent_end(np.minimum(t_hat + step, hi)))
     x, w = panel_grid(np.linspace(0.0, 1.0, _SEED_PANELS + 1), _SEED_NODES)
     m, tail = np.zeros_like(u), np.zeros_like(u)
-    # One panel at a time: no nodes-by-u block of all panels is held.
+    # One panel at a time: no nodes-by-u block of all panels is held.  The
+    # sums run node by node, elementwise in u, so each u's seeds are those
+    # of a call of its own whatever the other arguments.
     for xp, wp in zip(x.reshape(_SEED_PANELS, -1), w.reshape(_SEED_PANELS, -1)):
         t = lo + (hi - lo) * xp[:, None]
         lt, lc = half_angle_logs(t)
-        f = np.exp(2 * n * lt - 2.0 * lc - u * np.cosh(t) - ref)
-        m += wp @ f
-        tail += wp @ (f * np.sinh(0.5 * t) ** 2)
+        f = wp[:, None] * np.exp(2 * n * lt - 2.0 * lc - u * np.cosh(t) - ref)
+        g = f * np.sinh(0.5 * t) ** 2
+        for fi, gi in zip(f, g):
+            m += fi
+            tail += gi
     scale = ref + np.log((hi - lo) / math.pi)
     return np.log(m) + scale, np.log(tail) + scale
 
@@ -362,7 +366,8 @@ def bateman_m_log(nmax: int, u):
     downward as T_{n-1} = T_n + m_n, (2n-1) m_{n-1} = (2n+1) m_n + 4u T_{n-1}
     with the tail sums T_n = sum_{k>n} m_k, from m and T at order nmax + 1
     seeded by their integrals.  Every term is positive, so rounding errors
-    do not grow, unlike in the three-term form at small u.  The table
+    do not grow, unlike in the three-term form at small u.  Each column
+    is bitwise that of a call with its argument alone.  The table
     matches mpmath to a few 1e-15 relative for u >= 6e-5, and in log to
     |log m| * 1e-16 at large u, over orders to 5000 and u up to 1e4.
     """

@@ -354,6 +354,16 @@ class TestExitCodes:
             main(["energy", "--channel", "bogus"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["thermal", "--temperature", "0.2", "--to", "0.5"],  # not --tolerance
+        ["pfa", "--radius", "1", "--sep", "3"],              # not --separation
+    ])
+    def test_abbreviated_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
     def test_invalid_value_returns_2(self, capsys):
         assert main(["energy", "--numax", "-3"]) == 2
         assert "paracasimir:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import importlib.util
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,21 @@ class TestQuadratureSpec:
         fine = energy_per_length(KNIFE, QuadratureSpec(node_count=12), nu_max=32)
         assert fine.quad_error <= coarse.quad_error
         assert fine.value == pytest.approx(coarse.value, rel=1e-9)
+
+    # At 88 deg the top rung moves most with the panel count: from 18 to 12
+    # panels its distance to the finer grid grew from 2.5e-7 to 8.9e-6 of
+    # the budget.  At R = 1, H = 2 the integrand is smooth, and a grid of 3
+    # panels is 2.5e-3 of the budget off.
+    @pytest.mark.parametrize("geom,nu_max,channel", [
+        (Geometry(0.0, 1.0, math.radians(88.0)), (32, 64, 128, 256), "neumann"),
+        (Geometry(1.0, 2.0), (10, 20, 40, 80), "em"),
+    ])
+    def test_default_grid_agrees_with_a_finer_one(self, geom, nu_max, channel):
+        spec = default_quadrature(geom)
+        finer = replace(spec, panel_count=2 * spec.panel_count, node_count=2 * spec.node_count)
+        res = energy_per_length(geom, spec, nu_max, channel)
+        ref = energy_per_length(geom, finer, nu_max, channel)
+        assert abs(res.value - ref.value) <= 1e-3 * (res.trunc_error + res.quad_error)
 
     def test_linear_panels_mapping_agrees(self):
         # The log-mapped grid against 40 panels spaced uniformly in x.
@@ -293,13 +309,14 @@ class TestThermal:
             thermal_energy(KNIFE, 0.05, nu_max=LADDER)
 
     # ``batches`` counts the batches of the full ladder's evaluation, and
-    # ``unused`` the nodes of its last batch that lie beyond the stop.
+    # ``unused`` the nodes of its last batch that lie beyond the stop, on
+    # an n = 0 grid of 18 panels (180 nodes).
     @pytest.mark.parametrize("T_scaled,nu_max,spec,batches,unused", [
-        (0.5, 32, None, 1, 0),                                # all terms, one batch
-        (0.3, 32, None, 2, 0),                                # all terms, two
-        (0.01, LADDER, None, 29, 350),                        # many batches
-        (0.05, LADDER, QuadratureSpec(tolerance=1e-2), 4, 0),   # stops at a batch end
-        (0.05, LADDER, QuadratureSpec(tolerance=1e-3), 5, 160), # stops inside one
+        (0.5, 32, QuadratureSpec(panel_count=18), 1, 0),       # all terms, one batch
+        (0.3, 32, QuadratureSpec(panel_count=18), 2, 0),       # all terms, two
+        (0.01, LADDER, QuadratureSpec(panel_count=18), 29, 350),  # many batches
+        (0.05, LADDER, QuadratureSpec(panel_count=18, tolerance=1e-2), 4, 0),
+        (0.05, LADDER, QuadratureSpec(panel_count=18, tolerance=1e-3), 5, 160),
     ])
     def test_batched_sum_is_bitwise_per_term(self, monkeypatch, T_scaled, nu_max, spec,
                                              batches, unused):
