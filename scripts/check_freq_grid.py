@@ -20,7 +20,7 @@ Run it from the repository root with
 
     PYTHONPATH=src python scripts/check_freq_grid.py
 
-It takes about five minutes on one core of a 2-vCPU Xeon, and exits
+It takes about two minutes on one core of a 2-vCPU Xeon, and exits
 nonzero if any ratio exceeds 1e-3.
 """
 

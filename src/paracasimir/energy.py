@@ -67,13 +67,13 @@ class QuadratureSpec:
     The integrand is strongly peaked around x ~ 0.3 and dies
     exponentially at large x, so the grid places ``panel_count``
     Gauss-Legendre panels of ``node_count`` nodes uniformly in log x
-    between ``qmin_scaled`` and ``qmax_scaled``.  The default 12 panels
-    of 10 nodes, each 0.72 wide in ln x, keep the top rung within 1e-3
-    of its error budget of a grid with twice the panels and twice the
-    nodes on every geometry `scripts/check_freq_grid.py` checks.
-    ``tolerance`` is the
-    relative accuracy the caller is aiming for; it controls adaptive
-    cutoffs such as the Matsubara-sum truncation, not the fixed grid.
+    between ``qmin_scaled`` and ``qmax_scaled``.  The default, 12 panels
+    of 10 nodes about 0.72 wide in ln x, puts the top rung within 1e-3
+    of its error budget of a grid with three times the panels and twice
+    the nodes on every geometry `scripts/check_freq_grid.py` checks.
+    ``tolerance`` is the relative accuracy the caller is aiming for; it
+    controls adaptive cutoffs such as the Matsubara-sum truncation, not
+    the fixed grid.
     """
 
     node_count: int = 10
