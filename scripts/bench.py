@@ -7,7 +7,10 @@ The last line of each run's standard output is its JSON record; its
 end-to-end metrics (those `BENCHMARK.json` lists under ``end_to_end``)
 are kept.  The output file holds the machine line of the first run,
 every pair's metrics, and per metric each side's median and quartiles
-and the number of pairs the head checkout won.
+and the number of pairs the head checkout won.  Each run's ``correct``
+flag is kept too: every workload and seed counts its incorrect runs per
+side, the printed lines name them, and the script exits 1 if any run of
+the head checkout was incorrect.
 
 Typical use, from the root of the changed checkout, with the parent
 commit cloned next to it:
@@ -70,9 +73,11 @@ def compare(base: Path, head: Path, workload: str, seed: int, pairs: int,
                           if name in record["metrics"]}
             pair[side]["correct"] = record["correct"]
         runs.append(pair)
+        wrong = [side for side in sides if not pair[side]["correct"]]
         print(f"{workload} seed={seed} pair {i + 1}/{pairs}: " + ", ".join(
             f"{name} {pair['base'][name]:.4g} -> {pair['head'][name]:.4g}"
-            for name in metrics if name in pair["base"]), flush=True)
+            for name in metrics if name in pair["base"])
+            + (f"; incorrect: {', '.join(wrong)}" if wrong else ""), flush=True)
     summary = {}
     for name, better in metrics.items():
         if not all(name in p["base"] and name in p["head"] for p in runs):
@@ -83,7 +88,9 @@ def compare(base: Path, head: Path, workload: str, seed: int, pairs: int,
                          "base": _spread([p["base"][name] for p in runs]),
                          "head": _spread([p["head"][name] for p in runs]),
                          "pairs_won": won, "pairs": len(runs)}
-    return machine, {"workload": workload, "seed": seed, "pairs": runs, "summary": summary}
+    incorrect = {side: sum(not p[side]["correct"] for p in runs) for side in sides}
+    return machine, {"workload": workload, "seed": seed, "pairs": runs,
+                     "incorrect": incorrect, "summary": summary}
 
 
 def main(argv=None) -> int:
@@ -114,6 +121,9 @@ def main(argv=None) -> int:
                       f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}], head median "
                       f"{s['head']['median']:.4g} [{s['head']['q1']:.4g}, "
                       f"{s['head']['q3']:.4g}], head won {s['pairs_won']}/{s['pairs']}")
+            bad = result["incorrect"]
+            print(f"{workload} seed={seed} incorrect runs: base {bad['base']}/{args.pairs}, "
+                  f"head {bad['head']}/{args.pairs}")
     args.out.write_text(json.dumps({
         "machine": machine,
         "command": f"perfbench/run.py --seconds {args.seconds:g}",
@@ -121,7 +131,7 @@ def main(argv=None) -> int:
         "head": _describe(args.head),
         "results": results,
     }, indent=1) + "\n")
-    return 0
+    return 1 if any(result["incorrect"]["head"] for result in results) else 0
 
 
 if __name__ == "__main__":

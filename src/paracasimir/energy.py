@@ -83,6 +83,9 @@ class QuadratureSpec:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        for count in (self.node_count, self.panel_count):
+            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+                raise DomainError(f"node and panel counts must be integers, got {count!r}")
         if self.node_count < 2 or self.panel_count < 1:
             raise DomainError("node_count must be >= 2 and panel_count >= 1")
         if not 0.0 < self.qmin_scaled < self.qmax_scaled < math.inf:
@@ -370,6 +373,7 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
     nu_max = 200 one call takes about 0.2 s on a 2-vCPU Xeon (0.1 s for
     one channel), two thirds of it in the log-dets.
     """
+    nu_max = _check_order(nu_max)
     xmin, xmax = 3e-5, 11.0
     npan = math.ceil(math.log(xmax / xmin) / 0.5)
     x, wx = expmap_grid(xmin, xmax, npan, 10)
@@ -385,7 +389,7 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
         np.column_stack([np.log(x[sel]), np.ones(int(np.count_nonzero(sel)))]),
         g[sel], rcond=None)
     tail = xmin * (coef[0] * (math.log(xmin) - 1.0) + coef[1])
-    return -(total + tail) / (2.0 * math.pi)
+    return float(-(total + tail) / (2.0 * math.pi))
 
 
 _BATCH_NODES = 512  # frequency nodes of one batch of Matsubara terms

@@ -11,7 +11,17 @@ amplitude F_nu grows like nu! while the translation elements decay like
 determinant does.  Conjugating by diag(|F_nu / nu!|^(1/2)) splits the
 growth evenly between rows and columns, leaving entries of order one
 without changing the determinant.  Assembly therefore works throughout
-in sign/log form and exponentiates only at the end.
+in log form and exponentiates only at the end.
+
+Signs never reach the determinant.  The amplitude sign times the
+mirror's is (-1)^n in both modes, and the element signs are
+(-1)^((n + n')/2) at zero tilt and (-1)^n' sign(G) at tilt, so each
+positive-radius block of the kernel is S B S with S = diag(s_n),
+s_n = (-1)^(n//2) at zero tilt and (-1)^n at tilt.  The blocks are
+built as B, positive in every entry at zero tilt.  Cholesky does the
+same operations on 1 - S B S as on 1 - B up to sign, and rounding to
+nearest is symmetric in sign, so every log-determinant is bitwise the
+same.
 
 At zero radius only one parity survives per boundary condition (even
 orders for Dirichlet, odd for Neumann), and with no tilt the kernel
@@ -31,12 +41,7 @@ from scipy.linalg import lapack
 from scipy.special import gammaln
 
 from .specfun import DomainError, _check_order, bateman_k_table, bateman_m_log
-from .scattering import (
-    BoundaryMode,
-    Geometry,
-    parabolic_amplitude_table,
-    plane_amplitude,
-)
+from .scattering import BoundaryMode, Geometry, parabolic_amplitude_table
 from .translation import _gram, tilted_matrix_log
 
 __all__ = [
@@ -101,53 +106,43 @@ def _knife_block_from_gram(G: np.ndarray, w: float, out: np.ndarray) -> np.ndarr
 
 
 def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: np.ndarray):
-    """Signs and half-logs of the normalized cylinder amplitudes.
-
-    Returns (sigma, half), arrays of shape (nu_max + 1, len(mu0_scaled))
-    whose column i belongs to mu0_scaled[i]: sigma holds the amplitude
-    signs and half = 0.5 * log|F_nu / nu!|, the per-row balancing weight.
-    """
-    sigma, logf = parabolic_amplitude_table(nu_max, mode, mu0_scaled)
-    return sigma, 0.5 * (logf - gammaln(np.arange(nu_max + 1) + 1.0)[:, None])
+    """Half-logs 0.5 * log|F_nu / nu!| of the cylinder amplitudes, the
+    per-row balancing weight, of shape (nu_max + 1, len(mu0_scaled));
+    column i belongs to mu0_scaled[i]."""
+    _, logf = parabolic_amplitude_table(nu_max, mode, mu0_scaled)
+    return 0.5 * (logf - gammaln(np.arange(nu_max + 1) + 1.0)[:, None])
 
 
-def _body_block_theta0(sigma: np.ndarray, half: np.ndarray, fp: float,
-                       pairs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _body_block_theta0(half: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """One parity block of the positive-radius, zero-tilt kernel for a
-    run of nodes, as a stack of shape (run, m, m).
+    run of nodes, as a stack of shape (run, m, m), up to the module's S.
 
-    Column k of ``sigma`` and ``half`` and matrix k of ``pairs`` belong
-    to node k of the run; pairs holds log sqrt(pi/2) + log m_(n+n')/2 of
-    the Bateman table at w = 2 q d over the block's orders ``idx``.
+    Column k of ``half`` (the block's rows) and matrix k of ``pairs``
+    belong to node k of the run; pairs holds log sqrt(pi/2) + log
+    m_(n+n')/2 of the Bateman table at w = 2 q d over the block's orders.
     Entries of odd order sum vanish by mirror parity, so the kernel
-    splits into an even and an odd block.  Within one block (n + n')/2
-    equals n//2 + n'//2 + parity, so the element sign (-1)^((n + n')/2)
-    is the outer product of (-1)^(n // 2) with itself times
-    (-1)^parity.  The amplitude signs are constant within a parity, and
+    splits into an even and an odd block.  Every entry is positive, and
     h_i + h_j is summed before anything else is added, so every matrix
     is exactly symmetric.  The stack is built in one buffer: a fresh
     temporary per step would cost as much as the arithmetic.
     """
-    sign = (-1.0) ** (idx // 2)
-    h = half[idx].T
+    h = half.T
     entries = h[:, :, None] + h[:, None, :]
     entries += pairs
     with np.errstate(over="ignore"):
         np.exp(entries, out=entries)
-    entries *= (sigma[idx].T * (fp * (-1.0) ** (idx[0] % 2)) * sign)[:, :, None]
-    entries *= sign
     return entries
 
 
-def _body_block_tilted(sigma: np.ndarray, half: np.ndarray, fp: float,
-                       sT: np.ndarray, lT: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Positive-radius kernel at tilt from the sign/log element matrix,
-    written into ``out``."""
+def _body_block_tilted(half: np.ndarray, sT: np.ndarray, lT: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """Positive-radius kernel at tilt, up to the module's S, from the
+    sign/log form of the Gram matrix, written into ``out``."""
     np.add(half[:, None], half[None, :], out=out)
     out += lT
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
-    out *= sigma[:, None] * fp * sT
+    out *= sT
     return out
 
 
@@ -179,18 +174,19 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     q[nodes][k].  Orders outside every block do not couple (or, at the
     knife edge, do not take part).  The determinant of 1 - N over a
     mode is the product over its blocks, and truncating at order nu
-    keeps each block's leading orders up to nu.
+    keeps each block's leading orders up to nu.  At positive radius the
+    blocks are the kernel up to the S of the module docstring.
 
     A run holds as many nodes as keep the largest block's stack within
     _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
     many nodes per call, and blocks of a few hundred orders one node at
     a time.  What does not depend on the node is computed once for the
     series: the zero-tilt element table and each block's Hankel view of
-    it, and, at positive radius, each mode's amplitude signs and
-    half-logs over all nodes.  At zero tilt a run's stack is built from
-    the block's view; at tilt each node's matrix is written into its
-    slot of the run's buffer, and at positive radius the element matrix
-    is built once per node for all modes.
+    it, and, at positive radius, each mode's half-logs over all nodes.
+    At zero tilt a run's stack is built from the block's view; at tilt
+    each node's matrix is written into its slot of the run's buffer, and
+    at positive radius the element matrix is built once per node for
+    all modes.
 
     This is the only place the four constructions (knife or body,
     tilted or not) are chosen; `build_kernel` scatters the blocks into
@@ -204,12 +200,11 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
         w = 2.0 * q * geom.d
         table = np.ascontiguousarray((bateman_k_table(nu_max, w) if knife
                                       else _LOG_SQRT_HALF_PI + bateman_m_log(nu_max, w)).T)
-    # One (mode, orders, Hankel view, sigma, half) entry per block.
+    # One (mode, orders, Hankel view, half) entry per block.
     layout = []
     for mode in modes:
-        sigma, half = (None, None) if knife else _body_half_logs(
-            nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
-        layout += [(mode, idx, _by_pair(table, idx) if untilted else None, sigma, half)
+        half = None if knife else _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
+        layout += [(mode, idx, _by_pair(table, idx) if untilted else None, half)
                    for idx in _block_orders(geom, nu_max, mode)]
     largest = max((idx.size for _, idx, *_ in layout), default=1)
     run = max(1, _RUN_BYTES // (8 * largest * largest))
@@ -219,23 +214,21 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
             blocks = [(idx, _knife_block_from_k(pairs[nodes], mode))
                       for mode, idx, pairs, *_ in layout]
         elif untilted:
-            blocks = [(idx, _body_block_theta0(sigma[:, nodes], half[:, nodes],
-                                               plane_amplitude(mode), pairs[nodes], idx))
-                      for mode, idx, pairs, sigma, half in layout]
+            blocks = [(idx, _body_block_theta0(half[idx, nodes], pairs[nodes]))
+                      for _, idx, pairs, half in layout]
         else:
             blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
                       for _, idx, *_ in layout]
             for k, i in enumerate(range(lo, nodes.stop)):
                 if not knife:
                     sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
-                for (mode, idx, _, sigma, half), (_, stack) in zip(layout, blocks):
+                for (_, idx, _, half), (_, stack) in zip(layout, blocks):
                     if knife:
                         G, w = _gram(q[i], geom.d, geom.theta, nu_max,
                                      start=int(idx[0]), step=2)
                         _knife_block_from_gram(G, w, stack[k])
                     else:
-                        _body_block_tilted(sigma[:, i], half[:, i], plane_amplitude(mode),
-                                           sT, lT, stack[k])
+                        _body_block_tilted(half[:, i], sT, lT, stack[k])
         yield nodes, blocks
 
 
@@ -243,11 +236,12 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     """One boundary mode's truncated round-trip kernel at frequency-axis q.
 
     Returns ``(entries, orders)``: ``entries[i, j]`` couples partial-wave
-    order ``orders[i]`` to ``orders[j]`` in the balanced gauge.  The
-    matrix is scattered from the blocks of `kernel_blocks` at this one
-    node, and ``orders`` lists the orders those blocks cover: on the
-    knife edge the mode's parity only, for positive radius all orders
-    0..nu_max.  Entries between different blocks are exact zeros.
+    order ``orders[i]`` to ``orders[j]`` in the balanced gauge, up to
+    the module's S at positive radius.  The matrix is scattered from the
+    blocks of `kernel_blocks` at this one node, and ``orders`` lists the
+    orders those blocks cover: on the knife edge the mode's parity only,
+    for positive radius all orders 0..nu_max.  Entries between different
+    blocks are exact zeros.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be positive and finite")

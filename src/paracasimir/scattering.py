@@ -25,7 +25,8 @@ parity-matched channel (even n Dirichlet, odd n Neumann) is
 -n! sqrt(2/pi), and that of the other parity vanishes exactly, because
 the corresponding regular wave has a node (or a vanishing derivative)
 on the degenerate surface.  The kernel assembly applies that parity
-rule, in one place.
+rule, in one place, and drops the signs of F_n and of the mirror,
+which never reach a determinant (see `roundtrip`).
 """
 
 from __future__ import annotations

@@ -131,18 +131,17 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
 
 
 def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):
-    """Sign/log form of the full element matrix T at tilt theta.
+    """Sign/log form of (-1)^n2 T[n, n2] at tilt theta.
 
     T[n, n2] = (-1)^n2 G[n, n2] e^{-w} / sqrt(2 pi) from the folded
-    half-line Gram.  The log form lets the kernel assembler attach the
+    half-line Gram; the parity never reaches a determinant (see
+    `roundtrip`).  The log form lets the kernel assembler attach the
     factorially growing amplitude factors without intermediate overflow
     or underflow.
 
     Returns ``(sign, logmag)`` arrays of shape (nu_max+1, nu_max+1).
     """
     G, w = _gram(q, d, theta, nu_max)
-    parity = (-1.0) ** np.arange(nu_max + 1)
-    signs = np.sign(G) * parity[None, :]
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(G)) - w - 0.5 * math.log(2.0 * math.pi)
-    return signs, logs
+    return np.sign(G), logs

@@ -149,14 +149,15 @@ def test_primary_3b_monotone_pfa_approach():
     The budgets cover the partial-wave ladder and node doubling at its
     lowest rung only; quad_error never moves the frequency cutoffs.
     `scripts/check_pfa_dip.py` measured what they do not, at both gaps:
-    extending the ladder to 1600 moves each channel's limit by about
-    half its trunc_error (3.3e-5 at 0.1, 1.2e-4 at 0.05, in ratio);
-    widening the frequency cutoffs at order 800 moves a ratio by up to
-    1.9e-5, and then doubling the nodes by under 1e-12; and the
-    amplitudes F_n at n = 400, 800, 1600 and the Bateman m_800 agree
-    with mpmath to 3e-11 relative on the arguments these gaps use (the
-    frozen fixtures stop at n = 200, m_n at 400).  The measured curve
-    is printed for the record.
+    extending the ladder to 1600 moves each channel's limit by 1/60 to
+    1/80 of its trunc_error (1.4e-6 against 1.1e-4 at 0.1, 6.4e-6
+    against 4.0e-4 at 0.05, in ratio); widening the frequency cutoffs
+    at order 800 moves a ratio by up to 1.9e-5, and then doubling the
+    nodes by under 1e-13; and the amplitudes F_n at n = 400, 800, 1600
+    agree with mpmath to 1.7e-12 relative, and the Bateman m_800 to
+    1.2e-13, on the arguments these gaps use (the frozen fixtures stop
+    at n = 200, m_n at 400).  The measured curve is printed for the
+    record.
     """
     points = []
     for h_over_r, ladder in ((0.4, (50, 100, 200, 400)),

@@ -79,6 +79,12 @@ class TestQuadratureSpec:
             {"qmin_scaled": 2.0, "qmax_scaled": 1.0},
             {"tolerance": math.inf},
             {"qmax_scaled": math.inf},
+            {"node_count": 10.5},
+            {"node_count": 10.0},
+            {"node_count": True},
+            {"panel_count": 12.5},
+            {"panel_count": "12"},
+            {"panel_count": True},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -470,6 +476,12 @@ class TestClassicalCoefficient:
         value = classical_coefficient(nu_max=24)
         assert value == pytest.approx(0.0472, abs=8e-4)
         assert value > 0.0
+        assert type(value) is float
+
+    @pytest.mark.parametrize("nu_max", [True, "8", 1.5, 8.0, -1])
+    def test_bad_order_rejected(self, nu_max):
+        with pytest.raises(DomainError, match="order must be"):
+            classical_coefficient(nu_max=nu_max)
 
 
 def test_package_names():

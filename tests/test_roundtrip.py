@@ -31,6 +31,14 @@ def brute_entry(geom, q, nu, nu2, mode):
     return signs[nu] * math.exp(half + half2) * plane_amplitude(mode) * element
 
 
+def gauge_sign(geom, nu):
+    """s_nu of the sign similarity S that positive-radius blocks are built
+    without: (-1)^(nu // 2) at zero tilt, (-1)^nu at tilt, 1 at R = 0."""
+    if geom.R == 0.0:
+        return 1.0
+    return (-1.0) ** (nu // 2 if geom.theta == 0.0 else nu)
+
+
 def literal_knife_kernel(q, nu_max):
     """The knife edge's combined kernel over all orders 0..nu_max at H = 1,
     (-1)^nu k_{-nu-nu'-1}(2 q), written out from the Bateman table."""
@@ -103,7 +111,8 @@ class TestBruteForceAssembly:
             entries, orders = build_kernel(geom, q, 2, mode)
             for i, nu in enumerate(orders):
                 for j, nu2 in enumerate(orders):
-                    expected = brute_entry(geom, q, int(nu), int(nu2), mode)
+                    expected = (gauge_sign(geom, int(nu)) * gauge_sign(geom, int(nu2))
+                                * brute_entry(geom, q, int(nu), int(nu2), mode))
                     assert entries[i, j] == pytest.approx(
                         expected, rel=1e-12, abs=1e-15
                     )
@@ -113,6 +122,12 @@ class TestBruteForceAssembly:
         scale = np.abs(entries).max()
         tot = orders[:, None] + orders[None, :]
         assert np.abs(entries[tot % 2 == 1]).max() <= 1e-12 * scale
+        # Zero-tilt blocks are built without their signs, so no entry is
+        # negative in either mode.
+        for geom in (Geometry(R=2.0, H=1.0), Geometry(R=0.5, H=0.1)):
+            for mode in BoundaryMode:
+                for q in (0.05, 0.8, 6.0):
+                    assert np.all(build_kernel(geom, q, 40, mode)[0] >= 0.0)
 
 
 class TestLogDet:
@@ -145,6 +160,16 @@ class TestLogDet:
             conjugated = Q @ entries @ Q.T
             conjugated = 0.5 * (conjugated + conjugated.T)
             assert logdet_one_minus(conjugated) == pytest.approx(base, abs=1e-12)
+        # A +-1 diagonal similarity flips only signs inside the Cholesky
+        # factorization, so every rung of every matrix is bitwise the same.
+        geom, sizes = Geometry(R=1.0, H=0.5, theta=0.3), [0, 4, 11, 21]
+        stack = np.stack([build_kernel(geom, q, 20, BoundaryMode.NEUMANN)[0]
+                          for q in (0.1, 0.7, 3.0)])
+        base = logdet_one_minus(stack, sizes)
+        for _ in range(5):
+            signs = rng.choice([-1.0, 1.0], size=21)
+            flipped = signs[:, None] * stack * signs
+            assert np.all(logdet_one_minus(flipped, sizes) == base)
 
     def test_spectral_radius_violation_raises(self):
         with pytest.raises(PhysicalRegimeError):
