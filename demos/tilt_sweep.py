@@ -20,14 +20,14 @@ FIT_LADDER = (50, 100, 200, 400)
 def main():
     print("Tilt coefficient across the full range (nu_max ladder to 200):")
     for deg in SWEEP_DEG:
-        value = c_theta(math.radians(deg), nu_max=(25, 50, 100, 200))
+        value = c_theta(math.radians(deg), nu_max=(25, 50, 100, 200)).extrapolated
         print(f"  theta = {deg:5.1f} deg:  c = {value:.7f}")
     print(f"  parallel limit pi^2/1440 = {math.pi ** 2 / 1440:.7f}")
 
     print("\nNear-broadside samples for the edge fit (deeper ladder):")
     samples = []
     for deg in FIT_DEG:
-        value = c_theta(math.radians(deg), nu_max=FIT_LADDER)
+        value = c_theta(math.radians(deg), nu_max=FIT_LADDER).extrapolated
         samples.append((math.radians(deg), value))
         print(f"  theta = {deg:5.1f} deg:  c = {value:.7f}")
 

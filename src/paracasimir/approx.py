@@ -105,8 +105,8 @@ def edge_pfa_disk(H: float, r: float, C_perp: float) -> tuple:
     derivative; panels are packed around phi = 0 where the integrand
     peaks over a width sqrt(2 H / r).
     """
-    if not (0 < H < math.inf and 0 < r < math.inf):
-        raise DomainError("H and r must be finite and positive")
+    if not (0 < H < math.inf and 0 < r < math.inf and math.isfinite(C_perp)):
+        raise DomainError("H and r must be finite and positive, C_perp finite")
     width = math.sqrt(2.0 * H / r)
     half_pi = math.pi / 2.0
     edges = [0.0]
@@ -123,12 +123,20 @@ def edge_pfa_disk(H: float, r: float, C_perp: float) -> tuple:
     return exact, asymptote
 
 
+def _sample_arrays(samples):
+    """The theta and c arrays of (theta, c) pairs, every value finite."""
+    pairs = np.array([(s[0], s[1]) for s in samples], dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pairs)):
+        raise DomainError("every (theta, c) sample must be finite")
+    return pairs.T
+
+
 def edge_coefficient_fit(samples, fit_window: tuple = (math.radians(80.0),
                                                        math.radians(89.0))) -> EdgeFit:
     """Fit c(theta) = c_parallel_half + (theta - pi/2) * c_edge.
 
-    ``samples`` is a sequence of (theta, c) pairs in radians; only
-    those with theta inside ``fit_window`` enter the unweighted
+    ``samples`` is a sequence of finite (theta, c) pairs in radians;
+    only those with theta inside ``fit_window`` enter the unweighted
     least-squares fit, and at least four must survive.  The linear
     model is exact only asymptotically; the default window hugs the
     broadside limit because farther out the curvature of c(theta)
@@ -136,12 +144,10 @@ def edge_coefficient_fit(samples, fit_window: tuple = (math.radians(80.0),
     `edge_fit_window_sweep`) should be reported with any quoted
     coefficient.
     """
-    samples = list(samples)
     lo, hi = fit_window
     if not lo < hi:
         raise DomainError("fit_window must be an increasing (lo, hi) pair")
-    theta = np.array([s[0] for s in samples], dtype=float)
-    c = np.array([s[1] for s in samples], dtype=float)
+    theta, c = _sample_arrays(samples)
     keep = (theta >= lo) & (theta <= hi)
     if int(np.count_nonzero(keep)) < 4:
         raise DomainError("need at least four samples inside the fit window")
@@ -168,8 +174,10 @@ def edge_fit_window_sweep(samples) -> list:
     Reports how the slope moves as the window approaches the broadside
     limit; the spread across windows is the honest systematic error of
     the linear model.  Windows that keep fewer than four samples are
-    skipped.
+    skipped; a nonfinite sample raises `DomainError`.
     """
+    samples = list(samples)
+    _sample_arrays(samples)
     fits = []
     for window in _DEFAULT_WINDOWS:
         try:

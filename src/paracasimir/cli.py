@@ -24,10 +24,9 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .approx import EdgeLimitWarning, pfa_energy
 from .energy import (
-    FitRejectedError,
     QuadratureSpec,
     _CHANNELS,
-    _tilt_coefficient,
+    c_theta,
     default_quadrature,
     energy_per_length,
     thermal_energy,
@@ -224,7 +223,7 @@ def _rows_energy(config):
 
 def _rows_cperp(config):
     _, spec = _quadrature(config)
-    res = _tilt_coefficient(0.0, config.numax, spec, config.channel)
+    res = c_theta(0.0, config.numax, spec, config.channel)
     return [{
         "channel": config.channel, "nu_max": res.series[-1][0],
         "c_perp": res.extrapolated, "trunc_error": res.trunc_error,
@@ -238,8 +237,7 @@ def _rows_ctheta(config):
     hi = config.sweep_to if config.sweep_to is not None else 90.0
 
     def point(theta_deg):
-        res = _tilt_coefficient(math.radians(theta_deg), config.numax, spec,
-                                config.channel)
+        res = c_theta(math.radians(theta_deg), config.numax, spec, config.channel)
         return {"theta_deg": theta_deg, "c_theta": res.extrapolated,
                 "channel": config.channel, "trunc_error": res.trunc_error,
                 "quad_error": res.quad_error}
@@ -355,15 +353,15 @@ def _emit(config: RunConfig, write) -> None:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status.
 
-    0: all requested computations converged.  1: a physical-regime,
-    accuracy, or fit error occurred (a machine-readable JSON diagnostic
-    is written to the output), or a validation check failed.  Nothing is
+    0: all requested computations converged.  1: a physical-regime or
+    accuracy error occurred (a machine-readable JSON diagnostic is
+    written to the output), or a validation check failed.  Nothing is
     written, and ``--output`` is not opened, before the command has a
     table or a diagnostic; any other error propagates first.
     """
     try:
         rows, converged = COMMANDS[config.command][2](config)
-    except (PhysicalRegimeError, AccuracyError, FitRejectedError) as exc:
+    except (PhysicalRegimeError, AccuracyError) as exc:
         record = json.dumps({"error": type(exc).__name__, "message": str(exc)})
         _emit(config, lambda stream: stream.write(record + "\n"))
         return 1

@@ -210,10 +210,10 @@ def _algebraic_limit(n: np.ndarray, v: np.ndarray):
 def extrapolate_numax(series) -> tuple:
     """Estimate the infinite-order limit of a truncation series.
 
-    ``series`` is a sequence of at least four (nu_max, value) pairs
-    with increasing order.  Two tail models are fit to the last three
-    points: geometric, v = v_inf + A rho^n, and algebraic,
-    v = v_inf + B n^(-p).  Whichever model back-predicts the earlier
+    ``series`` is a sequence of at least four (nu_max, value) pairs,
+    each order a nonnegative integer given once (else `DomainError`).
+    Two tail models are fit to the last three points: geometric,
+    v = v_inf + A rho^n, and algebraic, v = v_inf + B n^(-p).  Whichever model back-predicts the earlier
     points better supplies the limit; the reported error combines the
     spread between the models with the size of the modeled remainder,
     so disagreement between the tail laws shows up honestly rather
@@ -225,7 +225,9 @@ def extrapolate_numax(series) -> tuple:
     one sign raise `FitRejectedError` too: extrapolating such a series
     would be guesswork, and the caller should raise nu_max instead.
     """
-    pts = sorted({(int(n), float(v)) for n, v in series})
+    pts = sorted((_check_order(n), float(v)) for n, v in series)
+    if len({p[0] for p in pts}) < len(pts):
+        raise DomainError("each truncation order may be given only once")
     if len(pts) < 2:
         raise FitRejectedError("need at least two orders to estimate the truncation error")
     n = np.array([p[0] for p in pts], dtype=float)
@@ -252,8 +254,9 @@ def extrapolate_numax(series) -> tuple:
     if alg is not None:
         lim, p = alg
         b = (v[-1] - lim) * n[-1] ** p
-        pred = lim + b * n ** -p
-        fits["algebraic"] = (lim, float(np.max(np.abs(pred - v))))
+        pos = n > 0  # the model has no value at order 0
+        pred = lim + b * n[pos] ** -p
+        fits["algebraic"] = (lim, float(np.max(np.abs(pred - v[pos]))))
     if not fits:
         raise FitRejectedError("neither tail model brackets the increment ratio")
     limit = min(fits.values(), key=lambda t: t[1])[0]
@@ -316,17 +319,17 @@ def energy_per_length(geom: Geometry, spec: QuadratureSpec | None = None,
     return _finish(evaluate, spec, _series_orders(nu_max), channel)
 
 
-def _tilt_coefficient(theta: float, nu_max, spec: QuadratureSpec | None,
-                      channel: str) -> EnergyResult:
-    """c(theta) with its error budget, carried in an `EnergyResult`.
+def c_theta(theta: float, nu_max=100, spec: QuadratureSpec | None = None,
+            channel: str = "em") -> EnergyResult:
+    """Tilt coefficient c(theta) = cos(theta) C(theta) of the knife edge.
 
-    ``value``, ``extrapolated`` and the series are -cos(theta) times the
-    knife edge's energy at H = 1 on the ladder ``nu_max``, and the two
-    errors cos(theta) times its errors; at broadside the result is
-    exact, with an empty series.  This is the one place the broadside
-    value and the cosine scaling live: `c_theta` returns its
-    ``extrapolated``, and the CLI's cperp and ctheta-sweep rows print
-    its fields.
+    C(theta) = -H^2 E/(hbar c L) for the half-plane at tilt theta, which
+    diverges at broadside; c stays finite.  The `EnergyResult` holds
+    -cos(theta) times the energy at H = 1 on the ladder ``nu_max`` as
+    given, and cos(theta) times its errors; at |theta| = pi/2 it holds
+    the exact parallel-plate value pi^2/1440 (half of it per boundary
+    condition) with an empty series.  Near broadside a short ladder
+    falls short of the limit, and ``trunc_error`` says by how much.
     """
     _modes(channel)
     if abs(abs(theta) - math.pi / 2.0) < 1e-12:
@@ -338,23 +341,6 @@ def _tilt_coefficient(theta: float, nu_max, spec: QuadratureSpec | None,
                    series=[(n, -cos * v) for n, v in res.series],
                    extrapolated=-cos * res.extrapolated,
                    trunc_error=cos * res.trunc_error, quad_error=cos * res.quad_error)
-
-
-def c_theta(theta: float, nu_max=100, spec: QuadratureSpec | None = None,
-            channel: str = "em") -> float:
-    """Tilt coefficient c(theta) = cos(theta) C(theta) of the knife edge.
-
-    C(theta) = -H^2 E/(hbar c L) for the half-plane at tilt theta; the
-    cosine factor keeps the product finite through the broadside limit,
-    where C itself diverges.  At |theta| = pi/2 the coefficient is the
-    parallel-plate value pi^2/1440 (split evenly between the boundary
-    conditions), returned exactly.  Elsewhere it is computed on the
-    ladder ``nu_max`` as given.  Close to broadside the partial-wave
-    series converges slowly, so a short ladder there falls short of the
-    limit; cos(theta) times the truncation error of `energy_per_length`
-    on the same ladder, which ctheta-sweep prints, says by how much.
-    """
-    return _tilt_coefficient(theta, nu_max, spec, channel).extrapolated
 
 
 def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:

@@ -15,13 +15,12 @@ in log form and exponentiates only at the end.
 
 Signs never reach the determinant.  The amplitude sign times the
 mirror's is (-1)^n in both modes, and the element signs are
-(-1)^((n + n')/2) at zero tilt and (-1)^n' sign(G) at tilt, so each
-positive-radius block of the kernel is S B S with S = diag(s_n),
-s_n = (-1)^(n//2) at zero tilt and (-1)^n at tilt.  The blocks are
-built as B, positive in every entry at zero tilt.  Cholesky does the
-same operations on 1 - S B S as on 1 - B up to sign, and rounding to
-nearest is symmetric in sign, so every log-determinant is bitwise the
-same.
+(-1)^((n + n')/2) at zero tilt and (-1)^n' sign(G) at tilt, so every
+block of the kernel is S B S with S = diag(s_n), s_n = (-1)^(n//2) at
+zero tilt and (-1)^n at tilt.  The blocks are built as B, positive in
+every entry at zero tilt.  Cholesky does the same operations on
+1 - S B S as on 1 - B up to sign, and rounding to nearest is symmetric
+in sign, so every log-determinant is bitwise the same.
 
 At zero radius only one parity survives per boundary condition (even
 orders for Dirichlet, odd for Neumann), and with no tilt the kernel
@@ -40,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from .specfun import DomainError, _check_order, bateman_k_table, bateman_m_log
+from .specfun import DomainError, _check_order, bateman_m_log
 from .scattering import BoundaryMode, Geometry, parabolic_amplitude_table
 from .translation import _gram, tilted_matrix_log
 
@@ -90,18 +89,15 @@ def _by_pair(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return sliding_window_view(table[:, start:start + 2 * idx.size - 1], idx.size, axis=1)
 
 
-def _knife_block_from_k(pairs: np.ndarray, mode: BoundaryMode) -> np.ndarray:
-    """Zero-radius, zero-tilt blocks given their k_{-2n-1} Hankel matrices.
-
-    ``pairs`` may be one matrix or a stack; Dirichlet returns it as it
-    is (a read-only view), Neumann its negative.
-    """
-    return pairs if mode is BoundaryMode.DIRICHLET else -pairs
+def _knife_block_from_k(pairs: np.ndarray) -> np.ndarray:
+    """Zero-radius, zero-tilt blocks, up to the module's S: their Hankel
+    matrices of m_n = |k_{-2n-1}|, one or a stack, as the view given."""
+    return pairs
 
 
 def _knife_block_from_gram(G: np.ndarray, w: float, out: np.ndarray) -> np.ndarray:
     """Zero-radius block at tilt from the channel's parity Gram matrix,
-    written into ``out``."""
+    written into ``out``; on one parity the module's S is +-1."""
     return np.multiply(G, math.exp(-w) / math.pi, out=out)
 
 
@@ -114,8 +110,8 @@ def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: np.ndarray):
 
 
 def _body_block_theta0(half: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """One parity block of the positive-radius, zero-tilt kernel for a
-    run of nodes, as a stack of shape (run, m, m), up to the module's S.
+    """One parity block of the body's zero-tilt kernel for a run of
+    nodes, as a stack of shape (run, m, m), up to the module's S.
 
     Column k of ``half`` (the block's rows) and matrix k of ``pairs``
     belong to node k of the run; pairs holds log sqrt(pi/2) + log
@@ -136,7 +132,7 @@ def _body_block_theta0(half: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def _body_block_tilted(half: np.ndarray, sT: np.ndarray, lT: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
-    """Positive-radius kernel at tilt, up to the module's S, from the
+    """The body's kernel at tilt, up to the module's S, from the
     sign/log form of the Gram matrix, written into ``out``."""
     np.add(half[:, None], half[None, :], out=out)
     out += lT
@@ -174,8 +170,8 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     q[nodes][k].  Orders outside every block do not couple (or, at the
     knife edge, do not take part).  The determinant of 1 - N over a
     mode is the product over its blocks, and truncating at order nu
-    keeps each block's leading orders up to nu.  At positive radius the
-    blocks are the kernel up to the S of the module docstring.
+    keeps each block's leading orders up to nu.  The blocks are the
+    kernel up to the S of the module docstring.
 
     A run holds as many nodes as keep the largest block's stack within
     _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
@@ -195,34 +191,32 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     knife, untilted = geom.R == 0.0, geom.theta == 0.0
     if untilted:
-        # One row per node: k_{-2n-1} at the knife edge, else log m_n plus
-        # the balanced gauge's constant.
-        w = 2.0 * q * geom.d
-        table = np.ascontiguousarray((bateman_k_table(nu_max, w) if knife
-                                      else _LOG_SQRT_HALF_PI + bateman_m_log(nu_max, w)).T)
-    # One (mode, orders, Hankel view, half) entry per block.
+        # One row per node: m_n at the knife edge, else log m_n plus the
+        # balanced gauge's constant.
+        logm = bateman_m_log(nu_max, 2.0 * q * geom.d)
+        table = np.ascontiguousarray((np.exp(logm) if knife else _LOG_SQRT_HALF_PI + logm).T)
+    # One (orders, Hankel view, half) entry per block.
     layout = []
     for mode in modes:
         half = None if knife else _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
-        layout += [(mode, idx, _by_pair(table, idx) if untilted else None, half)
+        layout += [(idx, _by_pair(table, idx) if untilted else None, half)
                    for idx in _block_orders(geom, nu_max, mode)]
-    largest = max((idx.size for _, idx, *_ in layout), default=1)
+    largest = max((idx.size for idx, *_ in layout), default=1)
     run = max(1, _RUN_BYTES // (8 * largest * largest))
     for lo in range(0, q.size, run):
         nodes = slice(lo, min(lo + run, q.size))
         if knife and untilted:
-            blocks = [(idx, _knife_block_from_k(pairs[nodes], mode))
-                      for mode, idx, pairs, *_ in layout]
+            blocks = [(idx, _knife_block_from_k(pairs[nodes])) for idx, pairs, _ in layout]
         elif untilted:
             blocks = [(idx, _body_block_theta0(half[idx, nodes], pairs[nodes]))
-                      for _, idx, pairs, half in layout]
+                      for idx, pairs, half in layout]
         else:
             blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
-                      for _, idx, *_ in layout]
+                      for idx, *_ in layout]
             for k, i in enumerate(range(lo, nodes.stop)):
                 if not knife:
                     sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
-                for (_, idx, _, half), (_, stack) in zip(layout, blocks):
+                for (idx, _, half), (_, stack) in zip(layout, blocks):
                     if knife:
                         G, w = _gram(q[i], geom.d, geom.theta, nu_max,
                                      start=int(idx[0]), step=2)
@@ -237,10 +231,10 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
 
     Returns ``(entries, orders)``: ``entries[i, j]`` couples partial-wave
     order ``orders[i]`` to ``orders[j]`` in the balanced gauge, up to
-    the module's S at positive radius.  The matrix is scattered from the
-    blocks of `kernel_blocks` at this one node, and ``orders`` lists the
-    orders those blocks cover: on the knife edge the mode's parity only,
-    for positive radius all orders 0..nu_max.  Entries between different
+    the module's S.  The matrix is scattered from the blocks of
+    `kernel_blocks` at this one node, and ``orders`` lists the orders
+    those blocks cover: on the knife edge the mode's parity only, for
+    positive radius all orders 0..nu_max.  Entries between different
     blocks are exact zeros.
     """
     if q <= 0 or not math.isfinite(q):

@@ -397,8 +397,9 @@ def bateman_k_table(nmax: int, u) -> np.ndarray:
 
     ``u`` is a scalar or a 1-d array, as for `bateman_m_log`; the table
     has shape (nmax+1, len(u)), or (nmax+1,) for scalar input.
-    Magnitudes below the float64 range underflow to zero, which is
-    harmless in the kernel sums these feed.
+    Magnitudes below the float64 range underflow to zero.  Production
+    reads `bateman_m_log`; the signed values feed only the oracles in
+    `paracasimir.testing` and the fixture checks.
     """
     logm = bateman_m_log(nmax, u)
     signs = (-1.0) ** np.arange(nmax + 1)

@@ -4,7 +4,8 @@ Everything here cross-checks the production code against independent
 mathematics, and no production path calls it: the single translation
 elements `theta0_element` and `tilted_element`, the coordinate map
 `ParabolicPoint` with the wave expansions `green_parabolic` and
-`plane_wave_partial_sum`, and brute-force small kernels.  The CLI
+`plane_wave_partial_sum`, the signed knife kernel
+`literal_knife_kernel`, and brute-force small kernels.  The CLI
 `validate` command and the test suite both run `run_identity_suite`, so
 a fresh installation can prove its own numerics without fixtures.
 """
@@ -37,6 +38,7 @@ __all__ = [
     "tilted_element",
     "green_parabolic",
     "plane_wave_partial_sum",
+    "literal_knife_kernel",
     "IdentityCheck",
     "run_identity_suite",
 ]
@@ -225,6 +227,16 @@ def plane_wave_partial_sum(point: ParabolicPoint, q: float, phi: float,
     return float(np.exp(peak) * np.sum(signs * np.exp(logterm - peak)))
 
 
+def literal_knife_kernel(q: float, nu_max: int) -> np.ndarray:
+    """The knife edge's combined kernel (-1)^nu k_{-nu-nu'-1}(2 q) at
+    H = 1 over orders 0..nu_max, signs and parity zeros included, written
+    out from the signed Bateman table."""
+    k = bateman_k_table(nu_max, 2.0 * q)
+    nu = np.arange(nu_max + 1)
+    tot = nu[:, None] + nu[None, :]
+    return np.where(tot % 2 == 0, (-1.0) ** nu[:, None] * k[tot // 2], 0.0)
+
+
 @dataclass(frozen=True)
 class IdentityCheck:
     """One internal-consistency check: a measured defect and its bound."""
@@ -285,21 +297,16 @@ def _check_parity_zeros() -> IdentityCheck:
 def _check_block_additivity() -> IdentityCheck:
     """The knife edge's combined kernel splits into its two channels.
 
-    The combined matrix (-1)^nu k_{-nu-nu'-1}(2 q H) over all orders
-    0..40 is built literally from the Bateman table (its entries of odd
-    nu + nu' are exact zeros); its logdet must equal the sum of the
-    Dirichlet and Neumann kernels' logdets from `build_kernel`.
+    The logdet of `literal_knife_kernel` over orders 0..40 must equal
+    the sum of the Dirichlet and Neumann kernels' logdets from
+    `build_kernel`.
     """
     geom = Geometry(R=0.0, H=1.0)
-    nu = np.arange(41)
-    tot = nu[:, None] + nu[None, :]
     worst = 0.0
     for q in (0.3, 1.0, 3.0):
-        k = bateman_k_table(40, 2.0 * q * geom.H)
-        full = np.where(tot % 2 == 0, (-1.0) ** nu[:, None] * k[tot // 2], 0.0)
         parts = sum(logdet_one_minus(build_kernel(geom, q, 40, mode)[0])
                     for mode in BoundaryMode)
-        worst = max(worst, abs(logdet_one_minus(full) - parts))
+        worst = max(worst, abs(logdet_one_minus(literal_knife_kernel(q, 40)) - parts))
     return IdentityCheck("parity block additivity", worst, 1e-12)
 
 

@@ -85,7 +85,7 @@ def edge_sweep():
         theta = math.radians(deg)
         for channel in ("dirichlet", "neumann"):
             table[(deg, channel)] = c_theta(theta, nu_max=EDGE_LADDER,
-                                            channel=channel)
+                                            channel=channel).extrapolated
     return table
 
 

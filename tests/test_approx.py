@@ -97,7 +97,8 @@ class TestEdgePfaDisk:
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (math.nan, 1.0, 1.0),
                                       (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),
-                                      (1.0, math.inf, 1.0)])
+                                      (1.0, math.inf, 1.0), (1.0, 2.0, math.nan),
+                                      (1.0, 2.0, math.inf), (1.0, 2.0, -math.inf)])
     def test_invalid_geometry(self, args):
         with pytest.raises(DomainError):
             edge_pfa_disk(*args)
@@ -137,6 +138,16 @@ class TestEdgeCoefficientFit:
             edge_coefficient_fit(synthetic_line(0.0009),
                                  fit_window=(math.radians(89.0), math.radians(80.0)))
 
+    @pytest.mark.parametrize("bad", [(85.0, math.nan), (85.0, math.inf), (85.0, -math.inf),
+                                     (math.nan, 0.0068), (60.0, math.nan)])
+    def test_nonfinite_sample_rejected(self, bad):
+        # A nonfinite c inside the window would make every field NaN, and a
+        # NaN theta would silently drop out of every window.
+        deg, c = bad
+        samples = synthetic_line(0.0009) + [(math.radians(deg), c)]
+        with pytest.raises(DomainError, match="finite"):
+            edge_coefficient_fit(samples)
+
 
 class TestWindowSweep:
     def test_pure_line_is_window_independent(self):
@@ -144,6 +155,13 @@ class TestWindowSweep:
         assert len(fits) == 4
         slopes = [f.c_edge for f in fits]
         assert max(slopes) - min(slopes) < 1e-12
+
+    def test_nonfinite_sample_rejected_not_skipped(self):
+        samples = synthetic_line(0.0009) + [(math.radians(85.0), math.nan)]
+        with pytest.raises(DomainError, match="finite"):
+            edge_fit_window_sweep(samples)
+        with pytest.raises(DomainError, match="finite"):
+            edge_fit_window_sweep(iter(samples))
 
     def test_sparse_samples_skip_narrow_windows(self):
         samples = synthetic_line(

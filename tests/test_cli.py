@@ -13,9 +13,11 @@ import pytest
 
 from paracasimir.cli import COMMANDS, RunConfig, build_config, main, parse_config_file, run
 from paracasimir.energy import energy_per_length
+from paracasimir.roundtrip import PhysicalRegimeError
 from paracasimir.scattering import Geometry
 from paracasimir.specfun import DomainError
 from paracasimir.testing import IdentityCheck
+from paracasimir.translation import AccuracyError
 
 CONFIG_FIELD_COUNT = 15
 
@@ -413,6 +415,29 @@ class TestExitCodes:
         assert main(argv + ["--output", str(keep)]) == 2
         assert "does not read" in capsys.readouterr().err
         assert keep.read_text(encoding="utf-8") == "precious\n"
+
+    @pytest.mark.parametrize("error", [
+        PhysicalRegimeError("1 - N is not positive definite"),
+        AccuracyError("frequency quadrature did not converge", 0.5),
+    ])
+    def test_numerical_failure_exits_1_with_one_json_record(self, monkeypatch, capsys,
+                                                            tmp_path, error):
+        def fail(config):
+            raise error
+
+        help_line, reads, _ = COMMANDS["pfa"]
+        monkeypatch.setitem(COMMANDS, "pfa", (help_line, reads, fail))
+        argv = ["pfa", "--radius", "1"]
+        assert main(argv) == 1
+        stdout = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        for text in (stdout, out.read_text(encoding="utf-8")):
+            lines = text.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0]) == {"error": type(error).__name__,
+                                            "message": str(error)}
 
     def test_missing_config_file_returns_2(self, capsys, tmp_path):
         assert main(["energy", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -26,7 +26,8 @@ from paracasimir.energy import (
 from paracasimir._quad import expmap_grid, panel_grid
 from paracasimir.roundtrip import _block_orders, build_kernel, kernel_blocks
 from paracasimir.scattering import BoundaryMode, Geometry
-from paracasimir.specfun import DomainError, bateman_k_table, bateman_m_log
+from paracasimir.specfun import DomainError, bateman_m_log
+from paracasimir.testing import literal_knife_kernel
 from paracasimir.translation import AccuracyError
 
 KNIFE = Geometry(0.0, 1.0)
@@ -67,6 +68,31 @@ class TestExtrapolation:
         series = [(10, 1.0), (20, 1.1), (40, 1.3), (80, 1.7), (160, 2.5)]
         with pytest.raises(FitRejectedError):
             extrapolate_numax(series)
+
+    @pytest.mark.parametrize("order", [10.7, 10.0, True, -10, "10"])
+    def test_bad_order_rejected(self, order):
+        series = [(order, 1.0), (20, 0.9), (40, 0.85), (80, 0.825)]
+        with pytest.raises(DomainError, match="order must be"):
+            extrapolate_numax(series)
+
+    def test_repeated_order_rejected(self):
+        series = [(10, 1.0), (10, 1.1), (20, 0.9), (40, 0.85)]
+        with pytest.raises(DomainError, match="only once"):
+            extrapolate_numax(series)
+        with pytest.raises(DomainError, match="only once"):
+            extrapolate_numax([(10, 1.0), (10, 1.0), (20, 0.9), (40, 0.85)])
+
+    def test_order_zero_takes_part(self):
+        # The algebraic model has no value at order 0, so it is
+        # back-predicted only at the other orders; with 0 in the ladder
+        # nothing divides by zero (RuntimeWarning is an error here).
+        series = [(n, 1.0 + 5.0 / (n + 1) ** 2) for n in (0, 2, 4, 8, 16)]
+        limit, err = extrapolate_numax(series)
+        assert abs(limit - 1.0) < 5.0 / 17 ** 2
+        assert math.isfinite(err)
+        res = energy_per_length(Geometry(1.0, 1.0), nu_max=(0, 2, 4, 8))
+        assert [n for n, _ in res.series] == [0, 2, 4, 8]
+        assert math.isfinite(res.extrapolated) and res.extrapolated < 0.0
 
 
 class TestQuadratureSpec:
@@ -203,31 +229,33 @@ class TestEnergyPerLength:
 
 class TestCTheta:
     def test_zero_tilt_matches_untilted_constant(self):
-        assert c_theta(0.0, nu_max=LADDER) == pytest.approx(0.0067415, abs=2e-5)
+        assert c_theta(0.0, nu_max=LADDER).extrapolated == pytest.approx(0.0067415, abs=2e-5)
 
     def test_mirror_symmetry(self):
-        assert c_theta(0.4, nu_max=32) == pytest.approx(
-            c_theta(-0.4, nu_max=32), rel=1e-10
+        assert c_theta(0.4, nu_max=32).extrapolated == pytest.approx(
+            c_theta(-0.4, nu_max=32).extrapolated, rel=1e-10
         )
 
     def test_analytic_endpoint(self):
-        assert c_theta(math.pi / 2) == pytest.approx(math.pi**2 / 1440, rel=1e-15)
-        assert c_theta(-math.pi / 2) == pytest.approx(math.pi**2 / 1440, rel=1e-15)
+        assert c_theta(math.pi / 2).extrapolated == pytest.approx(math.pi**2 / 1440, rel=1e-15)
+        assert c_theta(-math.pi / 2).extrapolated == pytest.approx(math.pi**2 / 1440, rel=1e-15)
         for ch in ("dirichlet", "neumann"):
-            assert c_theta(math.pi / 2, channel=ch) == pytest.approx(
+            assert c_theta(math.pi / 2, channel=ch).extrapolated == pytest.approx(
                 math.pi**2 / 2880, rel=1e-15
             )
+        exact = c_theta(math.pi / 2, channel="neumann")
+        assert exact == EnergyResult(exact.value, [], exact.value, 0.0, 0.0, "neumann")
 
     def test_near_parallel_uses_the_asked_ladder(self):
         # No order floor and no warning near broadside: the truncation
         # error of the asked ladder reports how far it has converged.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = c_theta(math.radians(86.0), nu_max=64)
+            value = c_theta(math.radians(86.0), nu_max=64).extrapolated
         assert math.pi**2 / 2880 < value < math.pi**2 / 1440
 
     def test_interior_angle_between_endpoints(self):
-        value = c_theta(math.radians(45.0), nu_max=(16, 32, 64, 128))
+        value = c_theta(math.radians(45.0), nu_max=(16, 32, 64, 128)).extrapolated
         assert 0.0060 < value < 0.0070
 
 
@@ -387,9 +415,8 @@ class TestLadderAgainstLU:
     """Every rung of `_g_series` against one LU per rung of an unsplit
     matrix, which shares neither the parity split nor the single
     Cholesky factorization of the ladder: at the untilted knife edge
-    the combined kernel (-1)^nu k_{-nu-nu'-1}(2x) over all orders,
-    written out from the Bateman table, and otherwise each mode's
-    `build_kernel` matrix."""
+    the signed combined kernel `literal_knife_kernel`, and otherwise
+    each mode's `build_kernel` matrix."""
 
     @pytest.mark.parametrize("geom,channel", [
         (Geometry(0.0, 1.0), "em"),
@@ -401,13 +428,9 @@ class TestLadderAgainstLU:
         orders = [6, 13, 25, 50]
         x = np.array([0.1, 0.4, 1.2])
         got = energy_module._g_series(geom, x, orders, channel)
-        nu = np.arange(orders[-1] + 1)
-        tot = nu[:, None] + nu[None, :]
         for i, xi in enumerate(x):
             if geom.R == 0.0 and geom.theta == 0.0 and channel == "em":
-                k = bateman_k_table(orders[-1], 2.0 * xi)
-                kernels = [(np.where(tot % 2 == 0, (-1.0) ** nu[:, None] * k[tot // 2], 0.0),
-                            nu)]
+                kernels = [(literal_knife_kernel(xi, orders[-1]), np.arange(orders[-1] + 1))]
             else:
                 kernels = [build_kernel(geom, xi / geom.H, orders[-1], mode)
                            for mode in energy_module._modes(channel)]

@@ -13,7 +13,7 @@ from paracasimir.scattering import (
     plane_amplitude,
 )
 from paracasimir.specfun import DomainError, bateman_k_table
-from paracasimir.testing import tilted_element
+from paracasimir.testing import _det3, literal_knife_kernel, tilted_element
 
 KNIFE = Geometry(R=0.0, H=1.0)
 
@@ -32,35 +32,15 @@ def brute_entry(geom, q, nu, nu2, mode):
 
 
 def gauge_sign(geom, nu):
-    """s_nu of the sign similarity S that positive-radius blocks are built
-    without: (-1)^(nu // 2) at zero tilt, (-1)^nu at tilt, 1 at R = 0."""
-    if geom.R == 0.0:
-        return 1.0
+    """s_nu of the sign similarity S that every block is built without:
+    (-1)^(nu // 2) at zero tilt, (-1)^nu at tilt."""
     return (-1.0) ** (nu // 2 if geom.theta == 0.0 else nu)
-
-
-def literal_knife_kernel(q, nu_max):
-    """The knife edge's combined kernel over all orders 0..nu_max at H = 1,
-    (-1)^nu k_{-nu-nu'-1}(2 q), written out from the Bateman table."""
-    k = bateman_k_table(nu_max, 2.0 * q)
-    nu = np.arange(nu_max + 1)
-    tot = nu[:, None] + nu[None, :]
-    return np.where(tot % 2 == 0, (-1.0) ** nu[:, None] * k[tot // 2], 0.0)
 
 
 def knife_g(q, nu_max):
     """log det(1 - N) of the knife edge at H = 1, both channels."""
     return sum(logdet_one_minus(build_kernel(KNIFE, q, nu_max, mode)[0])
                for mode in BoundaryMode)
-
-
-def det3(m):
-    """Cofactor expansion of a 3x3 determinant, written out longhand."""
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
 
 
 class TestKnifeEdgeKernel:
@@ -82,14 +62,16 @@ class TestKnifeEdgeKernel:
         assert entries[1, 0] == 0.0
 
     def test_literal_alternating_form(self):
-        # Each channel's kernel is the matching-parity part of the
-        # combined kernel (-1)^nu k_{-nu-nu'-1}(2 q H).
+        # Each channel's kernel, conjugated by S, is the matching-parity
+        # part of the combined kernel (-1)^nu k_{-nu-nu'-1}(2 q H).
         q, nu_max = 1.3, 7
         full = literal_knife_kernel(q, nu_max)
         for mode, start in ((BoundaryMode.DIRICHLET, 0), (BoundaryMode.NEUMANN, 1)):
             entries, orders = build_kernel(KNIFE, q, nu_max, mode)
             assert np.array_equal(orders, np.arange(start, nu_max + 1, 2))
-            np.testing.assert_allclose(entries, full[np.ix_(orders, orders)], rtol=1e-13)
+            s = gauge_sign(KNIFE, orders)
+            np.testing.assert_allclose(s[:, None] * entries * s, full[np.ix_(orders, orders)],
+                                       rtol=1e-13)
 
     def test_block_additivity(self):
         for q in (0.3, 1.0, 3.0):
@@ -124,7 +106,7 @@ class TestBruteForceAssembly:
         assert np.abs(entries[tot % 2 == 1]).max() <= 1e-12 * scale
         # Zero-tilt blocks are built without their signs, so no entry is
         # negative in either mode.
-        for geom in (Geometry(R=2.0, H=1.0), Geometry(R=0.5, H=0.1)):
+        for geom in (Geometry(R=2.0, H=1.0), Geometry(R=0.5, H=0.1), KNIFE):
             for mode in BoundaryMode:
                 for q in (0.05, 0.8, 6.0):
                     assert np.all(build_kernel(geom, q, 40, mode)[0] >= 0.0)
@@ -146,7 +128,7 @@ class TestLogDet:
     def test_three_by_three_against_cofactors(self):
         for geom, q in ((Geometry(R=1.0, H=1.0), 0.9), (Geometry(R=3.0, H=0.5), 1.4)):
             entries, _ = build_kernel(geom, q, 2, BoundaryMode.DIRICHLET)
-            expected = math.log(det3(np.eye(3) - entries))
+            expected = math.log(_det3(np.eye(3) - entries))
             assert logdet_one_minus(entries) == pytest.approx(expected, rel=1e-13)
 
     def test_similarity_invariance(self):
