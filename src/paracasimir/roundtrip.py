@@ -28,6 +28,27 @@ collapses to Bateman k-functions.  `kernel_blocks` picks the
 construction and yields the kernel as decoupled symmetric blocks;
 `logdet_one_minus` factors them by Cholesky, and `build_kernel`
 scatters one node's blocks into a single matrix for inspection.
+
+At zero tilt most orders of a block cannot move det(1 - N), and they
+are neither built nor factored.  Every zero-tilt block is positive
+semidefinite: at the knife edge M_ab = m_(a+b+p) is a Hankel matrix of
+moments of a positive measure, and at positive radius the block is
+D M D with D the diagonal of balancing weights.  So |N_jk|^2 <=
+N_jj N_kk and m_n is log-convex: no entry beyond a cut exceeds the
+geometric mean of its two diagonal entries.  By its Schur complement,
+an order j whose diagonal entry lies below 2^-54 moves the exact log
+det by about N_jj (1 + tr N / (1 - lambda_max)) at most, and in
+float64 its Cholesky pivot is exactly 1.  On a ladder of several
+rungs, `kernel_blocks` therefore keeps at each node the smallest rung
+that holds every order whose diagonal is not below 2^-54, and the
+rungs above take its value.  It rounds up to a rung rather than
+cutting at that order because the leading rows of a Cholesky factor
+differ in their last bits with the size of the whole matrix: a rung
+depends only on the node and the ladder, so no node's value depends
+on the other nodes of its run.  On a ladder of one rung, and at tilt,
+where the diagonal exists only inside the Gram matrix, blocks stay
+whole.  The rule needs positive semidefiniteness, so
+`logdet_one_minus`, which takes any symmetric N, cuts nothing.
 """
 
 from __future__ import annotations
@@ -64,8 +85,14 @@ class PhysicalRegimeError(ArithmeticError):
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 
 # Byte budget of one block's stack of nodes in `kernel_blocks`: 4 nodes
-# at 81 orders, 270 at 11, and one node from 129 orders up.
+# at 81 orders, 270 at 11, and one node from 129 orders up.  The orders
+# counted are those a run's blocks hold: at zero tilt on a ladder, only
+# up to the rung that holds every order able to move 1 - N (the module
+# docstring), the same for every node of the run.
 _RUN_BYTES = 256 * 1024
+
+# 1 - N_nn rounds to exactly 1.0 in float64 below this diagonal entry.
+_NEGLIGIBLE = 2.0 ** -54
 
 
 def _knife_start(mode: BoundaryMode) -> int:
@@ -159,9 +186,39 @@ def _block_orders(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
     return [idx for idx in blocks if idx.size]
 
 
-def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
+def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
+    """Leading rows of one block that each node's factorization needs.
+
+    Returns idx.size, or at zero tilt on a ladder ``orders`` of several
+    rungs one count per row of ``table`` (per node): one past the
+    block's last order whose diagonal entry is not below _NEGLIGIBLE
+    (NaN and inf count), rounded up to the smallest rung
+    searchsorted(idx, orders, side="right") that holds it.  The diagonal
+    is read from the tables the blocks are built from: m_n at the knife
+    edge (``half`` is None), exp(2 h_n + table) at positive radius.  A
+    node whose table row or half-logs hold a nonfinite entry keeps the
+    whole block, so an overflow still reaches the factorization.
+    """
+    rungs = np.unique(np.searchsorted(idx, orders, side="right"))
+    if table is None or rungs.size == 1:
+        return idx.size
+    finite = np.all(np.isfinite(table), axis=1)
+    if half is None:
+        diag = table[:, idx]
+    else:
+        with np.errstate(over="ignore"):
+            diag = np.exp(2.0 * half[idx].T + table[:, idx])
+        finite &= np.all(np.isfinite(half), axis=0)
+    live = ~(diag < _NEGLIGIBLE)
+    last = np.where(live.any(axis=1), idx.size - np.argmax(live[:, ::-1], axis=1), 0)
+    return rungs[np.searchsorted(rungs, np.where(finite, last, idx.size))]
+
+
+def kernel_blocks(geom: Geometry, q, orders, modes):
     """Yield the kernel's decoupled blocks for runs of frequency nodes.
 
+    ``orders`` is the truncation ladder the blocks will be factored on,
+    an increasing sequence of orders; an int is a ladder of one rung.
     The nodes of the array ``q`` are taken in runs of consecutive nodes.
     For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
     of ``q`` the run covers, and ``blocks`` is one list of (orders,
@@ -173,7 +230,14 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     keeps each block's leading orders up to nu.  The blocks are the
     kernel up to the S of the module docstring.
 
-    A run holds as many nodes as keep the largest block's stack within
+    On a ladder of several rungs a zero-tilt block holds only its orders
+    up to the smallest rung that holds every order whose diagonal entry
+    is not below 2^-54 at that node (`_rows_factored`); the module
+    docstring shows that the orders left out change no rung beyond
+    rounding, and truncating at a higher rung keeps the whole shortened
+    block.  A node whose tables are not finite keeps the whole block.
+    Runs never mix nodes whose blocks hold different orders, and a run
+    holds as many nodes as keep its largest block's stack within
     _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
     many nodes per call, and blocks of a few hundred orders one node at
     a time.  What does not depend on the node is computed once for the
@@ -189,7 +253,10 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
     one matrix and the energy integrands factor them block by block.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
+    orders = np.atleast_1d(orders)
+    nu_max = int(orders.max())
     knife, untilted = geom.R == 0.0, geom.theta == 0.0
+    table = None
     if untilted:
         # One row per node: m_n at the knife edge, else log m_n plus the
         # balanced gauge's constant.
@@ -201,29 +268,38 @@ def kernel_blocks(geom: Geometry, q, nu_max: int, modes):
         half = None if knife else _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
         layout += [(idx, _by_pair(table, idx) if untilted else None, half)
                    for idx in _block_orders(geom, nu_max, mode)]
-    largest = max((idx.size for idx, *_ in layout), default=1)
-    run = max(1, _RUN_BYTES // (8 * largest * largest))
-    for lo in range(0, q.size, run):
-        nodes = slice(lo, min(lo + run, q.size))
-        if knife and untilted:
-            blocks = [(idx, _knife_block_from_k(pairs[nodes])) for idx, pairs, _ in layout]
-        elif untilted:
-            blocks = [(idx, _body_block_theta0(half[idx, nodes], pairs[nodes]))
-                      for idx, pairs, half in layout]
-        else:
-            blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
-                      for idx, *_ in layout]
-            for k, i in enumerate(range(lo, nodes.stop)):
-                if not knife:
-                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
-                for (idx, _, half), (_, stack) in zip(layout, blocks):
-                    if knife:
-                        G, w = _gram(q[i], geom.d, geom.theta, nu_max,
-                                     start=int(idx[0]), step=2)
-                        _knife_block_from_gram(G, w, stack[k])
-                    else:
-                        _body_block_tilted(half[:, i], sT, lT, stack[k])
-        yield nodes, blocks
+    # rows[k, b]: the leading rows of block b built and factored at node k.
+    rows = np.empty((q.size, len(layout)), dtype=int)
+    for b, (idx, _, half) in enumerate(layout):
+        rows[:, b] = _rows_factored(idx, orders, table, half)
+    changes = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
+    bounds = [0, *changes.tolist(), q.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        run = max(1, _RUN_BYTES // (8 * int(rows[start:stop].max(initial=1)) ** 2))
+        for lo in range(start, stop, run):
+            nodes = slice(lo, min(lo + run, stop))
+            kept = [(idx[:s], pairs, half) for (idx, pairs, half), s in zip(layout, rows[lo])]
+            if knife and untilted:
+                blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]))
+                          for idx, pairs, _ in kept]
+            elif untilted:
+                blocks = [(idx, _body_block_theta0(half[idx, nodes],
+                                                   pairs[nodes, :idx.size, :idx.size]))
+                          for idx, pairs, half in kept]
+            else:
+                blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
+                          for idx, *_ in kept]
+                for k, i in enumerate(range(lo, nodes.stop)):
+                    if not knife:
+                        sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
+                    for (idx, _, half), (_, stack) in zip(kept, blocks):
+                        if knife:
+                            G, w = _gram(q[i], geom.d, geom.theta, nu_max,
+                                         start=int(idx[0]), step=2)
+                            _knife_block_from_gram(G, w, stack[k])
+                        else:
+                            _body_block_tilted(half[:, i], sT, lT, stack[k])
+            yield nodes, blocks
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):
@@ -232,8 +308,9 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     Returns ``(entries, orders)``: ``entries[i, j]`` couples partial-wave
     order ``orders[i]`` to ``orders[j]`` in the balanced gauge, up to
     the module's S.  The matrix is scattered from the blocks of
-    `kernel_blocks` at this one node, and ``orders`` lists the orders
-    those blocks cover: on the knife edge the mode's parity only, for
+    `kernel_blocks` at this one node, asked for the one-rung ladder
+    nu_max, so no order is left out; ``orders`` lists the orders those
+    blocks cover: on the knife edge the mode's parity only, for
     positive radius all orders 0..nu_max.  Entries between different
     blocks are exact zeros.
     """
@@ -306,6 +383,11 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None):
     integration would silently absorb; a finite matrix that is not
     symmetric raises `DomainError`.  1 - N is formed once for the whole
     stack, in a fresh buffer that the factorizations overwrite.
+
+    N need not be positive semidefinite, so no order is left out for a
+    small diagonal entry: [[0, .5], [.5, 0]] gives log 0.75.  That cut
+    is made in `kernel_blocks`, whose zero-tilt blocks are positive
+    semidefinite.
     """
     entries = np.asarray(kernel)
     stacked = entries.ndim == 3

@@ -425,8 +425,13 @@ class TestLadderAgainstLU:
         (Geometry(1.0, 1.0), "em"),
     ])
     def test_rungs_match_one_lu_per_rung(self, geom, channel):
+        # From x = 3 on, zero-tilt blocks are factored only up to the
+        # rung holding every order that can move 1 - N: the knife keeps
+        # 13/13, 4/7 and 4/3 of its 26/25 rows at x = 3, 8 and 20, and
+        # R = H = 1 keeps 26/13 and 4/3 of 26/25 at x = 8 and 20.  There
+        # LU and Cholesky of the whole matrix differ by a few 1e-15.
         orders = [6, 13, 25, 50]
-        x = np.array([0.1, 0.4, 1.2])
+        x = np.array([0.1, 0.4, 1.2, 3.0, 8.0, 20.0])
         got = energy_module._g_series(geom, x, orders, channel)
         for i, xi in enumerate(x):
             if geom.R == 0.0 and geom.theta == 0.0 and channel == "em":
@@ -441,7 +446,8 @@ class TestLadderAgainstLU:
                     sign, logdet = np.linalg.slogdet(np.eye(cut) - entries[:cut, :cut])
                     assert sign == 1.0
                     expected += logdet
-                assert got[j, i] == pytest.approx(expected, rel=1e-12)
+                tol = {"rel": 1e-12} if xi < 3.0 else {"abs": 1e-14}
+                assert got[j, i] == pytest.approx(expected, **tol)
 
     @pytest.mark.parametrize("channel,parity", [("dirichlet", 0), ("neumann", 1)])
     def test_knife_rungs_match_hankel_moments(self, channel, parity):
@@ -449,9 +455,10 @@ class TestLadderAgainstLU:
         # similarity diag((-1)^a), the Hankel matrix M[a, a'] =
         # m_{a+a'+p}(2x) of Bateman moments, built here straight from
         # the table; x runs across the classical coefficient's order
-        # doubling at 2e-2.
+        # doubling at 2e-2, and from 3 on into nodes where `kernel_blocks`
+        # factors fewer rows than the top rung holds.
         orders = [9, 20, 41]
-        x = np.array([1e-4, 1e-2, 0.5])
+        x = np.array([1e-4, 1e-2, 0.5, 3.0, 8.0, 20.0])
         got = energy_module._g_series(KNIFE, x, orders, channel)
         logm = bateman_m_log(orders[-1], 2.0 * x)
         for i in range(x.size):
@@ -460,7 +467,27 @@ class TestLadderAgainstLU:
                 moments = np.exp(logm[a[:, None] + a[None, :] + parity, i])
                 sign, logdet = np.linalg.slogdet(np.eye(a.size) - moments)
                 assert sign == 1.0
-                assert got[j, i] == pytest.approx(logdet, rel=1e-12)
+                tol = {"rel": 1e-12} if x[i] < 3.0 else {"abs": 1e-14}
+                assert got[j, i] == pytest.approx(logdet, **tol)
+
+    @pytest.mark.parametrize("geom,top", [
+        (KNIFE, 800), (Geometry(1.0, 1.0), 800),
+        # Tilted blocks are factored whole; a shorter ladder keeps them cheap.
+        (Geometry(0.0, 1.0, math.radians(85.0)), 160), (Geometry(1.0, 1.0, 0.3), 160),
+    ], ids=["knife-0", "body-0", "knife-85", "body-0.3"])
+    def test_node_value_depends_on_that_node_alone(self, geom, top):
+        # Each zero-tilt node factors up to a rung of the ladder chosen from
+        # that node alone.  Cutting a run at its largest live size would
+        # tie a node's last bits to the other nodes of its run: the leading
+        # rows of a Cholesky factor of more than about 30 rows depend in
+        # their last bits on the size of the whole matrix, and with a top
+        # rung of 800 many nodes keep between 30 and 401 rows.
+        orders = [top // 8, top // 4, top // 2, top]
+        x = np.geomspace(1e-3, 25.0, 23)
+        together = energy_module._g_series(geom, x, orders, "em")
+        for i in range(x.size):
+            alone = energy_module._g_series(geom, x[i:i + 1], orders, "em")
+            assert np.array_equal(together[:, i], alone[:, 0]), x[i]
 
 
 class TestKernelBlockStream:

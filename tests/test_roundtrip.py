@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from paracasimir.roundtrip import PhysicalRegimeError, build_kernel, logdet_one_minus
+from paracasimir.roundtrip import (
+    PhysicalRegimeError,
+    _rows_factored,
+    build_kernel,
+    logdet_one_minus,
+)
 from paracasimir.scattering import (
     BoundaryMode,
     Geometry,
@@ -112,6 +117,36 @@ class TestBruteForceAssembly:
                     assert np.all(build_kernel(geom, q, 40, mode)[0] >= 0.0)
 
 
+class TestRowsFactored:
+    """The rows of a zero-tilt block that a node factors on a ladder."""
+
+    IDX = np.arange(0, 21, 2)  # one parity block, orders 0..20
+    ORDERS = [4, 10, 20]       # its rungs hold 3, 6 and 11 rows
+
+    def test_knife_rounds_last_live_order_up_to_a_rung(self):
+        table = np.full((6, 21), 1e-20)
+        table[1, 6] = 1e-3                                # row 3 live
+        table[2, 5] = math.inf                            # off the diagonal
+        table[3, 12] = 2.0 ** -54                         # not below the cut
+        table[4, 12] = np.nextafter(2.0 ** -54, 0.0)      # below it
+        table[5, 16] = 0.1                                # row 8 live
+        got = _rows_factored(self.IDX, self.ORDERS, table, None)
+        assert got.tolist() == [3, 6, 11, 11, 3, 11]
+        # A one-rung ladder, or a tilted block, keeps the whole block.
+        assert _rows_factored(self.IDX, [20], table, None) == 11
+        assert _rows_factored(self.IDX, self.ORDERS, None, None) == 11
+
+    def test_body_reads_balanced_diagonal(self):
+        # The diagonal is exp(2 h_n + table); an overflow counts as live,
+        # and a nonfinite half-log keeps the whole block.
+        table = np.full((3, 21), -50.0)
+        half = np.zeros((21, 3))
+        half[8, 1] = 400.0
+        half[3, 2] = -math.inf
+        got = _rows_factored(self.IDX, self.ORDERS, table, half)
+        assert got.tolist() == [3, 6, 11]
+
+
 class TestLogDet:
     def test_zero_kernel(self):
         assert logdet_one_minus(np.zeros((4, 4))) == 0.0
@@ -162,6 +197,17 @@ class TestLogDet:
         # positivity of 1 - N itself exposes the violation.
         with pytest.raises(PhysicalRegimeError, match="minor of order 1 "):
             logdet_one_minus(np.diag([2.0, 2.0]))
+
+    def test_zero_diagonal_is_not_cut(self):
+        # A symmetric N need not be positive semidefinite: here its
+        # diagonal is zero, yet the off-diagonal pair moves the log det.
+        entries = np.array([[0.0, 0.5], [0.5, 0.0]])
+        expected = math.log(0.75)
+        assert logdet_one_minus(entries) == pytest.approx(expected, rel=1e-15)
+        ladder = logdet_one_minus(np.stack([np.zeros((2, 2)), entries]), [1, 2])
+        assert np.array_equal(ladder[:, 0], [0.0, 0.0])
+        assert ladder[0, 1] == 0.0
+        assert ladder[1, 1] == pytest.approx(expected, rel=1e-15)
 
     def test_ladder_matches_leading_blocks(self):
         rng = np.random.default_rng(3)
