@@ -122,9 +122,10 @@ def parse_config_file(path: str) -> dict:
     """Read a plain-text config of `key = value` lines.
 
     Blank lines and ``#`` comments are skipped; keys match RunConfig
-    field names (hyphens normalize to underscores).
+    field names (hyphens normalize to underscores), and a key given
+    twice is refused rather than letting the last line win.
     """
-    values = {}
+    values, first_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -134,6 +135,10 @@ def parse_config_file(path: str) -> dict:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value'")
             key, text = line.split("=", 1)
             key = key.strip().replace("-", "_")
+            if key in first_line:
+                raise DomainError(
+                    f"{path}:{lineno}: {key} is already set on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 values[key] = _parse_value(key, text.strip())
             except ValueError as exc:

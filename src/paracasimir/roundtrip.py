@@ -365,11 +365,12 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None):
     """log det(1 - N) of a symmetric kernel, with an explicit positivity check.
 
     ``kernel`` is one square matrix or a stack of them, of shape
-    (run, n, n).  With ``sizes`` (a sequence of leading-block sizes)
-    the result holds log det(1 - N[:s, :s]) for each s, an array of
-    shape (len(sizes),) for one matrix and (run, len(sizes)) for a
-    stack; without it, the float for the whole matrix, or an array of
-    shape (run,) for a stack.  Matrix j of a stack gives bitwise what
+    (run, n, n).  With ``sizes`` (a sequence of integer leading-block
+    sizes in [0, n]; a bool, a float or a size out of range raises
+    `DomainError`) the result holds log det(1 - N[:s, :s]) for each s,
+    an array of shape (len(sizes),) for one matrix and (run, len(sizes))
+    for a stack; without it, the float for the whole matrix, or an array
+    of shape (run,) for a stack.  Matrix j of a stack gives bitwise what
     it gives alone.
 
     The kernel must be exactly symmetric, as every kernel the library
@@ -394,7 +395,10 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None):
     if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
         raise DomainError("expected a square matrix or a stack of them")
     n = entries.shape[-1]
-    want = np.asarray([n] if sizes is None else sizes, dtype=int)
+    want = [n] if sizes is None else list(sizes)
+    if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in want):
+        raise DomainError(f"block sizes must be integers, got {sizes!r}")
+    want = np.asarray(want, dtype=int)
     if np.any(want < 0) or np.any(want > n):
         raise DomainError(f"block sizes must lie in [0, {n}]")
     top = int(want.max(initial=0))

@@ -4,13 +4,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paracasimir
 from paracasimir.cli import COMMANDS, RunConfig, build_config, main, parse_config_file, run
 from paracasimir.energy import energy_per_length
 from paracasimir.roundtrip import PhysicalRegimeError
@@ -172,6 +175,17 @@ class TestConfigFile:
             parse_config_file(str(path))
         assert main(["energy", "--config", str(path)]) == 2
         assert "bad.cfg:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["numax = 100\nnumax = 12\n",
+                                      "quad_nodes = 8\nnumax = 12\nquad-nodes = 8\n"])
+    def test_repeated_key(self, tmp_path, capsys, text):
+        path = tmp_path / "twice.cfg"
+        path.write_text(text, encoding="utf-8")
+        last = text.count("\n")
+        with pytest.raises(DomainError, match=f"twice.cfg:{last}: .* already set on line 1"):
+            parse_config_file(str(path))
+        assert main(["energy", "--config", str(path)]) == 2
+        assert f"twice.cfg:{last}:" in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -446,9 +460,13 @@ class TestExitCodes:
 
 class TestConsoleScript:
     def test_module_entry_point(self):
+        # The child imports the package the suite imported, installed or not.
+        source = str(Path(paracasimir.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "paracasimir.cli", "pfa", "--radius", "1"],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "pfa_energy" in proc.stdout

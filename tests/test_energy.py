@@ -351,6 +351,13 @@ class TestThermal:
         (0.01, LADDER, QuadratureSpec(panel_count=18), 29, 350),  # many batches
         (0.05, LADDER, QuadratureSpec(panel_count=18, tolerance=1e-2), 4, 0),
         (0.05, LADDER, QuadratureSpec(panel_count=18, tolerance=1e-3), 5, 160),
+        # Blocks past 33 rows, where the Cholesky factor's last bits can
+        # depend on the block size, so a batch's nodes must each keep
+        # their own cut.  Only the second case holds a term whose own
+        # largest cut lies between 33 rows and its batch's, so only it
+        # fails if a batch's nodes share the batch's largest cut.
+        (0.05, (20, 40, 80, 160), QuadratureSpec(panel_count=18), 7, 110),
+        (0.2, (40, 80, 160, 320), QuadratureSpec(panel_count=18), 2, 0),
     ])
     def test_batched_sum_is_bitwise_per_term(self, monkeypatch, T_scaled, nu_max, spec,
                                              batches, unused):

@@ -222,6 +222,17 @@ class TestLogDet:
     def test_ladder_sizes_validated(self):
         with pytest.raises(DomainError):
             logdet_one_minus(np.zeros((3, 3)), [4])
+        # Sizes are not rounded or cast: a float or a bool is refused.
+        for sizes in ([1.7, 2], [True, 2], [1, np.float64(2.0)], np.array([1.0, 2.0]),
+                      [np.bool_(True)]):
+            with pytest.raises(DomainError, match="integers"):
+                logdet_one_minus(np.zeros((3, 3)), sizes)
+        # The integer arrays `_g_series` passes and an empty sequence work.
+        for sizes in (np.array([0, 2, 3]), np.searchsorted([1, 2, 3], [1, 3], side="right"),
+                      [np.int32(1), 3]):
+            assert np.array_equal(logdet_one_minus(np.zeros((3, 3)), sizes), np.zeros(len(sizes)))
+        assert logdet_one_minus(np.zeros((3, 3)), []).shape == (0,)
+        assert logdet_one_minus(np.zeros((2, 3, 3)), ()).shape == (2, 0)
 
     def test_nonfinite_entries_raise(self):
         with pytest.raises(PhysicalRegimeError, match="nonfinite"):

@@ -103,6 +103,17 @@ class TestSpotValues:
         assert value_at(0, *pcf_regular_table(0, 0.0)) == 1.0
         assert value_at(1, *pcf_regular_table(1, 1.0)) == pytest.approx(math.exp(-0.25), rel=1e-14)
         assert value_at(2, *pcf_regular_table(2, 0.0)) == pytest.approx(-1.0, rel=1e-14)
+        # Past |x| = 54.6, where e^{-x^2/4} itself underflows to zero: D_1 = x e^{-x^2/4},
+        # D_2 = (x^2 - 1) e^{-x^2/4} and D_1' = (1 - x^2/2) e^{-x^2/4}, in log form.
+        for x in (-55.0, 55.0, 60.0):
+            s, l, ds, dl = pcf_regular_table(2, x, with_derivative=True)
+            quarter = x * x / 4.0
+            assert s[1] == math.copysign(1.0, x)
+            assert l[1] == pytest.approx(math.log(abs(x)) - quarter, rel=1e-14)
+            assert s[2] == 1.0
+            assert l[2] == pytest.approx(math.log(x * x - 1.0) - quarter, rel=1e-14)
+            assert ds[1] == -1.0
+            assert dl[1] == pytest.approx(math.log(x * x / 2.0 - 1.0) - quarter, rel=1e-14)
 
     def test_regular_imag(self):
         assert value_at(0, *pcf_regular_imag_table(0, 0.0)) == 1.0
