@@ -138,9 +138,9 @@ def _series_orders(nu_max) -> list:
         top = _check_order(nu_max)
         orders = sorted({max(8, top // k) for k in (8, 4, 2, 1)})
         return [n for n in orders if n <= top] or [top]
-    orders = sorted({_check_order(n) for n in nu_max})
-    if not orders:
-        raise DomainError("nu_max sequence must be nonempty")
+    orders = sorted(_check_order(n) for n in nu_max)
+    if not orders or len(set(orders)) < len(orders):
+        raise DomainError("nu_max must be a nonempty sequence, each order given only once")
     return orders
 
 
@@ -303,7 +303,8 @@ def energy_per_length(geom: Geometry, spec: QuadratureSpec | None = None,
     """Casimir interaction energy per unit length, E/(hbar c L).
 
     ``nu_max`` may be a single order (expanded into the octave ladder
-    nu_max/8, /4, /2, /1) or an explicit sequence of orders.  The
+    nu_max/8, /4, /2, /1) or an explicit sequence of orders, each given
+    once (a repeated order raises `DomainError`).  The
     returned ``value`` belongs to the largest order; ``extrapolated``
     is the series limit, falling back to ``value`` when the fit is
     rejected.  A gross disagreement under node doubling raises

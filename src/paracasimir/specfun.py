@@ -26,9 +26,9 @@ so the pcf tables hold (sign, log magnitude) pairs that cannot
 overflow.  The two regular tables share one forward recurrence,
 `_forward_logs`, for D_n(x) = e^{-x^2/4} He_n(x) and
 i^n D_n(ix) = (-1)^n e^{x^2/4} t_n(x), and add -x^2/4 or x^2/4 to its logs,
-so no value underflows either.  The imaginary-axis, outgoing and
-Bateman tables take a 1-d array of arguments, one per frequency node,
-and run their order recurrence once for all of them.
+so no value underflows either.  Every table takes a scalar or a 1-d
+array of arguments, one per frequency node, and runs its order
+recurrence once for all of them.
 
 Recurrence directions were chosen by measurement against arbitrary
 precision references rather than by rule of thumb.  The minimal
@@ -94,17 +94,17 @@ def _signed_log_sum(s1, l1, s2, l2):
     return sign, logmag
 
 
-def _argument_array(x):
+def _argument_array(x, signed: bool = False):
     """``x`` as a nonempty 1-d float array, and whether it was a scalar.
 
-    Every entry must be finite and nonnegative.
+    Every entry must be finite, and nonnegative unless ``signed``.
     """
     x_in = np.asarray(x, dtype=float)
     arr = np.atleast_1d(x_in)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("argument must be a scalar or a nonempty 1-d array")
-    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
-        raise DomainError("argument must be finite and nonnegative")
+    if not np.all(np.isfinite(arr) & (signed | (arr >= 0.0))):
+        raise DomainError("argument must be finite" + ("" if signed else " and nonnegative"))
     return arr, x_in.ndim == 0
 
 
@@ -149,13 +149,15 @@ def _forward_logs(nmax: int, x: np.ndarray, c: float, with_derivative: bool):
     return s[1:], l[1:], ds, dl
 
 
-def pcf_regular_table(nmax: int, x: float, with_derivative: bool = False):
+def pcf_regular_table(nmax: int, x, with_derivative: bool = False):
     """Sign/log tables of D_n(x) = e^{-x^2/4} He_n(x) for n = 0..nmax, real x.
 
     He_n runs forward from He_0 = 1, He_1 = x (`_forward_logs`, c = -1),
     and e^{-x^2/4} is added to the logs, so no value underflows at large
     |x|.  The derivative is D_n'(x) = e^{-x^2/4} [n He_{n-1} - (x/2) He_n].
 
+    ``x`` is a scalar or a 1-d array of finite reals of either sign; each
+    table has shape (nmax+1, len(x)), or (nmax+1,) for scalar input.
     Returns ``(sign, logmag)``, or ``(sign, logmag, dsign, dlogmag)``.
     Against mpmath, for n <= 200 and |x| <= 60, values are within 4e-13
     relative wherever |D_n| is at least 1% of the local amplitude
@@ -164,15 +166,13 @@ def pcf_regular_table(nmax: int, x: float, with_derivative: bool = False):
     two terms.
     """
     nmax = _check_order(nmax)
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("argument must be finite")
-    s, l, *deriv = _forward_logs(nmax, np.array([x]), -1.0, with_derivative)
+    x, scalar = _argument_array(x, signed=True)
+    s, l, *deriv = _forward_logs(nmax, x, -1.0, with_derivative)
     quarter = x * x / 4.0
     tables = [s.astype(float), l - quarter]
     if with_derivative:
         tables += [deriv[0], deriv[1] - quarter]
-    return _shaped(True, *tables)
+    return _shaped(scalar, *tables)
 
 
 def pcf_regular_imag_table(nmax: int, x, with_derivative: bool = False):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from ._quad import panel_grid
 from .specfun import (
@@ -135,19 +135,27 @@ def tilted_element(n: int, n2: int, q: float, d: float, theta: float,
     return norm * fine.real
 
 
-def _pointwise_tables(nu_max: int, point: ParabolicPoint, q: float, outgoing: bool):
-    """Log tables of the partial-wave factors at one point.
+def _pointwise_tables(nu_max: int, point: ParabolicPoint, q, outgoing: bool):
+    """Log tables of the partial-wave factors at one point, one column per q.
 
     Regular waves use D_n(lam~) * [i^n D_n(i mu~)] (both real); outgoing
     waves use D_n(lam~) * D_{-n-1}(mu~).
     """
-    s = math.sqrt(2.0 * q)
+    s = np.sqrt(2.0 * q)
     sl, ll = pcf_regular_table(nu_max, point.lam * s)
-    if outgoing:
-        sm, lm = pcf_outgoing_table(nu_max, point.mu * s)
-    else:
-        sm, lm = pcf_regular_imag_table(nu_max, point.mu * s)
+    radial = pcf_outgoing_table if outgoing else pcf_regular_imag_table
+    sm, lm = radial(nu_max, point.mu * s)
     return sl * sm, ll + lm
+
+
+def _signed_exp_sum(signs: np.ndarray, logs: np.ndarray):
+    """sum_n signs[n] e^logs[n] along axis 0, scaled by the largest term.
+
+    Each column is summed as a contiguous row, pairwise as a 1-d sum is.
+    """
+    peak = np.max(logs, axis=0)
+    terms = signs * np.exp(logs - peak)
+    return np.exp(peak) * np.ascontiguousarray(terms.T).sum(axis=-1)
 
 
 def green_parabolic(r1: ParabolicPoint, r2: ParabolicPoint, kappa: float,
@@ -177,27 +185,18 @@ def green_parabolic(r1: ParabolicPoint, r2: ParabolicPoint, kappa: float,
         raise DomainError("points must not coincide")
     inner, outer = (r1, r2) if r1.mu < r2.mu else (r2, r1)
     dz = abs(z2 - z1)
-    nu = np.arange(nu_max + 1)
-    sign_nu = (-1.0) ** nu
-    lgamma = gammaln(nu + 1.0)
-
-    def f_of_q(q: float) -> float:
-        si, li = _pointwise_tables(nu_max, inner, q, outgoing=False)
-        so, lo = _pointwise_tables(nu_max, outer, q, outgoing=True)
-        logterm = li + lo - lgamma - 0.5 * math.log(2.0 * math.pi)
-        signs = sign_nu * si * so
-        m = np.max(logterm)
-        if np.isneginf(m):
-            return 0.0
-        return float(np.exp(m) * np.sum(signs * np.exp(logterm - m)))
-
     # decay scale of the summand in q (leading Gaussian exponents of the
     # four factors), used to size the kz window
     s0 = (inner.lam**2 + outer.lam**2 + outer.mu**2 - inner.mu**2) / 2.0
     kmax = 41.5 / s0
     npanel = max(12, min(80, int(kmax * dz / 2.0) + 12))
     kz, wk = panel_grid(np.linspace(0.0, kmax, npanel + 1), 12)
-    vals = np.array([f_of_q(math.hypot(kappa, k)) for k in kz])
+    q = np.hypot(kappa, kz)
+    si, li = _pointwise_tables(nu_max, inner, q, outgoing=False)
+    so, lo = _pointwise_tables(nu_max, outer, q, outgoing=True)
+    nu = np.arange(nu_max + 1)[:, None]
+    logterm = li + lo - gammaln(nu + 1.0) - 0.5 * math.log(2.0 * math.pi)
+    vals = _signed_exp_sum((-1.0) ** nu * si * so, logterm)
     return float(np.sum(wk * np.cos(kz * dz) * vals)) / math.pi
 
 
@@ -211,20 +210,13 @@ def plane_wave_partial_sum(point: ParabolicPoint, q: float, phi: float,
     regular wave functions and their normalization independently of any
     scattering formula.
     """
-    s = math.sqrt(2.0 * q)
-    sl, ll = pcf_regular_table(nu_max, point.lam * s)
-    sm, lm = pcf_regular_imag_table(nu_max, point.mu * s)
+    signs, logs = _pointwise_tables(nu_max, point, q, outgoing=False)
     t = math.tan(phi / 2.0)
     n = np.arange(nu_max + 1)
-    with np.errstate(divide="ignore"):
-        logt = np.where(n > 0, n * math.log(abs(t)) if t != 0.0 else -np.inf, 0.0)
-    logterm = logt - math.log(math.cos(phi / 2.0)) - gammaln(n + 1.0) + ll + lm
-    signs = np.where(n % 2 == 0, 1.0, math.copysign(1.0, t) if t != 0.0 else 0.0)
-    signs = signs * sl * sm
-    peak = np.max(logterm)
-    if np.isneginf(peak):
-        return 0.0
-    return float(np.exp(peak) * np.sum(signs * np.exp(logterm - peak)))
+    # xlogy gives n log|t| without forming t^n, which underflows, and
+    # reads 0 log 0 as 0, so only n = 0 survives at t = 0.
+    logterm = xlogy(n, abs(t)) - math.log(math.cos(phi / 2.0)) - gammaln(n + 1.0) + logs
+    return float(_signed_exp_sum(math.copysign(1.0, t) ** n * signs, logterm))
 
 
 def literal_knife_kernel(q: float, nu_max: int) -> np.ndarray:

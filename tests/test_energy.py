@@ -173,9 +173,11 @@ class TestEnergyPerLength:
         assert result.trunc_error == math.inf
 
     @pytest.mark.parametrize("nu_max", [-1, "80", 1.5, True, (10.7, 20.2, 40.9, 80.1),
-                                        (8, -16), ()])
+                                        (8, -16), (), (8, 8, 16, 16, 32, 64),
+                                        (100, 100, 200, 400)])
     def test_invalid_ladders_rejected(self, nu_max):
-        # A string is not read digit by digit, nor is a float truncated.
+        # A string is not read digit by digit, nor is a float truncated,
+        # nor a repeated order dropped.
         with pytest.raises(DomainError):
             energy_per_length(KNIFE, nu_max=nu_max)
 

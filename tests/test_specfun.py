@@ -307,11 +307,15 @@ class TestOverflowContract:
         (False, pcf_outgoing_table), (False, pcf_regular_imag_table),
         (True, pcf_outgoing_table), (True, pcf_regular_imag_table),
         (False, bateman_k_table),
+        (False, pcf_regular_table), (True, pcf_regular_table),
     ])
     def test_array_call_matches_scalar_calls(self, fn, with_derivative):
         xs = np.array([0.0, 0.03, 0.16, 0.2, 0.5, 1.3, 7.0, 28.3, 50.0])
         if fn is bateman_k_table:
             xs = xs[1:]  # u must be positive
+        if fn is pcf_regular_table:
+            # Either sign, and past |x| = 55, where e^{-x^2/4} underflows.
+            xs = np.array([-60.0, -5.3, 0.0, 0.16, 7.0, 55.0, 60.0])
 
         def tables(nmax, x):
             if fn is bateman_k_table:
@@ -368,6 +372,10 @@ class TestErrors:
             (pcf_regular_imag_table, (3, [1.0, -0.5])),
             (pcf_regular_imag_table, (3, [float("nan")])),
             (pcf_regular_imag_table, (3, [0.0, float("-inf")])),
+            (pcf_regular_table, (3, [[0.5, -1.0]])),
+            (pcf_regular_table, (3, [-0.5, float("nan")])),
+            (pcf_regular_table, (3, [2.0, float("-inf")])),
+            (pcf_regular_table, (3, [])),
         ],
     )
     def test_domain_errors(self, fn, args):

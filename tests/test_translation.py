@@ -1,6 +1,7 @@
-"""Tests for the plane-parabola translation elements and the wave-expansion oracle."""
+"""Tests for the plane-parabola translation elements and the wave-expansion oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from scipy.special import roots_legendre
 
 from paracasimir._quad import _legendre_rule, panel_grid
 from paracasimir.specfun import DomainError
-from paracasimir.testing import ParabolicPoint, green_parabolic, theta0_element, tilted_element
+from paracasimir.testing import (
+    ParabolicPoint,
+    green_parabolic,
+    plane_wave_partial_sum,
+    theta0_element,
+    tilted_element,
+)
 from paracasimir.translation import (
     _U_EDGES_DAMPING,
     _U_EDGES_FIXED,
@@ -270,3 +277,28 @@ class TestGreenOracle:
             green_parabolic(
                 ParabolicPoint(0.4, 0.7, 0.0), ParabolicPoint(-0.9, 0.7, 0.3), 1.0
             )
+
+
+class TestPlaneWaveOracle:
+    POINTS = (ParabolicPoint(0.6, 0.8), ParabolicPoint(-1.1, 0.3), ParabolicPoint(2.0, 1.5))
+
+    @staticmethod
+    def plane_wave(point, q, phi):
+        x, y, _ = point.to_cartesian()
+        return math.exp(-q * (x * math.sin(phi) + y * math.cos(phi)))
+
+    @pytest.mark.parametrize("q", [1.3, 3.0])
+    def test_zero_angle_keeps_only_order_zero(self, q):
+        # tan(phi/2) = 0: every order above 0 vanishes, and the n = 0 term
+        # e^{-lam~^2/4} e^{mu~^2/4} is e^{-q y} itself.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for point in self.POINTS:
+                got = plane_wave_partial_sum(point, q, 0.0)
+                assert got == pytest.approx(self.plane_wave(point, q, 0.0), rel=1e-14)
+
+    @pytest.mark.parametrize("phi", [-0.3, -0.8])
+    def test_negative_angle(self, phi):
+        for point in self.POINTS:
+            got = plane_wave_partial_sum(point, 1.3, phi)
+            assert got == pytest.approx(self.plane_wave(point, 1.3, phi), rel=1e-13)
