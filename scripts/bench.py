@@ -6,8 +6,8 @@ pair so that a drift of the machine's speed does not favour one side.
 The last line of each run's standard output is its JSON record; its
 end-to-end metrics (those `BENCHMARK.json` lists under ``end_to_end``)
 are kept.  The output file holds the machine line of the first run,
-every pair's metrics, and per metric each side's median and quartiles
-and the number of pairs the head checkout won.  Each run's ``correct``
+every pair's metrics, and per metric each side's median and quartiles,
+the number of pairs the head checkout won, and a verdict (`verdict`).  Each run's ``correct``
 flag is kept too: every workload and seed counts its incorrect runs per
 side, the printed lines name them, and the script exits 1 if any run of
 the head checkout was incorrect.
@@ -58,6 +58,26 @@ def _spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(summary: dict, bound: float) -> str:
+    """'gain', 'worse' or 'unresolved' for one metric's summary.
+
+    'gain' when the head won at least nine tenths of the pairs and its
+    median is better than the base's by more than the base's quartile
+    spread; 'worse' when its median is worse than the base's by more
+    than ``bound`` (`BENCHMARK.json`'s bound, read as relative to the
+    base median); 'unresolved' otherwise.
+    """
+    sign = 1.0 if summary["better"] == "lower" else -1.0
+    base, head = summary["base"]["median"], summary["head"]["median"]
+    gained = sign * (base - head)
+    if (10 * summary["pairs_won"] >= 9 * summary["pairs"]
+            and gained > summary["base"]["q3"] - summary["base"]["q1"]):
+        return "gain"
+    if -gained > bound * abs(base):
+        return "worse"
+    return "unresolved"
+
+
 def compare(base: Path, head: Path, workload: str, seed: int, pairs: int,
             seconds: float, metrics: dict):
     """Alternating pairs of one workload and seed: (machine, result)."""
@@ -79,7 +99,7 @@ def compare(base: Path, head: Path, workload: str, seed: int, pairs: int,
             for name in metrics if name in pair["base"])
             + (f"; incorrect: {', '.join(wrong)}" if wrong else ""), flush=True)
     summary = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         if not all(name in p["base"] and name in p["head"] for p in runs):
             continue
         sign = 1.0 if better == "lower" else -1.0
@@ -88,6 +108,7 @@ def compare(base: Path, head: Path, workload: str, seed: int, pairs: int,
                          "base": _spread([p["base"][name] for p in runs]),
                          "head": _spread([p["head"][name] for p in runs]),
                          "pairs_won": won, "pairs": len(runs)}
+        summary[name]["verdict"] = verdict(summary[name], bound)
     incorrect = {side: sum(not p[side]["correct"] for p in runs) for side in sides}
     return machine, {"workload": workload, "seed": seed, "pairs": runs,
                      "incorrect": incorrect, "summary": summary}
@@ -108,7 +129,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2 for quartiles")
 
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     machine, results = "", []
     for workload in args.workload:
         for seed in args.seed or [0]:
@@ -120,7 +141,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed={seed} {name}: base median {s['base']['median']:.4g} "
                       f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}], head median "
                       f"{s['head']['median']:.4g} [{s['head']['q1']:.4g}, "
-                      f"{s['head']['q3']:.4g}], head won {s['pairs_won']}/{s['pairs']}")
+                      f"{s['head']['q3']:.4g}], head won {s['pairs_won']}/{s['pairs']}: "
+                      f"{s['verdict']}")
             bad = result["incorrect"]
             print(f"{workload} seed={seed} incorrect runs: base {bad['base']}/{args.pairs}, "
                   f"head {bad['head']}/{args.pairs}")

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from ._quad import expmap_grid, panel_grid
 from .specfun import DomainError, _check_order
 from .scattering import BoundaryMode, Geometry
-from .roundtrip import kernel_blocks, logdet_one_minus
+from .roundtrip import PhysicalRegimeError, kernel_blocks, logdet_one_minus
 from .translation import AccuracyError
 
 __all__ = [
@@ -164,14 +164,26 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     of the run from one `logdet_one_minus` call.  At zero tilt
     `kernel_blocks` may end a node's block at a lower rung, when no
     order above it can move 1 - N; searching the ladder in the
-    shortened orders then maps every higher rung onto its last.
+    shortened orders then maps every higher rung onto its last.  A
+    block under the rank cut comes as one node's stack of r x r Gram
+    matrices, one per rung, whose log det(1 - G) are the rungs; an
+    eigenvalue of G at or above one raises `PhysicalRegimeError` naming
+    the node.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((len(orders), x.size))
     for nodes, blocks in kernel_blocks(geom, x / geom.H, orders, _modes(channel)):
         for idx, stack in blocks:
-            cuts = np.searchsorted(idx, orders, side="right")
-            out[:, nodes] += logdet_one_minus(stack, cuts).T
+            if idx is not None:
+                cuts = np.searchsorted(idx, orders, side="right")
+                out[:, nodes] += logdet_one_minus(stack, cuts).T
+                continue
+            try:
+                out[:, nodes] += logdet_one_minus(stack)[:, None]
+            except PhysicalRegimeError:
+                raise PhysicalRegimeError(f"1 - N is not positive definite at x = {x[nodes][0]:g}: "
+                                          "its rank cut's Gram matrix has an eigenvalue of at "
+                                          "least one; check the geometry") from None
     return out
 
 
@@ -401,24 +413,33 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
     """Matsubara sum, n = 0 at half weight, one value per order.
 
     Consecutive terms share one `_g_series` call of at most _BATCH_NODES
-    nodes (a larger term has its own), and no batch is evaluated after
-    the stop rule fires.  Neither a node's Bateman table column nor its
-    kernel blocks, nor the orders its blocks hold, depend on the other
-    nodes of its call, so the sum is bitwise that of one call per term.
+    nodes (a larger term has its own).  Once the top rung's terms fall,
+    they fall geometrically, and a batch holds no more terms than the
+    ratio of the last two predicts the stop rule still needs, rounded
+    down, so no term beyond the stop is evaluated unless the decay
+    speeds up by a whole term's worth.  Neither a node's Bateman table
+    column nor its kernel blocks, nor the orders its blocks hold, depend
+    on the other nodes of its call, so the sum is bitwise that of one
+    call per term.
     """
-    totals, batch = None, []
+    totals, batch, last, room = None, [], [], math.inf
     for n in itertools.count():
         xn = 2.0 * math.pi * n * T_scaled
         grid = _z_nodes(xn, spec) if xn < spec.qmax_scaled else None
-        if batch and (grid is None or
+        if batch and (grid is None or len(batch) >= room or
                       sum(x.size for _, x, _ in batch) + grid[0].size > _BATCH_NODES):
             g = _g_series(geom, np.concatenate([x for _, x, _ in batch]), orders, channel)
             cuts = np.cumsum([x.size for _, x, _ in batch[:-1]])
+            stop = 1e-3 * spec.tolerance
             for part, (k, _, w) in zip(np.split(g, cuts, axis=1), batch):
                 term = (np.ascontiguousarray(part) @ w) / math.pi
                 totals = totals + term if k else 0.5 * term
-                if k and abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+                if k and abs(term[-1]) <= stop * abs(totals[-1]):
                     return totals
+                last = [*last[-1:], abs(term[-1])]
+            if len(last) == 2 and 0.0 < last[1] < last[0]:
+                need = math.log(stop * abs(totals[-1]) / last[1]) / math.log(last[1] / last[0])
+                room = max(1, math.floor(need))
             batch = []
         if grid is None:
             return totals

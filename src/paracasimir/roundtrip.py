@@ -29,26 +29,41 @@ construction and yields the kernel as decoupled symmetric blocks;
 `logdet_one_minus` factors them by Cholesky, and `build_kernel`
 scatters one node's blocks into a single matrix for inspection.
 
-At zero tilt most orders of a block cannot move det(1 - N), and they
-are neither built nor factored.  Every zero-tilt block is positive
-semidefinite: at the knife edge M_ab = m_(a+b+p) is a Hankel matrix of
-moments of a positive measure, and at positive radius the block is
-D M D with D the diagonal of balancing weights.  So |N_jk|^2 <=
-N_jj N_kk and m_n is log-convex: no entry beyond a cut exceeds the
-geometric mean of its two diagonal entries.  By its Schur complement,
-an order j whose diagonal entry lies below 2^-54 moves the exact log
-det by about N_jj (1 + tr N / (1 - lambda_max)) at most, and in
-float64 its Cholesky pivot is exactly 1.  On a ladder of several
-rungs, `kernel_blocks` therefore keeps at each node the smallest rung
-that holds every order whose diagonal is not below 2^-54, and the
-rungs above take its value.  It rounds up to a rung rather than
-cutting at that order because the leading rows of a Cholesky factor
-differ in their last bits with the size of the whole matrix: a rung
-depends only on the node and the ladder, so no node's value depends
-on the other nodes of its run.  On a ladder of one rung, and at tilt,
-where the diagonal exists only inside the Gram matrix, blocks stay
-whole.  The rule needs positive semidefiniteness, so
-`logdet_one_minus`, which takes any symmetric N, cuts nothing.
+At zero tilt every block is positive semidefinite: at the knife edge
+M_ab = m_(a+b+p) is a Hankel matrix of moments of a positive measure,
+and at positive radius the block is D M D with D the diagonal of
+balancing weights.  So |N_jk|^2 <= N_jj N_kk, and on a ladder of
+several rungs `kernel_blocks` makes two cuts.  On a ladder of one rung
+(`build_kernel`), and at tilt, where the diagonal exists only inside
+the Gram matrix, blocks stay whole; `logdet_one_minus`, which takes
+any symmetric N, cuts nothing.
+
+The rung cut.  By its Schur complement, an order j whose diagonal
+entry lies below 2^-54 moves the exact log det by about
+N_jj (1 + tr N / (1 - lambda_max)) at most, and in float64 its Cholesky
+pivot is exactly 1.  So each node keeps the smallest rung that holds
+every order whose diagonal is not below 2^-54, and the rungs above
+take its value.  It rounds up to a rung rather than cutting at that
+order because the leading rows of a Cholesky factor differ in their
+last bits with the size of the whole matrix: a rung depends only on
+the node and the ladder, so no node's value depends on the other
+nodes of its run.
+
+The rank cut.  Scaled Hankel moment matrices of a positive measure
+have exponentially decaying singular values (a 401-order block has
+rank 14 to 42 on the default grids, from H = 1 to 0.05 at R = 1 and at
+the knife edge), so where a run's blocks keep more than _RANK_FROM =
+128 orders they are not built.  A partial pivoted Cholesky, vectorised
+over the run's nodes, builds at each step only the column of the
+largest residual diagonal entry, and stops per node once the residual
+trace is at most tau: 1e-15, or n eps max_a N_aa, the trace's own
+rounding, where that is larger.  So N = Y^T Y + E with Y of r << n
+rows and E positive semidefinite, and by Sylvester's identity rung s
+is log det(1 - G_s), G_s the r x r Gram matrix of Y's columns up to s,
+factored at the node's own rank.  Every leading block of E is positive
+semidefinite with trace at most tau, so each rung lies above the exact
+one by at most tau / (1 - lambda_max), to first order in tau, where
+lambda_max is the block's largest eigenvalue.
 """
 
 from __future__ import annotations
@@ -86,13 +101,21 @@ _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 
 # Byte budget of one block's stack of nodes in `kernel_blocks`: 4 nodes
 # at 81 orders, 270 at 11, and one node from 129 orders up.  The orders
-# counted are those a run's blocks hold: at zero tilt on a ladder, only
-# up to the rung that holds every order able to move 1 - N (the module
+# counted are those a run's blocks hold after the rung cut (the module
 # docstring), the same for every node of the run.
 _RUN_BYTES = 256 * 1024
 
 # 1 - N_nn rounds to exactly 1.0 in float64 below this diagonal entry.
 _NEGLIGIBLE = 2.0 ** -54
+
+# The rank cut (module docstring) takes runs whose blocks keep more than
+# _RANK_FROM orders, factors them to a residual trace of _RANK_TRACE or
+# its rounding, and holds _RANK_COLUMNS columns per node within
+# _RANK_BYTES: 10 nodes at 401 orders, one from 513 up.
+_RANK_FROM = 128
+_RANK_TRACE = 1e-15
+_RANK_COLUMNS = 64
+_RANK_BYTES = 2 * 1024 * 1024
 
 
 def _knife_start(mode: BoundaryMode) -> int:
@@ -136,21 +159,22 @@ def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: np.ndarray):
     return 0.5 * (logf - gammaln(np.arange(nu_max + 1) + 1.0)[:, None])
 
 
-def _body_block_theta0(half: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """One parity block of the body's zero-tilt kernel for a run of
-    nodes, as a stack of shape (run, m, m), up to the module's S.
+def _body_block_theta0(rows: np.ndarray, cols: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Entries of one parity block of the body's zero-tilt kernel for a
+    run of nodes, as a stack of shape (run, m, c), up to the module's S.
 
-    Column k of ``half`` (the block's rows) and matrix k of ``pairs``
-    belong to node k of the run; pairs holds log sqrt(pi/2) + log
-    m_(n+n')/2 of the Bateman table at w = 2 q d over the block's orders.
-    Entries of odd order sum vanish by mirror parity, so the kernel
-    splits into an even and an odd block.  Every entry is positive, and
-    h_i + h_j is summed before anything else is added, so every matrix
-    is exactly symmetric.  The stack is built in one buffer: a fresh
-    temporary per step would cost as much as the arithmetic.
+    Row k of ``rows`` and ``cols`` (the half-logs of the m rows' and c
+    columns' orders) and matrix k of ``pairs`` (log sqrt(pi/2) + log
+    m_(n+n')/2 of the Bateman table at w = 2 q d over them) belong to
+    node k.  Entries of odd order sum vanish by mirror parity, so the
+    kernel splits into an even and an odd block.  Every entry is
+    positive, and h_i + h_j is summed before anything else is added, so
+    every whole block (rows as cols) is exactly symmetric, and the rank
+    cut's columns are bitwise its entries.  The stack is built in one
+    buffer: a fresh temporary per step would cost as much as the
+    arithmetic.
     """
-    h = half.T
-    entries = h[:, :, None] + h[:, None, :]
+    entries = rows[:, :, None] + cols[:, None, :]
     entries += pairs
     with np.errstate(over="ignore"):
         np.exp(entries, out=entries)
@@ -186,6 +210,53 @@ def _block_orders(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
     return [idx for idx in blocks if idx.size]
 
 
+def _block_diagonal(idx: np.ndarray, table: np.ndarray, half) -> np.ndarray:
+    """Diagonal of a zero-tilt block over its orders ``idx``, one row per
+    row of ``table``: m_n at the knife edge (``half`` is None), and
+    exp(2 h_n + table) at positive radius, bitwise the block's own."""
+    if half is None:
+        return table[:, idx]
+    with np.errstate(over="ignore"):
+        return np.exp(2.0 * half[idx].T + table[:, idx])
+
+
+def _pivoted_factors(diag: np.ndarray, column) -> list:
+    """Partial pivoted Cholesky factors Y, of shape (r, n), of a run of
+    positive semidefinite blocks with diagonals ``diag`` (one row per
+    node); ``column(k, p)`` returns column p[i] of node k[i]'s block,
+    one row per pair.  Each node pivots on its largest residual diagonal
+    entry, positive while the residual trace exceeds its tau (the module
+    docstring), sets that entry to zero, and stops once the trace is at
+    most tau.  Every step reads each node's own rows alone, so no factor
+    depends on the run.  A nonfinite entry raises `PhysicalRegimeError`.
+    """
+    resid = np.array(diag, dtype=float)
+    run, n = resid.shape
+    live, factors = np.arange(run), [None] * run
+    ys = np.empty((run, min(n, _RANK_COLUMNS), n))
+    tau = np.maximum(_RANK_TRACE, n * np.finfo(float).eps * resid.max(axis=1, initial=0.0))
+    for r in range(n + 1):
+        if not np.all(np.isfinite(resid)):
+            raise PhysicalRegimeError("kernel contains nonfinite entries")
+        done = ~(resid.sum(axis=1) > tau) | (r == n)
+        if done.any():
+            for k in np.flatnonzero(done):
+                factors[live[k]] = ys[k, :r].copy()
+            if done.all():
+                return factors
+            live, resid, ys, tau = live[~done], resid[~done], ys[~done], tau[~done]
+        if r == ys.shape[1]:
+            ys = np.concatenate([ys, np.empty_like(ys)], axis=1)
+        k = np.arange(live.size)
+        piv = np.argmax(resid, axis=1)
+        col = column(live, piv)
+        col -= (ys[k, :r, piv][:, None, :] @ ys[:, :r])[:, 0]
+        col /= np.sqrt(resid[k, piv])[:, None]
+        resid -= col * col
+        resid[k, piv] = 0.0
+        ys[:, r] = col
+
+
 def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
     """Leading rows of one block that each node's factorization needs.
 
@@ -203,13 +274,9 @@ def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
     if table is None or rungs.size == 1:
         return idx.size
     finite = np.all(np.isfinite(table), axis=1)
-    if half is None:
-        diag = table[:, idx]
-    else:
-        with np.errstate(over="ignore"):
-            diag = np.exp(2.0 * half[idx].T + table[:, idx])
+    if half is not None:
         finite &= np.all(np.isfinite(half), axis=0)
-    live = ~(diag < _NEGLIGIBLE)
+    live = ~(_block_diagonal(idx, table, half) < _NEGLIGIBLE)
     last = np.where(live.any(axis=1), idx.size - np.argmax(live[:, ::-1], axis=1), 0)
     return rungs[np.searchsorted(rungs, np.where(finite, last, idx.size))]
 
@@ -239,11 +306,13 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     Runs never mix nodes whose blocks hold different orders, and a run
     holds as many nodes as keep its largest block's stack within
     _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
-    many nodes per call, and blocks of a few hundred orders one node at
-    a time.  What does not depend on the node is computed once for the
-    series: the zero-tilt element table and each block's Hankel view of
-    it, and, at positive radius, each mode's half-logs over all nodes.
-    At zero tilt a run's stack is built from the block's view; at tilt
+    many nodes per call.  Under the rank cut of the module docstring a
+    run holds one node, and each block comes as (None, grams): the
+    block's log det(1 - N) at rung orders[j] is log det(1 - grams[j]).
+    What does not depend on the node is computed once for the series:
+    the zero-tilt element table and each block's Hankel view of it, and,
+    at positive radius, each mode's half-logs over all nodes.  At zero
+    tilt a run's stack is built from the block's view; at tilt
     each node's matrix is written into its slot of the run's buffer, and
     at positive radius the element matrix is built once per node for
     all modes.
@@ -275,15 +344,21 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     changes = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
     bounds = [0, *changes.tolist(), q.size]
     for start, stop in zip(bounds, bounds[1:]):
-        run = max(1, _RUN_BYTES // (8 * int(rows[start:stop].max(initial=1)) ** 2))
+        size = int(rows[start].max(initial=1))
+        ranked = untilted and orders.size > 1 and size > _RANK_FROM
+        run = max(1, (_RANK_BYTES // (8 * _RANK_COLUMNS * size)) if ranked
+                  else _RUN_BYTES // (8 * size ** 2))
         for lo in range(start, stop, run):
             nodes = slice(lo, min(lo + run, stop))
             kept = [(idx[:s], pairs, half) for (idx, pairs, half), s in zip(layout, rows[lo])]
+            if ranked:
+                yield from _rank_cut_runs(kept, table, nodes, orders)
+                continue
             if knife and untilted:
                 blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]))
                           for idx, pairs, _ in kept]
             elif untilted:
-                blocks = [(idx, _body_block_theta0(half[idx, nodes],
+                blocks = [(idx, _body_block_theta0(half[idx, nodes].T, half[idx, nodes].T,
                                                    pairs[nodes, :idx.size, :idx.size]))
                           for idx, pairs, half in kept]
             else:
@@ -300,6 +375,32 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
                         else:
                             _body_block_tilted(half[:, i], sT, lT, stack[k])
             yield nodes, blocks
+
+
+def _rank_cut_runs(kept: list, table: np.ndarray, nodes: slice, orders: np.ndarray):
+    """One-node runs of `kernel_blocks` under the rank cut: each block is
+    factored for all ``nodes`` at once by `_pivoted_factors`, and each
+    node yields (None, grams) per block, grams[j] being the exactly
+    symmetric Gram of its factor's columns up to order orders[j]."""
+    per_block = []
+    for idx, pairs, half in kept:
+        hs = None if half is None else half[idx, nodes].T
+
+        def column(k, p):
+            entries = pairs[nodes.start + k, :idx.size, p]
+            if hs is None:
+                return _knife_block_from_k(entries)
+            return _body_block_theta0(hs[k], hs[k, p][:, None], entries[:, :, None])[:, :, 0]
+
+        cuts = np.searchsorted(idx, orders, side="right")
+        diag = _block_diagonal(idx, table[nodes], None if half is None else half[:, nodes])
+        grams = []
+        for y in _pivoted_factors(diag, column):
+            sums = np.cumsum([s @ s.T for s in np.split(y, cuts, axis=1)[:cuts.size]], axis=0)
+            grams.append(0.5 * (sums + sums.transpose(0, 2, 1)))
+        per_block.append(grams)
+    for k, i in enumerate(range(nodes.start, nodes.stop)):
+        yield slice(i, i + 1), [(None, grams[k]) for grams in per_block]
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):

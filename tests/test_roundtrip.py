@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import paracasimir.roundtrip as roundtrip_module
+from paracasimir.energy import _g_series
 from paracasimir.roundtrip import (
     PhysicalRegimeError,
+    _RANK_FROM,
+    _block_orders,
     _rows_factored,
     build_kernel,
+    kernel_blocks,
     logdet_one_minus,
 )
 from paracasimir.scattering import (
@@ -145,6 +150,72 @@ class TestRowsFactored:
         half[3, 2] = -math.inf
         got = _rows_factored(self.IDX, self.ORDERS, table, half)
         assert got.tolist() == [3, 6, 11]
+
+
+class TestRankCut:
+    """Blocks of more than _RANK_FROM orders on a ladder of several rungs
+    are factored by partial pivoted Cholesky, and each rung comes from
+    the r x r Gram of the factor (the `roundtrip` module docstring)."""
+
+    ORDERS = [100, 200, 400, 800]
+
+    @pytest.mark.parametrize("geom", [Geometry(1.0, 0.1), Geometry(1.0, 1.0), KNIFE],
+                             ids=["body-0.1", "body-1", "knife"])
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 3.0])
+    def test_rungs_within_bound_of_dense_cholesky(self, geom, x):
+        # Each rung lies within tau / (1 - lambda_max) of one dense Cholesky
+        # of the same block, with the documented tau: 1e-15, or n eps
+        # max_a N_aa where rounding keeps the residual trace above that.
+        # 1e-13 more allows for the rounding of a 401-order dense
+        # factorization: the routes differ by up to 7e-14.
+        q = x / geom.H
+        ranked = 0
+        for mode in BoundaryMode:
+            (_, blocks), = kernel_blocks(geom, np.array([q]), self.ORDERS, (mode,))
+            full, kept = build_kernel(geom, q, self.ORDERS[-1], mode)
+            for (cut_idx, stack), idx in zip(blocks, _block_orders(geom, self.ORDERS[-1], mode)):
+                sel = np.searchsorted(kept, idx)
+                block = full[np.ix_(sel, sel)]
+                dense = logdet_one_minus(block, np.searchsorted(idx, self.ORDERS, side="right"))
+                if cut_idx is None:
+                    ranked += 1
+                    assert stack.shape[-1] < 64
+                    got = logdet_one_minus(stack)
+                else:
+                    assert cut_idx.size <= _RANK_FROM
+                    got = logdet_one_minus(stack, np.searchsorted(cut_idx, self.ORDERS,
+                                                                  side="right"))[0]
+                tau = max(1e-15, idx.size * np.finfo(float).eps * block.diagonal().max())
+                bound = tau / (1.0 - np.linalg.eigvalsh(block)[-1])
+                assert np.all(np.abs(got - dense) <= bound + 1e-13), (mode, idx[0])
+        # The knife at x = 3 and R = H = 1 at x = 3 keep few enough rows
+        # to stay dense; every other case takes the rank cut.
+        assert ranked == (0 if x == 3.0 and geom.H == 1.0 else
+                          (2 if geom.R == 0.0 else 4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_half_log_raises(self, monkeypatch, bad):
+        half_logs = roundtrip_module._body_half_logs
+
+        def spoiled(nu_max, mode, mu0_scaled):
+            half = half_logs(nu_max, mode, mu0_scaled)
+            half[300, 1] = bad
+            return half
+
+        monkeypatch.setattr(roundtrip_module, "_body_half_logs", spoiled)
+        with pytest.raises(PhysicalRegimeError, match="nonfinite"):
+            _g_series(Geometry(1.0, 0.1), np.array([1e-3, 0.3, 3.0]), self.ORDERS, "em")
+
+    def test_eigenvalue_above_one_names_the_node(self, monkeypatch):
+        # Scaling every block by 4 puts the Dirichlet even block's largest
+        # eigenvalue at 3.7 at x = 1e-3.  The Gram's size is a rank, not a
+        # number of partial waves, and the message must not call it one.
+        half_logs = roundtrip_module._body_half_logs
+        monkeypatch.setattr(roundtrip_module, "_body_half_logs",
+                            lambda *args: half_logs(*args) + 0.5 * math.log(4.0))
+        with pytest.raises(PhysicalRegimeError, match="at x = 0.001: ") as info:
+            _g_series(Geometry(1.0, 0.1), np.array([1e-3]), self.ORDERS, "dirichlet")
+        assert "order" not in str(info.value)
 
 
 class TestLogDet:
