@@ -1,4 +1,5 @@
-"""Check the rank cut on deep truncation ladders at small gaps.
+"""Check the factored routes on deep truncation ladders: the rank cut at
+small gaps and the tilted knife edge near broadside.
 
 At R = 1 and H/R = 0.1, 0.05 and 0.02, on the ladders (400, ..., 3200)
 and (800, ..., 6400), this prints for each channel
@@ -11,14 +12,22 @@ and (800, ..., 6400), this prints for each channel
   3200 (a dense matrix of 6401 orders would take about 1 GB);
 
 and then E/E_pfa of both channels together, from the extrapolated
-values.  Run it from the repository root with
+values.  At the knife edge tilted by 80, 85 and 88 degrees, on the
+ladders (100, ..., 800) and (200, ..., 1600), it then prints for each
+channel the time of one `energy_per_length` call, a histogram of the
+orders each node's factor keeps after the rung cut over that call's
+frequency grid (orders:nodes), and the largest |delta g| against the
+dense rungs at the same three nodes.  Run it from the repository root
+with
 
     PYTHONPATH=src python scripts/check_rank_cut.py
 
-It takes about one minute on one core of a 2-vCPU Xeon and peaks at
+It takes about two minutes on one core of a 2-vCPU Xeon and peaks at
 about 300 MB, most of it the dense 3201-order matrices.
 """
 
+import collections
+import math
 import statistics
 import time
 
@@ -31,16 +40,18 @@ from paracasimir.scattering import BoundaryMode, Geometry
 
 GAPS = (0.1, 0.05, 0.02)
 LADDERS = ((400, 800, 1600, 3200), (800, 1600, 3200, 6400))
+TILTS = (80.0, 85.0, 88.0)
+TILT_LADDERS = ((100, 200, 400, 800), (200, 400, 800, 1600))
 NODES = (1e-3, 0.3, 3.0)
-DENSE_TOP = 3200
 
 
-def ranks(geom, ladder, mode):
-    """Rank of every rank-cut block over the default frequency grid."""
+def factor_shapes(geom, ladder, mode):
+    """Shape of every factor block over the default frequency grid: the
+    rank cut's (rank, orders), or the tilted knife edge's (2U, kept)."""
     x, _ = _grid(default_quadrature(geom))
-    return [stack.shape[-1]
+    return [block.shape
             for _, blocks in kernel_blocks(geom, x / geom.H, ladder, (mode,))
-            for idx, stack in blocks if idx is None]
+            for _, block in blocks if block.ndim == 2]
 
 
 def dense_rungs(geom, mode, rungs):
@@ -52,7 +63,24 @@ def dense_rungs(geom, mode, rungs):
     return out
 
 
-def main() -> int:
+def largest_gap(geom, ladder, mode, dense, dense_ladder):
+    """max |delta g| over NODES of `_g_series` on ``ladder`` against
+    ``dense``, the dense rungs of ``dense_ladder``, over the leading
+    rungs of ``ladder`` that ``dense_ladder`` holds."""
+    rungs = [o for o in ladder if o in dense_ladder]
+    pick = [list(dense_ladder).index(o) for o in rungs]
+    return max(float(np.max(np.abs(
+        _g_series(geom, np.array([x]), list(ladder), mode.value)[:len(rungs), 0]
+        - dense[x][pick]))) for x in NODES)
+
+
+def timed(geom, ladder, mode):
+    start = time.perf_counter()
+    result = energy_per_length(geom, nu_max=ladder, channel=mode.value)
+    return result, time.perf_counter() - start
+
+
+def check_gaps():
     print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'time/s':>7s} "
           f"{'rank min/med/max':>17s} {'max |dg|':>9s} {'extrapolated':>14s}")
     for h in GAPS:
@@ -60,24 +88,38 @@ def main() -> int:
         dense = {}
         for ladder in LADDERS:
             total = 0.0
-            rungs = [o for o in ladder if o <= DENSE_TOP]
             for mode in BoundaryMode:
-                start = time.perf_counter()
-                result = energy_per_length(geom, nu_max=ladder, channel=mode.value)
-                seconds = time.perf_counter() - start
+                result, seconds = timed(geom, ladder, mode)
                 total += result.extrapolated
-                r = ranks(geom, ladder, mode)
+                r = [shape[0] for shape in factor_shapes(geom, ladder, mode)]
                 if mode not in dense:
                     dense[mode] = dense_rungs(geom, mode, list(LADDERS[0]))
-                gap = max(float(np.max(np.abs(
-                    _g_series(geom, np.array([x]), list(ladder), mode.value)[:len(rungs), 0]
-                    - dense[mode][x][[LADDERS[0].index(o) for o in rungs]])))
-                    for x in NODES)
+                gap = largest_gap(geom, ladder, mode, dense[mode], LADDERS[0])
                 print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
                       f"{seconds:7.2f} {min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
                       f"{gap:9.1e} {result.extrapolated:14.8f}", flush=True)
             print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} E/E_pfa = "
                   f"{total / pfa_energy(h, 1.0):.6f}", flush=True)
+
+
+def check_tilts():
+    print(f"\n{'tilt':>5s} {'ladder':>11s} {'channel':>9s} {'time/s':>7s} "
+          f"{'max |dg|':>9s}  orders kept:nodes")
+    for deg in TILTS:
+        geom = Geometry(0.0, 1.0, math.radians(deg))
+        for ladder in TILT_LADDERS:
+            for mode in BoundaryMode:
+                _, seconds = timed(geom, ladder, mode)
+                kept = collections.Counter(shape[1] for shape in factor_shapes(geom, ladder, mode))
+                gap = largest_gap(geom, ladder, mode, dense_rungs(geom, mode, ladder), ladder)
+                histogram = " ".join(f"{rows}:{count}" for rows, count in sorted(kept.items()))
+                print(f"{deg:5.1f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
+                      f"{seconds:7.2f} {gap:9.1e}  {histogram}", flush=True)
+
+
+def main() -> int:
+    check_gaps()
+    check_tilts()
     return 0
 
 

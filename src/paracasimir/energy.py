@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from ._quad import expmap_grid, panel_grid
 from .specfun import DomainError, _check_order
 from .scattering import BoundaryMode, Geometry
-from .roundtrip import PhysicalRegimeError, kernel_blocks, logdet_one_minus
+from .roundtrip import PhysicalRegimeError, _PivotFailure, kernel_blocks, logdet_one_minus
 from .translation import AccuracyError
 
 __all__ = [
@@ -152,6 +152,18 @@ def _modes(channel: str):
             f"channel must be one of {sorted(_CHANNELS)}, got {channel!r}") from None
 
 
+# What `_g_series` says of a block whose factorization failed, by the
+# `_PivotFailure` kind: x is the node, nu the last partial-wave order of
+# the rows reached.
+_FAILURES = {
+    "minor": "1 - N is not positive definite at x = {x:g}: positivity is lost at partial-wave "
+             "order {nu}; increase quadrature resolution or check the geometry",
+    "nonfinite": "kernel contains nonfinite entries at x = {x:g}, partial-wave order {nu}",
+    "gram": "1 - N is not positive definite at x = {x:g}: the Gram matrix of its factor up "
+            "to nu = {nu} has an eigenvalue of at least one; check the geometry",
+}
+
+
 def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.ndarray:
     """log det(1 - N) summed over the channel's boundary modes.
 
@@ -160,30 +172,28 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     kernel's blocks are assembled at the largest order, for runs of
     consecutive nodes at once, and the smaller truncations are their
     leading blocks, which is exact because entries do not depend on the
-    truncation.  Each block's stack then yields every rung at every node
-    of the run from one `logdet_one_minus` call.  At zero tilt
+    truncation.  Each block, a stack or one node's factor, then yields
+    every rung at every node of the run from one `logdet_one_minus`
+    call.
     `kernel_blocks` may end a node's block at a lower rung, when no
     order above it can move 1 - N; searching the ladder in the
-    shortened orders then maps every higher rung onto its last.  A
-    block under the rank cut comes as one node's stack of r x r Gram
-    matrices, one per rung, whose log det(1 - G) are the rungs; an
-    eigenvalue of G at or above one raises `PhysicalRegimeError` naming
-    the node.
+    shortened orders then maps every higher rung onto its last.  A loss
+    of positivity raises `PhysicalRegimeError` naming the node and the
+    partial-wave order where it showed (on the Gram side of a factor,
+    the last order of the first rung whose Gram failed), as does a
+    nonfinite entry of a factor.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((len(orders), x.size))
     for nodes, blocks in kernel_blocks(geom, x / geom.H, orders, _modes(channel)):
-        for idx, stack in blocks:
-            if idx is not None:
-                cuts = np.searchsorted(idx, orders, side="right")
-                out[:, nodes] += logdet_one_minus(stack, cuts).T
-                continue
+        for idx, block in blocks:
+            cuts = np.searchsorted(idx, orders, side="right")
             try:
-                out[:, nodes] += logdet_one_minus(stack)[:, None]
-            except PhysicalRegimeError:
-                raise PhysicalRegimeError(f"1 - N is not positive definite at x = {x[nodes][0]:g}: "
-                                          "its rank cut's Gram matrix has an eigenvalue of at "
-                                          "least one; check the geometry") from None
+                ladders = logdet_one_minus(block, cuts, factored=block.ndim == 2)
+                out[:, nodes] += ladders.T if block.ndim == 3 else ladders[:, None]
+            except _PivotFailure as err:
+                raise PhysicalRegimeError(_FAILURES[err.kind].format(
+                    x=x[nodes][err.matrix], nu=idx[err.rows - 1])) from None
     return out
 
 

@@ -32,11 +32,19 @@ scatters one node's blocks into a single matrix for inspection.
 At zero tilt every block is positive semidefinite: at the knife edge
 M_ab = m_(a+b+p) is a Hankel matrix of moments of a positive measure,
 and at positive radius the block is D M D with D the diagonal of
-balancing weights.  So |N_jk|^2 <= N_jj N_kk, and on a ladder of
-several rungs `kernel_blocks` makes two cuts.  On a ladder of one rung
-(`build_kernel`), and at tilt, where the diagonal exists only inside
-the Gram matrix, blocks stay whole; `logdet_one_minus`, which takes
-any symmetric N, cuts nothing.
+balancing weights.  So is the tilted knife edge's block, c G with
+c = e^-w / pi > 0 and G = V V^T the parity Gram matrix of
+`translation._gram`, and it comes as its factor F = sqrt(c) V^T,
+N = F^T F, of 2U rows for U u-nodes, never as a dense N.  So
+|N_jk|^2 <= N_jj N_kk, and on a ladder of several rungs
+`kernel_blocks` makes two cuts at zero tilt and the rung cut at the
+tilted knife edge, where N_aa is the squared norm of F's column a.  On
+a ladder of one rung (`build_kernel`) no order is left out, and the
+tilted body's blocks, built from the Gram's sign/log form, stay whole;
+`logdet_one_minus`, which takes any symmetric N, cuts nothing.  It
+takes a factor's log-determinants on its smaller side: from one syrk
+that writes 1 - F^T F and one Cholesky factorization for all rungs,
+or, with fewer rows than orders, from the Gram matrices of F's rows.
 
 The rung cut.  By its Schur complement, an order j whose diagonal
 entry lies below 2^-54 moves the exact log det by about
@@ -72,7 +80,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.special import gammaln
 
 from .specfun import DomainError, _check_order, bateman_m_log
@@ -95,6 +103,20 @@ class PhysicalRegimeError(ArithmeticError):
     strictly positive; a violation signals numerical breakdown (or a
     kernel evaluated outside its regime), never physics.
     """
+
+
+class _PivotFailure(PhysicalRegimeError):
+    """A factorization of matrix ``matrix`` of a stack that stopped
+    within the leading ``rows`` orders of its block: ``kind`` is
+    "minor" (the leading minor of that order is not positive),
+    "nonfinite" (the factor's first nonfinite column) or "gram" (the
+    Gram matrix of a factor's leading ``rows`` columns has an eigenvalue
+    of at least one).  `energy._g_series` names the frequency node and
+    the partial-wave order from these."""
+
+    def __init__(self, message: str, matrix: int, rows: int, kind: str):
+        super().__init__(message)
+        self.matrix, self.rows, self.kind = matrix, rows, kind
 
 
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
@@ -145,10 +167,14 @@ def _knife_block_from_k(pairs: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _knife_block_from_gram(G: np.ndarray, w: float, out: np.ndarray) -> np.ndarray:
-    """Zero-radius block at tilt from the channel's parity Gram matrix,
-    written into ``out``; on one parity the module's S is +-1."""
-    return np.multiply(G, math.exp(-w) / math.pi, out=out)
+def _knife_block_from_gram(V: np.ndarray, w: float) -> np.ndarray:
+    """Zero-radius block at tilt as its factor F = sqrt(e^-w / pi) V^T,
+    N = F^T F, from the real factor V of the channel's parity Gram
+    matrix, which is scaled in place; on one parity the module's S is
+    +-1.  F, of shape (2U, orders), is V's transpose, so its columns
+    are contiguous."""
+    V *= math.exp(-0.5 * w) / math.sqrt(math.pi)
+    return V.T
 
 
 def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: np.ndarray):
@@ -270,15 +296,24 @@ def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
     node whose table row or half-logs hold a nonfinite entry keeps the
     whole block, so an overflow still reaches the factorization.
     """
-    rungs = np.unique(np.searchsorted(idx, orders, side="right"))
-    if table is None or rungs.size == 1:
+    if table is None or np.unique(np.searchsorted(idx, orders, side="right")).size == 1:
         return idx.size
     finite = np.all(np.isfinite(table), axis=1)
     if half is not None:
         finite &= np.all(np.isfinite(half), axis=0)
-    live = ~(_block_diagonal(idx, table, half) < _NEGLIGIBLE)
+    return _smallest_rungs(idx, orders, _block_diagonal(idx, table, half), ~finite[:, None])
+
+
+def _smallest_rungs(idx: np.ndarray, orders: np.ndarray, diag: np.ndarray, whole=False):
+    """Per row of ``diag`` (a block's diagonal over its orders ``idx``,
+    one row per node): the smallest rung searchsorted(idx, orders,
+    side="right") holding every order whose entry is not below
+    _NEGLIGIBLE (NaN and inf count), or the whole block where ``whole``
+    (a bool, or one per row) is set."""
+    rungs = np.unique(np.searchsorted(idx, orders, side="right"))
+    live = ~(diag < _NEGLIGIBLE) | whole
     last = np.where(live.any(axis=1), idx.size - np.argmax(live[:, ::-1], axis=1), 0)
-    return rungs[np.searchsorted(rungs, np.where(finite, last, idx.size))]
+    return rungs[np.searchsorted(rungs, last)]
 
 
 def kernel_blocks(geom: Geometry, q, orders, modes):
@@ -289,33 +324,36 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     The nodes of the array ``q`` are taken in runs of consecutive nodes.
     For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
     of ``q`` the run covers, and ``blocks`` is one list of (orders,
-    stack) pairs, one per diagonal block, ordered by ``modes`` and then
-    by `_block_orders`; stack[k] is the block's matrix at node
-    q[nodes][k].  Orders outside every block do not couple (or, at the
+    block) pairs, one per diagonal block, ordered by ``modes`` and then
+    by `_block_orders`.  A block is a stack, stack[k] the block's matrix
+    at node q[nodes][k], or, in a run of one node, a 2-d factor F with
+    the block's matrix N = F^T F (`logdet_one_minus` with ``factored``
+    takes either).  Orders outside every block do not couple (or, at the
     knife edge, do not take part).  The determinant of 1 - N over a
     mode is the product over its blocks, and truncating at order nu
     keeps each block's leading orders up to nu.  The blocks are the
     kernel up to the S of the module docstring.
 
-    On a ladder of several rungs a zero-tilt block holds only its orders
-    up to the smallest rung that holds every order whose diagonal entry
-    is not below 2^-54 at that node (`_rows_factored`); the module
-    docstring shows that the orders left out change no rung beyond
-    rounding, and truncating at a higher rung keeps the whole shortened
-    block.  A node whose tables are not finite keeps the whole block.
-    Runs never mix nodes whose blocks hold different orders, and a run
-    holds as many nodes as keep its largest block's stack within
-    _RUN_BYTES, so small blocks, as in the Matsubara sum, are factored
-    many nodes per call.  Under the rank cut of the module docstring a
-    run holds one node, and each block comes as (None, grams): the
-    block's log det(1 - N) at rung orders[j] is log det(1 - grams[j]).
-    What does not depend on the node is computed once for the series:
-    the zero-tilt element table and each block's Hankel view of it, and,
-    at positive radius, each mode's half-logs over all nodes.  At zero
-    tilt a run's stack is built from the block's view; at tilt
-    each node's matrix is written into its slot of the run's buffer, and
-    at positive radius the element matrix is built once per node for
-    all modes.
+    On a ladder of several rungs a zero-tilt block, and a block of the
+    tilted knife edge, holds only its orders up to the smallest rung
+    that holds every order whose diagonal entry is not below 2^-54 at
+    that node (`_smallest_rungs`); the module docstring shows that the
+    orders left out change no rung beyond rounding, and truncating at a
+    higher rung keeps the whole shortened block.  A node whose tables
+    are not finite keeps the whole block, and a nonfinite column of a
+    factor counts as live.  Runs never mix nodes whose blocks hold
+    different orders, and a run holds as many nodes as keep its largest
+    block's stack within _RUN_BYTES, so small blocks, as in the
+    Matsubara sum, are factored many nodes per call.  Under the rank
+    cut of the module docstring, and at the tilted knife edge, a run
+    holds one node and each block comes as its factor: Y of r rows, or
+    F = sqrt(e^-w / pi) V^T of the parity Gram's factor V.  What does
+    not depend on the node is computed once for the series: the
+    zero-tilt element table and each block's Hankel view of it, and, at
+    positive radius, each mode's half-logs over all nodes.  At zero tilt
+    a run's stack is built from the block's view; for the tilted body
+    each node's matrix is written into its slot of the run's buffer,
+    and the element matrix is built once per node for all modes.
 
     This is the only place the four constructions (knife or body,
     tilted or not) are chosen; `build_kernel` scatters the blocks into
@@ -337,6 +375,9 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
         half = None if knife else _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
         layout += [(idx, _by_pair(table, idx) if untilted else None, half)
                    for idx in _block_orders(geom, nu_max, mode)]
+    if knife and not untilted:
+        yield from _knife_factor_runs(geom, q, orders, [idx for idx, *_ in layout])
+        return
     # rows[k, b]: the leading rows of block b built and factored at node k.
     rows = np.empty((q.size, len(layout)), dtype=int)
     for b, (idx, _, half) in enumerate(layout):
@@ -354,7 +395,7 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
             if ranked:
                 yield from _rank_cut_runs(kept, table, nodes, orders)
                 continue
-            if knife and untilted:
+            if knife:
                 blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]))
                           for idx, pairs, _ in kept]
             elif untilted:
@@ -365,23 +406,33 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
                 blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
                           for idx, *_ in kept]
                 for k, i in enumerate(range(lo, nodes.stop)):
-                    if not knife:
-                        sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
-                    for (idx, _, half), (_, stack) in zip(kept, blocks):
-                        if knife:
-                            G, w = _gram(q[i], geom.d, geom.theta, nu_max,
-                                         start=int(idx[0]), step=2)
-                            _knife_block_from_gram(G, w, stack[k])
-                        else:
-                            _body_block_tilted(half[:, i], sT, lT, stack[k])
+                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
+                    for (_, _, half), (_, stack) in zip(kept, blocks):
+                        _body_block_tilted(half[:, i], sT, lT, stack[k])
             yield nodes, blocks
+
+
+def _knife_factor_runs(geom: Geometry, q: np.ndarray, orders: np.ndarray, layout: list):
+    """One-node runs of `kernel_blocks` at the tilted knife edge: the
+    block over each orders ``idx`` of ``layout`` comes as its factor F
+    (N = F^T F) from the parity Gram's factor, cut to the smallest rung
+    holding every order whose diagonal entry N_aa = |F_a|^2 is not below
+    _NEGLIGIBLE."""
+    nu_max = int(orders.max())
+    for i in range(q.size):
+        blocks = []
+        for idx in layout:
+            V, w = _gram(q[i], geom.d, geom.theta, nu_max, start=int(idx[0]), step=2)
+            factor = _knife_block_from_gram(V, w)
+            rows = _smallest_rungs(idx, orders, np.einsum("ij,ij->j", factor, factor)[None])[0]
+            blocks.append((idx[:rows], factor[:, :rows]))
+        yield slice(i, i + 1), blocks
 
 
 def _rank_cut_runs(kept: list, table: np.ndarray, nodes: slice, orders: np.ndarray):
     """One-node runs of `kernel_blocks` under the rank cut: each block is
     factored for all ``nodes`` at once by `_pivoted_factors`, and each
-    node yields (None, grams) per block, grams[j] being the exactly
-    symmetric Gram of its factor's columns up to order orders[j]."""
+    node yields (orders, Y) per block, its factor Y of shape (r, n)."""
     per_block = []
     for idx, pairs, half in kept:
         hs = None if half is None else half[idx, nodes].T
@@ -392,15 +443,10 @@ def _rank_cut_runs(kept: list, table: np.ndarray, nodes: slice, orders: np.ndarr
                 return _knife_block_from_k(entries)
             return _body_block_theta0(hs[k], hs[k, p][:, None], entries[:, :, None])[:, :, 0]
 
-        cuts = np.searchsorted(idx, orders, side="right")
         diag = _block_diagonal(idx, table[nodes], None if half is None else half[:, nodes])
-        grams = []
-        for y in _pivoted_factors(diag, column):
-            sums = np.cumsum([s @ s.T for s in np.split(y, cuts, axis=1)[:cuts.size]], axis=0)
-            grams.append(0.5 * (sums + sums.transpose(0, 2, 1)))
-        per_block.append(grams)
+        per_block.append(_pivoted_factors(diag, column))
     for k, i in enumerate(range(nodes.start, nodes.stop)):
-        yield slice(i, i + 1), [(None, grams[k]) for grams in per_block]
+        yield slice(i, i + 1), [(idx, ys[k]) for (idx, *_), ys in zip(kept, per_block)]
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):
@@ -422,9 +468,9 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     _, blocks = next(kernel_blocks(geom, q, nu_max, (mode,)))
     orders = np.sort(np.concatenate([np.arange(0)] + [idx for idx, _ in blocks]))
     entries = np.zeros((orders.size, orders.size))
-    for idx, stack in blocks:
+    for idx, block in blocks:
         sel = np.searchsorted(orders, idx)
-        entries[np.ix_(sel, sel)] = stack[0]
+        entries[np.ix_(sel, sel)] = block.T @ block if block.ndim == 2 else block[0]
     if not np.all(np.isfinite(entries)):
         raise PhysicalRegimeError(
             "kernel entries overflowed; the balanced gauge does not cover "
@@ -432,37 +478,31 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     return entries, orders
 
 
-def _cholesky_ladders(m: np.ndarray, head: np.ndarray, stacked: bool) -> np.ndarray:
+def _cholesky_ladders(m: np.ndarray):
     """log det of every leading block of each symmetric matrix m[j].
 
-    Row j of the result holds the ladder of m[j]; its entry s belongs to
-    the leading s x s block, since the Cholesky factor of a leading
-    block is the leading block of the factor, so one factorization
-    serves them all.  Each matrix is overwritten by its factor, and the
-    diagonals are read from the factored stack as one strided view.
-    ``head`` holds the N that each m = 1 - N was formed from; it is read
-    only when a factorization fails, to tell an overflowed kernel from a
-    loss of positivity.
+    Returns ``(ladders, failed)``.  Row j of ``ladders`` holds the
+    ladder of m[j]; its entry s belongs to the leading s x s block,
+    since the Cholesky factor of a leading block is the leading block of
+    the factor, so one factorization serves them all.  Each matrix, a
+    C-ordered stack whose transposes LAPACK works on in place, is read
+    in the lower triangle of m[j].T (the upper of m[j]) and overwritten
+    by its factor, and the diagonals are read from the factored stack as
+    one strided view.  ``failed`` is None, or (j, info) of the first
+    matrix whose leading minor of order info is not positive, and then
+    ``ladders`` is None.
     """
     run, n = m.shape[:2]
     for j in range(run):
-        # m[j] is exactly symmetric and C-ordered, so its transpose is the
-        # same matrix in Fortran order and LAPACK works on it in place.
         _, info = lapack.dpotrf(m[j].T, lower=True, clean=False, overwrite_a=True)
         if info > 0:
-            if not np.all(np.isfinite(head[j, :info, :info])):
-                raise PhysicalRegimeError("kernel contains nonfinite entries")
-            where = f"matrix {j} of the stack: " if stacked else ""
-            raise PhysicalRegimeError(
-                f"1 - N is not positive definite: {where}its leading minor of "
-                f"order {info} (of {n}) is not positive; increase quadrature "
-                "resolution or check the geometry")
+            return None, (j, info)
     ladders = np.zeros((run, n + 1))
     np.cumsum(2.0 * np.log(np.diagonal(m, axis1=1, axis2=2)), axis=1, out=ladders[:, 1:])
-    return ladders
+    return ladders, None
 
 
-def logdet_one_minus(kernel: np.ndarray, sizes=None):
+def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     """log det(1 - N) of a symmetric kernel, with an explicit positivity check.
 
     ``kernel`` is one square matrix or a stack of them, of shape
@@ -490,10 +530,17 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None):
     small diagonal entry: [[0, .5], [.5, 0]] gives log 0.75.  That cut
     is made in `kernel_blocks`, whose zero-tilt blocks are positive
     semidefinite.
+
+    With ``factored``, ``kernel`` is instead one block's factor F, of
+    shape (k, n), as `kernel_blocks` yields it: N = F^T F, and a size s
+    keeps F's leading s columns.  Its log-determinants are taken on F's
+    smaller side by `_factor_logdets`, with no dense N formed.
     """
     entries = np.asarray(kernel)
     stacked = entries.ndim == 3
-    if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
+    if factored and entries.ndim != 2:
+        raise DomainError("expected a factor of shape (k, n)")
+    if not factored and (entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]):
         raise DomainError("expected a square matrix or a stack of them")
     n = entries.shape[-1]
     want = [n] if sizes is None else list(sizes)
@@ -502,6 +549,10 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None):
     want = np.asarray(want, dtype=int)
     if np.any(want < 0) or np.any(want > n):
         raise DomainError(f"block sizes must lie in [0, {n}]")
+    if factored:
+        cuts, where = np.unique(want, return_inverse=True)
+        out = _factor_logdets(entries, cuts)[where]
+        return float(out[0]) if sizes is None else out
     top = int(want.max(initial=0))
     head = (entries if stacked else entries[None])[:, :top, :top]
     run = head.shape[0]
@@ -515,10 +566,73 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None):
         j = int(np.argmin(np.all(m == m.transpose(0, 2, 1), axis=(1, 2))))
         where = f"matrix {j} of the stack" if stacked else "the matrix"
         raise DomainError(f"the kernel must be exactly symmetric: {where} is not")
-    out = _cholesky_ladders(m, head, stacked)[:, want]
+    # m is exactly symmetric, so the triangle LAPACK reads is the matrix.
+    ladders, failed = _cholesky_ladders(m)
+    if failed is not None:
+        j, info = failed
+        if not np.all(np.isfinite(head[j, :info, :info])):
+            raise PhysicalRegimeError("kernel contains nonfinite entries")
+        where = f"matrix {j} of the stack: " if stacked else ""
+        raise _PivotFailure(
+            f"1 - N is not positive definite: {where}its leading minor of "
+            f"order {info} (of {top}) is not positive; increase quadrature "
+            "resolution or check the geometry", j, info, "minor")
+    out = ladders[:, want]
     # A nonfinite entry of the factored head reaches the top rung.
     if not np.all(np.isfinite(out)):
         raise PhysicalRegimeError("kernel contains nonfinite entries")
     if stacked:
         return out[:, 0] if sizes is None else out
     return float(out[0, 0]) if sizes is None else out[0]
+
+
+def _factor_logdets(factor: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """log det(1 - F^T F) of a block given by its factor, one value per
+    leading column count in ``cuts`` (increasing, at most n), for
+    `logdet_one_minus`.
+
+    ``factor`` is F, of shape (k, n) for a block of n orders, as
+    `kernel_blocks` yields it under the rank cut (Y, k = r) and at the
+    tilted knife edge (k = 2U).  The log-determinant is taken on F's
+    smaller side.  With k < n, by Sylvester's identity, value j is
+    log det(1 - F_j F_j^T) of the k x k Gram matrix of the leading
+    cuts[j] columns F_j, the Grams built as partial sums between cuts,
+    made exactly symmetric and factored by `logdet_one_minus`.
+    Otherwise one dsyrk writes 1 - F^T F over the largest cut into one
+    triangle of an identity, symmetric by construction, and one Cholesky
+    factorization in place serves every cut.  A failure raises
+    `_PivotFailure`: "nonfinite" at F's first column holding a
+    nonfinite entry, else "minor" at the leading minor that is not
+    positive, or "gram" at the first cut whose Gram has an eigenvalue of
+    at least one.
+    """
+    k, n = factor.shape
+    top = int(cuts.max(initial=0))
+    failed = (top, "nonfinite", "kernel contains nonfinite entries")
+    if k < n:
+        sums = np.cumsum([s @ s.T for s in np.split(factor, cuts, axis=1)[:cuts.size]], axis=0)
+        try:
+            return logdet_one_minus(0.5 * (sums + sums.transpose(0, 2, 1)))
+        except _PivotFailure as err:
+            failed = (int(cuts[err.matrix]), "gram", "1 - N is not positive definite: a Gram "
+                      "matrix of its factor has an eigenvalue of at least one")
+        except PhysicalRegimeError:
+            pass
+    else:
+        # F's columns are contiguous, so dsyrk reads F in place, and m[0].T
+        # is the identity in Fortran order, which it overwrites.
+        m = np.identity(top)[None]
+        if top:
+            blas.dsyrk(-1.0, factor[:, :top], beta=1.0, c=m[0].T, trans=1, lower=1,
+                       overwrite_c=1)
+        ladders, stop = _cholesky_ladders(m)
+        if stop is None and np.isfinite(ladders[0, -1]):
+            return ladders[0, cuts]
+        if stop is not None:
+            failed = (stop[1], "minor", "1 - N is not positive definite: its leading minor "
+                      f"of order {stop[1]} (of {top}) is not positive")
+    bad = np.flatnonzero(~np.all(np.isfinite(factor[:, :top]), axis=0))
+    if bad.size:
+        failed = (int(bad[0]) + 1, "nonfinite", "kernel contains nonfinite entries")
+    rows, kind, message = failed
+    raise _PivotFailure(message, 0, rows, kind)

@@ -30,8 +30,8 @@ factorial growth lives in the scattering amplitudes and cancels inside
 the symmetrized kernel, so neither side ever forms it explicitly.
 
 The kernel reads zero-tilt elements from the Bateman table; this module
-builds the tilted ones as one Gram matrix, `_gram`, and its sign/log form
-`tilted_matrix_log`.  The single-element oracles live in `testing`.
+builds the tilted ones from one Gram matrix, given by its real factor
+(`_gram`), and the Gram's sign/log form `tilted_matrix_log`.  The single-element oracles live in `testing`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _u_grid(w: float, node_count: int = 16):
 
 def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
           start: int = 0, step: int = 1):
-    """Half-line Gram matrix of the tilted element integrand.
+    """Real factor V of the half-line Gram matrix G = V V^T of the
+    tilted element integrand.
 
     G[i, j] = Re Integral_0^inf du e^{-w (cosh u - 1)}
               t^n conj(t)^n2 / |cos((theta - i u)/2)|^2,
@@ -94,11 +95,13 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     With the square root of the positive weight folded into the powers,
     P[i, u] = sqrt(weight(u)) t(u)^n_i, G is the real part of P P^H.
     P is laid out order-major, one row per order, so its float64 view
-    V = P.view(float64) holds each row's real and imaginary parts
-    interleaved, and G = V V^T is a single symmetric rank-k product
-    (BLAS syrk) with no copy of the real and imaginary parts.  G is
-    therefore positive semidefinite by construction, and exactly
-    symmetric in floating point (numpy mirrors the triangle syrk fills).
+    V = P.view(float64), of shape (orders, 2U) for U u-nodes, holds each
+    row's real and imaginary parts interleaved, and G = V V^T.  G is
+    therefore positive semidefinite by construction.  V is returned
+    rather than G: `tilted_matrix_log` forms G as one symmetric rank-k
+    product (BLAS syrk, exactly symmetric in floating point since numpy
+    mirrors the triangle syrk fills), and the tilted knife edge takes
+    its log-determinants from V itself (`roundtrip`).
 
     The powers are built by doubling: with the first s rows filled,
     rows s .. 2s-1 are those rows times z^s, z = t^step, and z^s comes
@@ -109,7 +112,7 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     complex logarithm (and hence no branch choice) is ever taken;
     |t| <= 1 for |theta| <= pi/2, so the powers cannot overflow.
 
-    Returns (G, w).
+    Returns (V, w).
     """
     w = 2.0 * q * d
     u, wq = _u_grid(w, node_count)
@@ -126,8 +129,7 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
         np.multiply(P[:more], z, out=P[filled:filled + more])
         filled += more
         z = z * z
-    V = P.view(np.float64)
-    return V @ V.T, w
+    return P.view(np.float64), w
 
 
 def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):
@@ -141,7 +143,8 @@ def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):
 
     Returns ``(sign, logmag)`` arrays of shape (nu_max+1, nu_max+1).
     """
-    G, w = _gram(q, d, theta, nu_max)
+    V, w = _gram(q, d, theta, nu_max)
+    G = V @ V.T
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(G)) - w - 0.5 * math.log(2.0 * math.pi)
     return np.sign(G), logs

@@ -500,10 +500,12 @@ class TestLadderAgainstLU:
 
 
 class TestKernelBlockStream:
-    """Each run of `kernel_blocks` is one flat list of (orders, stack)
+    """Each run of `kernel_blocks` is one flat list of (orders, block)
     pairs, laid out by `_block_orders` mode after mode, for all four
-    constructions.  Every block is bitwise symmetric, so the ladder
-    above factors each with one Cholesky rather than one LU per rung."""
+    constructions.  Every stack is bitwise symmetric, so the ladder
+    above factors each with one Cholesky rather than one LU per rung; at
+    the tilted knife edge each one-node block comes as its factor F,
+    and F^T F is `build_kernel`'s block."""
 
     @pytest.mark.parametrize("modes", [tuple(BoundaryMode), (BoundaryMode.DIRICHLET,),
                                        (BoundaryMode.NEUMANN,)],
@@ -514,13 +516,19 @@ class TestKernelBlockStream:
                              ids=["knife-0", "knife-85", "body-0", "body-0.3"])
     def test_blocks_follow_layout_and_equal_their_transpose(self, geom, per_mode, modes):
         q = np.geomspace(0.02, 200.0, 9)
-        layout = [idx for mode in modes for idx in _block_orders(geom, 60, mode)]
+        layout = [(mode, idx) for mode in modes for idx in _block_orders(geom, 60, mode)]
         assert len(layout) == per_mode * len(modes)
         covered = 0
         for nodes, blocks in kernel_blocks(geom, q, 60, modes):
-            assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for idx in layout]
+            assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for _, idx in layout]
             run = nodes.stop - nodes.start
-            for idx, stack in blocks:
+            for (mode, _), (idx, stack) in zip(layout, blocks):
+                if stack.ndim == 2:
+                    assert run == 1 and stack.shape[1] == idx.size
+                    entries, kept = build_kernel(geom, q[nodes.start], 60, mode)
+                    assert np.array_equal(kept, idx)
+                    assert np.array_equal(stack.T @ stack, entries)
+                    continue
                 assert stack.shape == (run, idx.size, idx.size)
                 for k, entries in enumerate(stack):
                     assert np.array_equal(entries, entries.T), (idx[0], k)

@@ -177,14 +177,14 @@ class TestRankCut:
                 sel = np.searchsorted(kept, idx)
                 block = full[np.ix_(sel, sel)]
                 dense = logdet_one_minus(block, np.searchsorted(idx, self.ORDERS, side="right"))
-                if cut_idx is None:
+                cuts = np.searchsorted(cut_idx, self.ORDERS, side="right")
+                if stack.ndim == 2:
                     ranked += 1
-                    assert stack.shape[-1] < 64
-                    got = logdet_one_minus(stack)
+                    assert stack.shape[0] < 64
+                    got = logdet_one_minus(stack, cuts, factored=True)
                 else:
                     assert cut_idx.size <= _RANK_FROM
-                    got = logdet_one_minus(stack, np.searchsorted(cut_idx, self.ORDERS,
-                                                                  side="right"))[0]
+                    got = logdet_one_minus(stack, cuts)[0]
                 tau = max(1e-15, idx.size * np.finfo(float).eps * block.diagonal().max())
                 bound = tau / (1.0 - np.linalg.eigvalsh(block)[-1])
                 assert np.all(np.abs(got - dense) <= bound + 1e-13), (mode, idx[0])
@@ -216,6 +216,94 @@ class TestRankCut:
         with pytest.raises(PhysicalRegimeError, match="at x = 0.001: ") as info:
             _g_series(Geometry(1.0, 0.1), np.array([1e-3]), self.ORDERS, "dirichlet")
         assert "order" not in str(info.value)
+
+
+class TestTiltedFactor:
+    """At the tilted knife edge each node's block comes as its factor F,
+    N = F^T F, cut on a ladder to the smallest rung holding every order
+    with |F_a|^2 >= 2^-54, and its rungs come from one syrk and one
+    Cholesky factorization (`logdet_one_minus` with ``factored``)."""
+
+    ORDERS = [100, 200, 400, 800]
+
+    @pytest.mark.parametrize("deg", [80.0, 85.0, 88.0])
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 3.0])
+    def test_rungs_match_dense_cholesky(self, deg, x):
+        # The rung cut's bound (module docstring): the orders left out move
+        # the log det by at most sum N_jj (1 + tr N / (1 - lambda_max)).
+        # 1e-13 more allows for the rounding of the two routes.
+        geom = Geometry(0.0, 1.0, math.radians(deg))
+        for mode in BoundaryMode:
+            got = _g_series(geom, np.array([x]), self.ORDERS, mode.value)[:, 0]
+            (_, [(cut_idx, factor)]), = kernel_blocks(geom, np.array([x]), self.ORDERS, (mode,))
+            block, idx = build_kernel(geom, x, self.ORDERS[-1], mode)
+            assert np.array_equal(cut_idx, idx[:cut_idx.size])
+            dense = logdet_one_minus(block, np.searchsorted(idx, self.ORDERS, side="right"))
+            eig = np.linalg.eigvalsh(block)[-1]
+            dropped = block.diagonal()[cut_idx.size:]
+            assert np.all(dropped < 2.0 ** -54)
+            bound = dropped.sum() * (1.0 + block.trace() / (1.0 - eig))
+            assert np.all(np.abs(got - dense) <= bound + 1e-13), mode
+
+    def test_block_at_large_frequency_stops_below_the_top_rung(self):
+        geom = Geometry(0.0, 1.0, math.radians(85.0))
+        (_, blocks), = kernel_blocks(geom, np.array([3.0]), self.ORDERS, tuple(BoundaryMode))
+        assert [factor.ndim for _, factor in blocks] == [2, 2]
+        assert all(idx.size < 401 and factor.shape[1] == idx.size for idx, factor in blocks)
+
+    def test_nonfinite_factor_names_node_and_order(self, monkeypatch):
+        gram = roundtrip_module._gram
+
+        def spoiled(*args, **kwargs):
+            V, w = gram(*args, **kwargs)
+            V[300, 5] = math.nan
+            return V, w
+
+        monkeypatch.setattr(roundtrip_module, "_gram", spoiled)
+        with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
+            _g_series(Geometry(0.0, 1.0, math.radians(85.0)), np.array([0.3]), self.ORDERS,
+                      "dirichlet")
+        assert "at x = 0.3, partial-wave order 600" in str(info.value)
+
+    def test_loss_of_positivity_names_node_and_order(self, monkeypatch):
+        # Doubling the factor quadruples N; the order named is the one whose
+        # leading block of 1 - 4 N first has a nonpositive eigenvalue.
+        geom, x = Geometry(0.0, 1.0, math.radians(85.0)), 0.4
+        gram = roundtrip_module._gram
+        monkeypatch.setattr(roundtrip_module, "_gram",
+                            lambda *args, **kwargs: (2.0 * gram(*args, **kwargs)[0],
+                                                     gram(*args, **kwargs)[1]))
+        block, idx = build_kernel(geom, x, 100, BoundaryMode.NEUMANN)
+        first = next(s for s in range(1, idx.size + 1)
+                     if np.linalg.eigvalsh(np.eye(s) - block[:s, :s])[0] <= 0.0)
+        assert idx[first - 1] == 3
+        with pytest.raises(PhysicalRegimeError, match="at x = 0.4: ") as info:
+            _g_series(geom, np.array([x]), [25, 50, 100], "neumann")
+        assert f"positivity is lost at partial-wave order {idx[first - 1]};" in str(info.value)
+
+    def test_dense_loss_of_positivity_names_node_and_order(self, monkeypatch):
+        # R = 1, H = 0.1 blocks scaled by 4 keep at most 101 orders on this
+        # ladder, so they are factored dense, a run of nodes at a time: here
+        # x = 0.8 and 0.5 in one run, where only the second fails.
+        geom, orders = Geometry(1.0, 0.1), [25, 50, 100, 200]
+        half_logs = roundtrip_module._body_half_logs
+        monkeypatch.setattr(roundtrip_module, "_body_half_logs",
+                            lambda *args: half_logs(*args) + 0.5 * math.log(4.0))
+        x = 0.5
+        block, idx = build_kernel(geom, x / geom.H, orders[-1], BoundaryMode.DIRICHLET)
+        even = idx % 2 == 0
+        block, idx = block[np.ix_(even, even)], idx[even]
+        first = next(s for s in range(1, idx.size + 1)
+                     if np.linalg.eigvalsh(np.eye(s) - block[:s, :s])[0] <= 0.0)
+        assert idx[first - 1] == 2
+        runs = [nodes for nodes, _ in kernel_blocks(geom, np.array([0.8, x]) / geom.H, orders,
+                                                     (BoundaryMode.DIRICHLET,))]
+        assert runs == [slice(0, 2)]
+        with pytest.raises(PhysicalRegimeError, match="at x = 0.5: ") as info:
+            _g_series(geom, np.array([0.8, x]), orders, "dirichlet")
+        message = str(info.value)
+        assert f"positivity is lost at partial-wave order {idx[first - 1]};" in message
+        assert "matrix" not in message
 
 
 class TestLogDet:
@@ -360,6 +448,23 @@ class TestLogDet:
                 assert whole[j] == logdet_one_minus(entries)
                 assert np.array_equal(ladder[j],
                                       logdet_one_minus(entries, [0, 2, 5, stack.shape[1]]))
+
+    @pytest.mark.parametrize("shape", [(3, 9), (9, 9), (14, 9)], ids=["gram", "square", "syrk"])
+    def test_factored_matches_dense(self, shape):
+        # A factor is taken on its smaller side; sizes in any order, and
+        # repeated, give what the dense N = F^T F gives.
+        rng = np.random.default_rng(13)
+        factor = rng.normal(size=shape) / 10.0
+        for block in (factor, np.asfortranarray(factor)):
+            sizes = [9, 0, 4, 4, 2]
+            got = logdet_one_minus(block, sizes, factored=True)
+            np.testing.assert_allclose(got, logdet_one_minus(factor.T @ factor, sizes),
+                                       rtol=1e-13, atol=1e-15)
+            assert logdet_one_minus(block, factored=True) == pytest.approx(got[0], rel=1e-15)
+        with pytest.raises(DomainError, match="factor"):
+            logdet_one_minus(np.zeros((2, 3, 3)), factored=True)
+        with pytest.raises(PhysicalRegimeError, match="not positive definite"):
+            logdet_one_minus(10.0 * factor, [2, 9], factored=True)
 
     def test_stack_names_the_matrix_that_loses_positivity(self):
         stack = np.stack([np.diag([0.5, 0.5, 0.5])] * 4)

@@ -140,7 +140,8 @@ class TestParityGram:
         d = 1.0
         # 85 degrees needs more u nodes than the default 16 to reach
         # 1e-12; both sides use the same count.
-        G, w = _gram(q, d, theta, 200, 32, start, 2)
+        V, w = _gram(q, d, theta, 200, 32, start, 2)
+        G = V @ V.T
         assert G.shape == (101 - start, 101 - start)
         assert np.array_equal(G, G.T)
         scale = np.abs(G).max()
@@ -153,9 +154,11 @@ class TestParityGram:
             assert abs(G[a, b] - expected) <= 1e-12 * scale
 
     def test_quarter_is_a_slice_of_the_full_gram(self):
-        full, _ = _gram(0.4, 1.0, 0.7, 60)
+        V, _ = _gram(0.4, 1.0, 0.7, 60)
+        full = V @ V.T
         for start in (0, 1):
-            quarter, _ = _gram(0.4, 1.0, 0.7, 60, start=start, step=2)
+            V, _ = _gram(0.4, 1.0, 0.7, 60, start=start, step=2)
+            quarter = V @ V.T
             np.testing.assert_allclose(quarter, full[start::2, start::2],
                                        rtol=0, atol=1e-14 * np.abs(full).max())
 
@@ -189,7 +192,8 @@ class TestGramProperties:
         start, step = layout
         nu_max = max(nu_max, start)
         q, theta = 10.0 ** log_q, math.radians(theta_deg)
-        G, _ = _gram(q, 1.0, theta, nu_max, start=start, step=step)
+        V, _ = _gram(q, 1.0, theta, nu_max, start=start, step=step)
+        G = V @ V.T
         assert np.array_equal(G, G.T)
         expected = cumprod_gram(q, 1.0, theta, nu_max, start, step)
         diag = np.sqrt(np.diag(expected))
