@@ -22,8 +22,8 @@ with
 
     PYTHONPATH=src python scripts/check_rank_cut.py
 
-It takes about two minutes on one core of a 2-vCPU Xeon and peaks at
-about 300 MB, most of it the dense 3201-order matrices.
+It takes about 80 s on one core of a 2-vCPU Xeon and peaks at about
+300 MB, most of it the dense 3201-order matrices.
 """
 
 import collections

@@ -42,9 +42,10 @@ tilted knife edge, where N_aa is the squared norm of F's column a.  On
 a ladder of one rung (`build_kernel`) no order is left out, and the
 tilted body's blocks, built from the Gram's sign/log form, stay whole;
 `logdet_one_minus`, which takes any symmetric N, cuts nothing.  It
-takes a factor's log-determinants on its smaller side: from one syrk
+takes a factor's log-determinants on its cheaper side: from one syrk
 that writes 1 - F^T F and one Cholesky factorization for all rungs,
-or, with fewer rows than orders, from the Gram matrices of F's rows.
+or, with less than a third as many rows as orders (the rank cut), from
+the Gram matrices of F's rows.
 
 The rung cut.  By its Schur complement, an order j whose diagonal
 entry lies below 2^-54 moves the exact log det by about
@@ -106,13 +107,12 @@ class PhysicalRegimeError(ArithmeticError):
 
 
 class _PivotFailure(PhysicalRegimeError):
-    """A factorization of matrix ``matrix`` of a stack that stopped
-    within the leading ``rows`` orders of its block: ``kind`` is
-    "minor" (the leading minor of that order is not positive),
-    "nonfinite" (the factor's first nonfinite column) or "gram" (the
-    Gram matrix of a factor's leading ``rows`` columns has an eigenvalue
-    of at least one).  `energy._g_series` names the frequency node and
-    the partial-wave order from these."""
+    """The factorization of matrix ``matrix`` of a stack failed within
+    its block's leading ``rows`` orders, by ``kind``: "minor" (that
+    leading minor is not positive), "nonfinite" (a factor's first
+    nonfinite column) or "gram" (the Gram of a factor's leading ``rows``
+    columns has an eigenvalue of at least one).  `energy._g_series`
+    names the node and the partial-wave order from these."""
 
     def __init__(self, message: str, matrix: int, rows: int, kind: str):
         super().__init__(message)
@@ -301,17 +301,17 @@ def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
     finite = np.all(np.isfinite(table), axis=1)
     if half is not None:
         finite &= np.all(np.isfinite(half), axis=0)
-    return _smallest_rungs(idx, orders, _block_diagonal(idx, table, half), ~finite[:, None])
+    diag = np.where(finite[:, None], _block_diagonal(idx, table, half), np.inf)
+    return _smallest_rungs(idx, orders, diag)
 
 
-def _smallest_rungs(idx: np.ndarray, orders: np.ndarray, diag: np.ndarray, whole=False):
+def _smallest_rungs(idx: np.ndarray, orders: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Per row of ``diag`` (a block's diagonal over its orders ``idx``,
     one row per node): the smallest rung searchsorted(idx, orders,
     side="right") holding every order whose entry is not below
-    _NEGLIGIBLE (NaN and inf count), or the whole block where ``whole``
-    (a bool, or one per row) is set."""
+    _NEGLIGIBLE (NaN and inf count)."""
     rungs = np.unique(np.searchsorted(idx, orders, side="right"))
-    live = ~(diag < _NEGLIGIBLE) | whole
+    live = ~(diag < _NEGLIGIBLE)
     last = np.where(live.any(axis=1), idx.size - np.argmax(live[:, ::-1], axis=1), 0)
     return rungs[np.searchsorted(rungs, last)]
 
@@ -534,7 +534,7 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     With ``factored``, ``kernel`` is instead one block's factor F, of
     shape (k, n), as `kernel_blocks` yields it: N = F^T F, and a size s
     keeps F's leading s columns.  Its log-determinants are taken on F's
-    smaller side by `_factor_logdets`, with no dense N formed.
+    cheaper side by `_factor_logdets`, with no dense N formed.
     """
     entries = np.asarray(kernel)
     stacked = entries.ndim == 3
@@ -551,7 +551,7 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
         raise DomainError(f"block sizes must lie in [0, {n}]")
     if factored:
         cuts, where = np.unique(want, return_inverse=True)
-        out = _factor_logdets(entries, cuts)[where]
+        out = _factor_logdets(entries, cuts)[where] if want.size else np.zeros(0)
         return float(out[0]) if sizes is None else out
     top = int(want.max(initial=0))
     head = (entries if stacked else entries[None])[:, :top, :top]
@@ -587,29 +587,26 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
 
 
 def _factor_logdets(factor: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """log det(1 - F^T F) of a block given by its factor, one value per
-    leading column count in ``cuts`` (increasing, at most n), for
+    """log det(1 - F^T F) at each of the increasing leading column
+    counts ``cuts`` of a block's factor F, of shape (k, n), for
     `logdet_one_minus`.
 
-    ``factor`` is F, of shape (k, n) for a block of n orders, as
-    `kernel_blocks` yields it under the rank cut (Y, k = r) and at the
-    tilted knife edge (k = 2U).  The log-determinant is taken on F's
-    smaller side.  With k < n, by Sylvester's identity, value j is
-    log det(1 - F_j F_j^T) of the k x k Gram matrix of the leading
-    cuts[j] columns F_j, the Grams built as partial sums between cuts,
-    made exactly symmetric and factored by `logdet_one_minus`.
-    Otherwise one dsyrk writes 1 - F^T F over the largest cut into one
-    triangle of an identity, symmetric by construction, and one Cholesky
-    factorization in place serves every cut.  A failure raises
-    `_PivotFailure`: "nonfinite" at F's first column holding a
-    nonfinite entry, else "minor" at the leading minor that is not
-    positive, or "gram" at the first cut whose Gram has an eigenvalue of
-    at least one.
+    F is taken on its cheaper side.  With 3k < n (the rank cut's Y), by
+    Sylvester's identity value j is log det(1 - G_j) of the k x k Gram
+    G_j of F's leading cuts[j] columns, built as partial sums between
+    cuts and made exactly symmetric.  Otherwise one dsyrk writes
+    1 - F^T F into one triangle of an identity, and one Cholesky
+    factorization in place serves every cut.  The Grams cost about
+    2 k^2 n + k^3 / 3 per cut, the single factorization n^2 k + n^3 / 3,
+    and with one BLAS thread the two take the same time from about
+    k = n / 3 (k = 120 to 150 at n = 401, 300 at n = 801).  A failure raises
+    `_PivotFailure` at F's first nonfinite column, else at the leading
+    minor, or the first cut's Gram, that is not positive definite.
     """
     k, n = factor.shape
     top = int(cuts.max(initial=0))
     failed = (top, "nonfinite", "kernel contains nonfinite entries")
-    if k < n:
+    if 3 * k < n:
         sums = np.cumsum([s @ s.T for s in np.split(factor, cuts, axis=1)[:cuts.size]], axis=0)
         try:
             return logdet_one_minus(0.5 * (sums + sums.transpose(0, 2, 1)))

@@ -449,10 +449,11 @@ class TestLogDet:
                 assert np.array_equal(ladder[j],
                                       logdet_one_minus(entries, [0, 2, 5, stack.shape[1]]))
 
-    @pytest.mark.parametrize("shape", [(3, 9), (9, 9), (14, 9)], ids=["gram", "square", "syrk"])
+    @pytest.mark.parametrize("shape", [(2, 9), (5, 9), (14, 9)], ids=["gram", "wide", "tall"])
     def test_factored_matches_dense(self, shape):
-        # A factor is taken on its smaller side; sizes in any order, and
-        # repeated, give what the dense N = F^T F gives.
+        # A factor is taken on its cheaper side, the k x k Grams only below
+        # k = n / 3; sizes in any order, and repeated, give what the dense
+        # N = F^T F gives.
         rng = np.random.default_rng(13)
         factor = rng.normal(size=shape) / 10.0
         for block in (factor, np.asfortranarray(factor)):
@@ -461,6 +462,7 @@ class TestLogDet:
             np.testing.assert_allclose(got, logdet_one_minus(factor.T @ factor, sizes),
                                        rtol=1e-13, atol=1e-15)
             assert logdet_one_minus(block, factored=True) == pytest.approx(got[0], rel=1e-15)
+            assert logdet_one_minus(block, [], factored=True).shape == (0,)
         with pytest.raises(DomainError, match="factor"):
             logdet_one_minus(np.zeros((2, 3, 3)), factored=True)
         with pytest.raises(PhysicalRegimeError, match="not positive definite"):
