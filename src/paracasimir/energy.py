@@ -174,9 +174,8 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     leading blocks, which is exact because entries do not depend on the
     truncation.  Each block, a stack or one node's factor, then yields
     every rung at every node of the run from one `logdet_one_minus`
-    call.
-    `kernel_blocks` may end a node's block at a lower rung, when no
-    order above it can move 1 - N; searching the ladder in the
+    call.  `kernel_blocks` may end a node's block at a lower rung, when
+    no order above it can move 1 - N; searching the ladder in the
     shortened orders then maps every higher rung onto its last.  A loss
     of positivity raises `PhysicalRegimeError` naming the node and the
     partial-wave order where it showed (on the Gram side of a factor,

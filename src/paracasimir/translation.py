@@ -31,7 +31,8 @@ the symmetrized kernel, so neither side ever forms it explicitly.
 
 The kernel reads zero-tilt elements from the Bateman table; this module
 builds the tilted ones from one Gram matrix, given by its real factor
-(`_gram`), and the Gram's sign/log form `tilted_matrix_log`.  The single-element oracles live in `testing`.
+(`_gram`), and the Gram's sign/log form `tilted_matrix_log`.  The
+single-element oracles live in `testing`.
 """
 
 from __future__ import annotations

@@ -270,9 +270,12 @@ class TestTiltedFactor:
         # leading block of 1 - 4 N first has a nonpositive eigenvalue.
         geom, x = Geometry(0.0, 1.0, math.radians(85.0)), 0.4
         gram = roundtrip_module._gram
-        monkeypatch.setattr(roundtrip_module, "_gram",
-                            lambda *args, **kwargs: (2.0 * gram(*args, **kwargs)[0],
-                                                     gram(*args, **kwargs)[1]))
+
+        def doubled(*args, **kwargs):
+            V, w = gram(*args, **kwargs)
+            return 2.0 * V, w
+
+        monkeypatch.setattr(roundtrip_module, "_gram", doubled)
         block, idx = build_kernel(geom, x, 100, BoundaryMode.NEUMANN)
         first = next(s for s in range(1, idx.size + 1)
                      if np.linalg.eigvalsh(np.eye(s) - block[:s, :s])[0] <= 0.0)
