@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._quad import expmap_grid, panel_grid
 from .specfun import DomainError, _check_order
@@ -196,6 +196,74 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     return out
 
 
+def _brentq(f, a: float, b: float) -> float:
+    """Root of f in [a, b] by Brent's method, step for step as scipy's.
+
+    A port of `scipy.optimize.brentq` (its C `brentq` with the wrapper's
+    defaults xtol = 2e-12, rtol = 4 eps, maxiter = 100), so extrapolated
+    values keep their bits without importing scipy.optimize.  An
+    endpoint whose value is zero is returned as is; a NaN value, or
+    endpoints whose values have one sign bit, raise `ValueError`, and
+    no convergence in 100 iterations raises `RuntimeError`.  Where C
+    would divide by zero in the extrapolation step, its comparison with
+    the resulting inf or NaN fails and it bisects; so does this.
+    """
+    xtol, rtol = 2e-12, 4 * sys.float_info.epsilon
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # C's num / 0 is inf or NaN, and either fails the test below.
+            stry = num / den if den != 0.0 else math.inf
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _geometric_limit(n: np.ndarray, v: np.ndarray):
     """Limit of v = v_inf + A rho^n fitted to the last three points."""
     d1, d2 = v[-2] - v[-3], v[-1] - v[-2]
@@ -208,7 +276,7 @@ def _geometric_limit(n: np.ndarray, v: np.ndarray):
     lo, hi = 1e-12, 1.0 - 1e-9
     if not mismatch(lo) * mismatch(hi) < 0:
         return None
-    rho = brentq(mismatch, lo, hi)
+    rho = _brentq(mismatch, lo, hi)
     frac = rho ** h2
     return float(v[-1] + d2 * frac / (1.0 - frac)), rho
 
@@ -225,7 +293,7 @@ def _algebraic_limit(n: np.ndarray, v: np.ndarray):
     lo, hi = 0.05, 16.0
     if not mismatch(lo) * mismatch(hi) < 0:
         return None
-    p = brentq(mismatch, lo, hi)
+    p = _brentq(mismatch, lo, hi)
     # b = -B: the last increment is B (n3^-p - n2^-p).
     b = d2 / (n2 ** -p - n3 ** -p)
     return float(v[-1] + b * n3 ** -p), p
@@ -237,7 +305,11 @@ def extrapolate_numax(series) -> tuple:
     ``series`` is a sequence of at least four (nu_max, value) pairs,
     each order a nonnegative integer given once (else `DomainError`).
     Two tail models are fit to the last three points: geometric,
-    v = v_inf + A rho^n, and algebraic, v = v_inf + B n^(-p).  Whichever model back-predicts the earlier
+    v = v_inf + A rho^n, and algebraic, v = v_inf + B n^(-p), each by
+    solving for rho or p with `_brentq`, the package's port of Brent's
+    bracketed root finder (xtol = 2e-12, rtol = 4 eps, at most 100
+    iterations; bit for bit `scipy.optimize.brentq`, which the package
+    does not import).  Whichever model back-predicts the earlier
     points better supplies the limit; the reported error combines the
     spread between the models with the size of the modeled remainder,
     so disagreement between the tail laws shows up honestly rather

@@ -459,15 +459,24 @@ class TestExitCodes:
 
 
 class TestConsoleScript:
-    def test_module_entry_point(self):
+    @staticmethod
+    def _child(*args):
         # The child imports the package the suite imported, installed or not.
         source = str(Path(paracasimir.__file__).parents[1])
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "paracasimir.cli", "pfa", "--radius", "1"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+    def test_module_entry_point(self):
+        proc = self._child("-m", "paracasimir.cli", "pfa", "--radius", "1")
         assert proc.returncode == 0
         assert "pfa_energy" in proc.stdout
         assert "edge_limited" in proc.stdout
+
+    def test_import_and_extrapolation_leave_scipy_optimize_unloaded(self):
+        proc = self._child("-c", (
+            "import sys, paracasimir, paracasimir.cli\n"
+            "limit, _ = paracasimir.extrapolate_numax([(n, 1 + 0.9 ** n) for n in (8, 16, 32, 64)])\n"
+            "print(round(limit, 6), 'scipy.optimize' in sys.modules)"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1.0", "False"]

@@ -95,6 +95,73 @@ class TestExtrapolation:
         assert math.isfinite(res.extrapolated) and res.extrapolated < 0.0
 
 
+class TestBrentPort:
+    """`energy._brentq` against `scipy.optimize.brentq`, bit for bit."""
+
+    @staticmethod
+    def _agree(f, a, b, port=energy_module._brentq):
+        from scipy.optimize import brentq
+        ours, theirs = port(f, a, b), brentq(f, a, b)
+        assert ours == theirs and math.copysign(1.0, ours) == math.copysign(1.0, theirs)
+        return ours
+
+    @pytest.mark.parametrize("ladder", [(8, 16, 32, 64), (20, 40, 80, 160),
+                                        (100, 200, 400, 800), (100, 150, 200, 300)])
+    def test_mismatch_roots_match_scipy(self, ladder, monkeypatch):
+        solved = []
+
+        def oracle(f, a, b):
+            solved.append(f.__qualname__.split(".")[0])
+            return self._agree(f, a, b)
+
+        monkeypatch.setattr(energy_module, "_brentq", oracle)
+        rng = np.random.default_rng(25)
+        n = np.array(ladder, dtype=float)
+        for _ in range(100):
+            shift, scale = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 1.0)
+            rho = rng.uniform(0.5, 0.999) ** (1.0 / n[0])
+            p = rng.uniform(0.3, 6.0)
+            for v in (shift + scale * rho ** n, shift + scale * n ** -p):
+                try:
+                    extrapolate_numax(zip(ladder, v))
+                except FitRejectedError:
+                    pass
+        assert {"_geometric_limit", "_algebraic_limit"} <= set(solved)
+        assert len(solved) > 100
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_endpoint_returned_as_is(self, zero):
+        assert self._agree(lambda x: zero if x == 0.25 else 1.0, 0.25, 1.0) == 0.25
+        assert self._agree(lambda x: zero if x == 1.0 else -1.0, 0.25, 1.0) == 1.0
+
+    def test_one_signed_bracket_raises(self):
+        # Signs are compared by sign bit: a product would underflow to 0.
+        with pytest.raises(ValueError, match="different signs"):
+            energy_module._brentq(lambda x: 1e-200, 0.0, 1.0)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="is NaN"):
+            energy_module._brentq(lambda x: math.nan if x > 0.4 else -1.0, 0.0, 1.0)
+
+    def test_unsettled_raises_after_100_iterations(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return 1.0 if x > 0.1 else -1.0
+
+        with pytest.raises(RuntimeError, match="after 100 iterations"):
+            energy_module._brentq(step, -1e300, 1e300)
+        assert len(calls) == 102
+
+    def test_zero_extrapolation_denominator_bisects(self):
+        # On values this small dblk * dpre * (fblk - fpre) underflows to
+        # zero, where C divides to inf or NaN and bisects.
+        for f in (lambda x: 1e-200 * (x ** 3 - 0.2), lambda x: 1e-120 * (math.exp(x) - 1.5)):
+            root = self._agree(f, 0.0, 1.0)
+            assert 0.0 < root < 1.0
+
+
 class TestQuadratureSpec:
     @pytest.mark.parametrize(
         "kwargs",
