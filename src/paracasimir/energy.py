@@ -199,14 +199,16 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
 def _brentq(f, a: float, b: float) -> float:
     """Root of f in [a, b] by Brent's method, step for step as scipy's.
 
-    A port of `scipy.optimize.brentq` (its C `brentq` with the wrapper's
-    defaults xtol = 2e-12, rtol = 4 eps, maxiter = 100), so extrapolated
-    values keep their bits without importing scipy.optimize.  An
-    endpoint whose value is zero is returned as is; a NaN value, or
-    endpoints whose values have one sign bit, raise `ValueError`, and
-    no convergence in 100 iterations raises `RuntimeError`.  Where C
-    would divide by zero in the extrapolation step, its comparison with
-    the resulting inf or NaN fails and it bisects; so does this.
+    Brent's bracketed root finder (R. P. Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4), ported from the C
+    `brentq` behind `scipy.optimize.brentq` with the wrapper's defaults
+    xtol = 2e-12, rtol = 4 eps, maxiter = 100, so extrapolated values
+    keep their bits without importing scipy.optimize.  An endpoint
+    whose value is zero is returned as is; a NaN value, or endpoints
+    whose values have one sign bit, raise `ValueError`, and no
+    convergence in 100 iterations raises `RuntimeError`.  Where C would
+    divide by zero in the extrapolation step, its comparison with the
+    resulting inf or NaN fails and it bisects; so does this.
     """
     xtol, rtol = 2e-12, 4 * sys.float_info.epsilon
 

@@ -140,8 +140,10 @@ class TestBrentPort:
             energy_module._brentq(lambda x: 1e-200, 0.0, 1.0)
 
     def test_nan_value_raises(self):
-        with pytest.raises(ValueError, match="is NaN"):
-            energy_module._brentq(lambda x: math.nan if x > 0.4 else -1.0, 0.0, 1.0)
+        for f in (lambda x: math.nan if x > 0.4 else -1.0,  # at an endpoint
+                  lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5):  # at the first step
+            with pytest.raises(ValueError, match="is NaN"):
+                energy_module._brentq(f, 0.0, 1.0)
 
     def test_unsettled_raises_after_100_iterations(self):
         calls = []
