@@ -196,74 +196,28 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     return out
 
 
-def _brentq(f, a: float, b: float) -> float:
-    """Root of f in [a, b] by Brent's method, step for step as scipy's.
+def _bisect(f, lo: float, hi: float):
+    """Root of f in [lo, hi] by bisection, or None without a sign change.
 
-    Brent's bracketed root finder (R. P. Brent, *Algorithms for
-    Minimization Without Derivatives*, 1973, ch. 4), ported from the C
-    `brentq` behind `scipy.optimize.brentq` with the wrapper's defaults
-    xtol = 2e-12, rtol = 4 eps, maxiter = 100, so extrapolated values
-    keep their bits without importing scipy.optimize.  An endpoint
-    whose value is zero is returned as is; a NaN value, or endpoints
-    whose values have one sign bit, raise `ValueError`, and no
-    convergence in 100 iterations raises `RuntimeError`.  Where C would
-    divide by zero in the extrapolation step, its comparison with the
-    resulting inf or NaN fails and it bisects; so does this.
+    The bracket is halved until it is at most 2e-12 + 4 eps |x| wide,
+    x its midpoint, which is returned.  An endpoint where f is zero is
+    returned as is; otherwise the endpoints must differ in the sign bit
+    of f (a product of two tiny values would underflow to zero).
     """
-    xtol, rtol = 2e-12, 4 * sys.float_info.epsilon
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            # C's num / 0 is inf or NaN, and either fails the test below.
-            stry = num / den if den != 0.0 else math.inf
-            limit = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    side = math.copysign(1.0, flo)
+    if side == math.copysign(1.0, fhi):
+        return None
+    while True:
+        mid = (lo + hi) / 2
+        if hi - lo <= 2e-12 + 4 * sys.float_info.epsilon * abs(mid):
+            return mid
+        if math.copysign(1.0, f(mid)) == side:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
+            hi = mid
 
 
 def _geometric_limit(n: np.ndarray, v: np.ndarray):
@@ -275,10 +229,9 @@ def _geometric_limit(n: np.ndarray, v: np.ndarray):
     def mismatch(rho):
         return rho ** h1 * (rho ** h2 - 1.0) / (rho ** h1 - 1.0) - target
 
-    lo, hi = 1e-12, 1.0 - 1e-9
-    if not mismatch(lo) * mismatch(hi) < 0:
+    rho = _bisect(mismatch, 1e-12, 1.0 - 1e-9)
+    if rho is None:
         return None
-    rho = _brentq(mismatch, lo, hi)
     frac = rho ** h2
     return float(v[-1] + d2 * frac / (1.0 - frac)), rho
 
@@ -292,10 +245,9 @@ def _algebraic_limit(n: np.ndarray, v: np.ndarray):
     def mismatch(p):
         return (n1 ** -p - n2 ** -p) / (n2 ** -p - n3 ** -p) - target
 
-    lo, hi = 0.05, 16.0
-    if not mismatch(lo) * mismatch(hi) < 0:
+    p = _bisect(mismatch, 0.05, 16.0)
+    if p is None:
         return None
-    p = _brentq(mismatch, lo, hi)
     # b = -B: the last increment is B (n3^-p - n2^-p).
     b = d2 / (n2 ** -p - n3 ** -p)
     return float(v[-1] + b * n3 ** -p), p
@@ -305,17 +257,17 @@ def extrapolate_numax(series) -> tuple:
     """Estimate the infinite-order limit of a truncation series.
 
     ``series`` is a sequence of at least four (nu_max, value) pairs,
-    each order a nonnegative integer given once (else `DomainError`).
-    Two tail models are fit to the last three points: geometric,
-    v = v_inf + A rho^n, and algebraic, v = v_inf + B n^(-p), each by
-    solving for rho or p with `_brentq`, the package's port of Brent's
-    bracketed root finder (xtol = 2e-12, rtol = 4 eps, at most 100
-    iterations; bit for bit `scipy.optimize.brentq`, which the package
-    does not import).  Whichever model back-predicts the earlier
-    points better supplies the limit; the reported error combines the
-    spread between the models with the size of the modeled remainder,
-    so disagreement between the tail laws shows up honestly rather
-    than being averaged away.
+    each order a nonnegative integer given once and each value finite
+    (else `DomainError`).  Two tail models are fit to the last three
+    points: geometric, v = v_inf + A rho^n, and algebraic,
+    v = v_inf + B n^(-p), each by solving for rho in [1e-12, 1 - 1e-9]
+    or p in [0.05, 16] with `_bisect`, which halves the bracket until it
+    is at most 2e-12 + 4 eps |x| wide; a model whose equation does not
+    change sign there drops out.  Whichever model back-predicts the
+    earlier points better supplies the limit; the reported error
+    combines the spread between the models with the size of the
+    modeled remainder, so disagreement between the tail laws shows up
+    honestly rather than being averaged away.
 
     A series of fewer than two points has no truncation estimate and
     raises `FitRejectedError`; a constant series short-circuits to
@@ -326,6 +278,8 @@ def extrapolate_numax(series) -> tuple:
     pts = sorted((_check_order(n), float(v)) for n, v in series)
     if len({p[0] for p in pts}) < len(pts):
         raise DomainError("each truncation order may be given only once")
+    if not all(math.isfinite(p[1]) for p in pts):
+        raise DomainError("truncation series values must be finite")
     if len(pts) < 2:
         raise FitRejectedError("need at least two orders to estimate the truncation error")
     n = np.array([p[0] for p in pts], dtype=float)
@@ -371,24 +325,25 @@ def _finish(evaluate, spec: QuadratureSpec, orders: list, channel: str) -> Energ
     with the last increment as its error, when the fit is rejected; a
     ladder of one rung has no increment, and its error is infinite) and
     the lowest rung is recomputed with doubled frequency nodes for the
-    quadrature error.  A nonfinite value, or a quadrature error above
-    1e-3 of the value, raises `AccuracyError`: the frequency grid, not
-    the physics, would be setting the answer.
+    quadrature error.  A nonfinite value on any rung or on the check,
+    or a quadrature error above 1e-3 of the value, raises
+    `AccuracyError` before the ladder is extrapolated: the frequency
+    grid, not the physics, would be setting the answer.
     """
     values = evaluate(spec, orders)
     series = [(o, float(val)) for o, val in zip(orders, values)]
     value = float(values[-1])
+    fine = replace(spec, node_count=2 * spec.node_count)
+    check = float(evaluate(fine, orders[:1])[0])
+    quad_error = abs(check - float(values[0]))
+    if not (np.all(np.isfinite(values)) and quad_error <= 1e-3 * max(abs(value), 1e-30)):
+        raise AccuracyError("frequency quadrature did not converge", quad_error)
     try:
         extrapolated, fit_err = extrapolate_numax(series)
         trunc_error = abs(extrapolated - value) + fit_err
     except FitRejectedError:
         extrapolated = value
         trunc_error = abs(values[-1] - values[-2]) if len(values) > 1 else math.inf
-    fine = replace(spec, node_count=2 * spec.node_count)
-    check = float(evaluate(fine, orders[:1])[0])
-    quad_error = abs(check - float(values[0]))
-    if not math.isfinite(value) or quad_error > 1e-3 * max(abs(value), 1e-30):
-        raise AccuracyError("frequency quadrature did not converge", quad_error)
     return EnergyResult(value, series, float(extrapolated), float(trunc_error),
                         quad_error, channel)
 

@@ -64,6 +64,22 @@ class TestExtrapolation:
         with pytest.raises(FitRejectedError):
             extrapolate_numax(series)
 
+    def test_no_tail_model_brackets_rejected(self):
+        # The short last step caps the geometric model's increment ratio
+        # at 5/20 = 0.25, below the series' 0.3, and the algebraic model's
+        # starts at 5.9, above the series' 3.3.
+        series = [(10, 0.0), (20, 1.0), (40, 1.5), (45, 1.65)]
+        with pytest.raises(FitRejectedError, match="neither tail model"):
+            extrapolate_numax(series)
+
+    @pytest.mark.parametrize("series", [
+        [(8, math.inf), (16, math.inf)],
+        [(8, 1.0), (16, 1.5), (32, 1.75), (64, math.nan)],
+    ])
+    def test_nonfinite_values_rejected(self, series):
+        with pytest.raises(DomainError, match="finite"):
+            extrapolate_numax(series)
+
     def test_expanding_differences_rejected(self):
         series = [(10, 1.0), (20, 1.1), (40, 1.3), (80, 1.7), (160, 2.5)]
         with pytest.raises(FitRejectedError):
@@ -95,26 +111,32 @@ class TestExtrapolation:
         assert math.isfinite(res.extrapolated) and res.extrapolated < 0.0
 
 
-class TestBrentPort:
-    """`energy._brentq` against `scipy.optimize.brentq`, bit for bit."""
+class TestBisect:
+    """`energy._bisect`, the tail fits' root finder."""
 
     @staticmethod
-    def _agree(f, a, b, port=energy_module._brentq):
-        from scipy.optimize import brentq
-        ours, theirs = port(f, a, b), brentq(f, a, b)
-        assert ours == theirs and math.copysign(1.0, ours) == math.copysign(1.0, theirs)
-        return ours
+    def _tol(x):
+        return 2e-12 + 4 * sys.float_info.epsilon * abs(x)
 
     @pytest.mark.parametrize("ladder", [(8, 16, 32, 64), (20, 40, 80, 160),
                                         (100, 200, 400, 800), (100, 150, 200, 300)])
     def test_mismatch_roots_match_scipy(self, ladder, monkeypatch):
-        solved = []
+        # Replays seeded draws of both tail laws: each root lies within
+        # twice the tolerance of scipy's Brent root (each solver stops
+        # inside its own bracket of that width), and each limit within
+        # 1e-9 of its error budget of the limit Brent's root gives.
+        from scipy.optimize import brentq
+        bisect, roots = energy_module._bisect, []
 
-        def oracle(f, a, b):
-            solved.append(f.__qualname__.split(".")[0])
-            return self._agree(f, a, b)
+        def recorded(f, lo, hi):
+            root = bisect(f, lo, hi)
+            if root is not None:
+                roots.append((f.__qualname__.split(".")[0], root, brentq(f, lo, hi)))
+            return root
 
-        monkeypatch.setattr(energy_module, "_brentq", oracle)
+        def brent(f, lo, hi):
+            return None if bisect(f, lo, hi) is None else brentq(f, lo, hi)
+
         rng = np.random.default_rng(25)
         n = np.array(ladder, dtype=float)
         for _ in range(100):
@@ -122,46 +144,37 @@ class TestBrentPort:
             rho = rng.uniform(0.5, 0.999) ** (1.0 / n[0])
             p = rng.uniform(0.3, 6.0)
             for v in (shift + scale * rho ** n, shift + scale * n ** -p):
+                monkeypatch.setattr(energy_module, "_bisect", recorded)
                 try:
-                    extrapolate_numax(zip(ladder, v))
+                    limit, err = extrapolate_numax(zip(ladder, v))
                 except FitRejectedError:
-                    pass
-        assert {"_geometric_limit", "_algebraic_limit"} <= set(solved)
-        assert len(solved) > 100
+                    continue
+                monkeypatch.setattr(energy_module, "_bisect", brent)
+                assert abs(limit - extrapolate_numax(zip(ladder, v))[0]) <= 1e-9 * err
+        assert all(abs(ours - theirs) <= 2 * self._tol(theirs) for _, ours, theirs in roots)
+        assert {"_geometric_limit", "_algebraic_limit"} <= {name for name, _, _ in roots}
+        assert len(roots) > 100
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_endpoint_returned_as_is(self, zero):
-        assert self._agree(lambda x: zero if x == 0.25 else 1.0, 0.25, 1.0) == 0.25
-        assert self._agree(lambda x: zero if x == 1.0 else -1.0, 0.25, 1.0) == 1.0
+        bisect = energy_module._bisect
+        assert bisect(lambda x: zero if x == 0.25 else 1.0, 0.25, 1.0) == 0.25
+        assert bisect(lambda x: zero if x == 1.0 else -1.0, 0.25, 1.0) == 1.0
 
-    def test_one_signed_bracket_raises(self):
+    def test_one_signed_bracket_gives_none(self):
         # Signs are compared by sign bit: a product would underflow to 0.
-        with pytest.raises(ValueError, match="different signs"):
-            energy_module._brentq(lambda x: 1e-200, 0.0, 1.0)
+        assert energy_module._bisect(lambda x: 1e-200, 0.0, 1.0) is None
+        assert energy_module._bisect(lambda x: -1.0, 0.0, 1.0) is None
 
-    def test_nan_value_raises(self):
-        for f in (lambda x: math.nan if x > 0.4 else -1.0,  # at an endpoint
-                  lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5):  # at the first step
-            with pytest.raises(ValueError, match="is NaN"):
-                energy_module._brentq(f, 0.0, 1.0)
+    def test_tiny_values_give_the_root(self):
+        for f, root in ((lambda x: math.copysign(1e-200, x - 0.3), 0.3),
+                        (lambda x: 1e-200 * (x ** 3 - 0.2), 0.2 ** (1 / 3)),
+                        (lambda x: 1e-120 * (math.exp(x) - 1.5), math.log(1.5))):
+            assert abs(energy_module._bisect(f, 0.0, 1.0) - root) <= self._tol(root)
 
-    def test_unsettled_raises_after_100_iterations(self):
-        calls = []
-
-        def step(x):
-            calls.append(x)
-            return 1.0 if x > 0.1 else -1.0
-
-        with pytest.raises(RuntimeError, match="after 100 iterations"):
-            energy_module._brentq(step, -1e300, 1e300)
-        assert len(calls) == 102
-
-    def test_zero_extrapolation_denominator_bisects(self):
-        # On values this small dblk * dpre * (fblk - fpre) underflows to
-        # zero, where C divides to inf or NaN and bisects.
-        for f in (lambda x: 1e-200 * (x ** 3 - 0.2), lambda x: 1e-120 * (math.exp(x) - 1.5)):
-            root = self._agree(f, 0.0, 1.0)
-            assert 0.0 < root < 1.0
+    def test_step_settles_on_a_wide_bracket(self):
+        root = energy_module._bisect(lambda x: 1.0 if x > 0.1 else -1.0, -1e300, 1e300)
+        assert abs(root - 0.1) <= self._tol(0.1)
 
 
 class TestQuadratureSpec:
@@ -408,6 +421,20 @@ class TestThermal:
             # frequency nodes are doubled.
             totals = -0.1 * (1.0 - 2.0 ** -np.log2(np.asarray(orders, dtype=float)))
             return totals * (1.0 if spec.node_count == 10 else 1.1)
+
+        monkeypatch.setattr(energy_module, "_matsubara_sum", matsubara_sum)
+        with pytest.raises(AccuracyError):
+            thermal_energy(KNIFE, 0.05, nu_max=LADDER)
+
+    def test_nonfinite_rung_raises(self, monkeypatch):
+        # A NaN between the lowest and the top rung, which neither the
+        # value nor the node-doubling check reads, once made the fit
+        # fall back to the top rung in silence.
+        def matsubara_sum(geom, T_scaled, orders, channel, spec):
+            totals = -0.1 * (1.0 - 2.0 ** -np.log2(np.asarray(orders, dtype=float)))
+            if len(totals) > 2:
+                totals[1] = math.nan
+            return totals
 
         monkeypatch.setattr(energy_module, "_matsubara_sum", matsubara_sum)
         with pytest.raises(AccuracyError):
