@@ -427,9 +427,9 @@ class TestThermal:
             thermal_energy(KNIFE, 0.05, nu_max=LADDER)
 
     def test_nonfinite_rung_raises(self, monkeypatch):
-        # A NaN between the lowest and the top rung, which neither the
-        # value nor the node-doubling check reads, once made the fit
-        # fall back to the top rung in silence.
+        # A NaN between the lowest and the top rung is read by neither
+        # the value nor the node-doubling check, only by the check of
+        # every rung.
         def matsubara_sum(geom, T_scaled, orders, channel, spec):
             totals = -0.1 * (1.0 - 2.0 ** -np.log2(np.asarray(orders, dtype=float)))
             if len(totals) > 2:
