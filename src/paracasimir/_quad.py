@@ -13,7 +13,7 @@ import functools
 import numpy as np
 from scipy.special import roots_legendre
 
-__all__ = ["panel_grid", "expmap_grid"]
+__all__ = ["panel_grid", "expmap_grid", "panel_interp"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,3 +54,19 @@ def expmap_grid(qmin: float, qmax: float, panel_count: int, node_count: int):
                                    panel_count + 1), node_count)
     x = 0.3 * np.exp(t)
     return x, wt * x
+
+
+def panel_interp(edges: np.ndarray, node_count: int, t: np.ndarray):
+    """Barycentric Lagrange interpolation from `panel_grid`'s nodes to ``t``.
+
+    Returns (idx, basis) of shape (t.size, node_count): the flat indices
+    of the nodes of the panel that holds each t (an end panel for a t
+    outside the edges) and their weights, f(t) ~ (f_nodes[idx] * basis).sum(-1).
+    """
+    xg, wg = _legendre_rule(node_count)
+    k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
+    d = ((2.0 * t - edges[k] - edges[k + 1]) / (edges[k + 1] - edges[k]))[:, None] - xg
+    hit = d == 0.0  # a t on a node takes that node's value alone
+    c = (-1.0) ** np.arange(node_count) * np.sqrt((1.0 - xg ** 2) * wg) / np.where(hit, 1.0, d)
+    c = np.where(hit.any(axis=1, keepdims=True), hit, c)
+    return k[:, None] * node_count + np.arange(node_count), c / c.sum(axis=1, keepdims=True)

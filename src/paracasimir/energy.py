@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quad import expmap_grid, panel_grid
+from ._quad import expmap_grid, panel_grid, panel_interp
 from .specfun import DomainError, _check_order
 from .scattering import BoundaryMode, Geometry
 from .roundtrip import PhysicalRegimeError, _PivotFailure, kernel_blocks, logdet_one_minus
@@ -432,56 +432,40 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
     return float(-(total + tail) / (2.0 * math.pi))
 
 
-_BATCH_NODES = 512  # frequency nodes of one batch of Matsubara terms
 _Z_EDGES = (0.25, 0.6, 1.1, 1.8, 2.8, 4.2, 6.2, 9.0, 13.0, 18.5)
-
-
-def _z_nodes(xn: float, spec: QuadratureSpec):
-    """Nodes x and weights w of the term (1/pi) Int dz g(sqrt(xn^2 + z^2)) = g(x) @ w / pi."""
-    if xn == 0.0:
-        return _grid(spec)
-    zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
-    edges = [0.0] + [e for e in _Z_EDGES if e < zmax] + [zmax]
-    z, wz = panel_grid(edges, spec.node_count)
-    return np.hypot(xn, z), wz
 
 
 def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
                    channel: str, spec: QuadratureSpec) -> np.ndarray:
     """Matsubara sum, n = 0 at half weight, one value per order.
 
-    Consecutive terms share one `_g_series` call of at most _BATCH_NODES
-    nodes (a larger term has its own).  Once the top rung's terms fall,
-    they fall geometrically, and a batch holds no more terms than the
-    ratio of the last two predicts the stop rule still needs, rounded
-    down, so no term beyond the stop is evaluated unless the decay
-    speeds up by a whole term's worth.  Neither a node's Bateman table
-    column nor its kernel blocks, nor the orders its blocks hold, depend
-    on the other nodes of its call, so the sum is bitwise that of one
-    call per term.
+    The n = 0 term is the frequency integral on the spec's grid.  A term
+    n >= 1, (1/pi) Int dz g(sqrt(x_n^2 + z^2)) on z-panels up to the
+    cutoff, reads g by barycentric Lagrange interpolation from one table:
+    Gauss-Legendre panels of ``node_count`` nodes uniform in ln x over
+    [2 pi T_scaled, qmax_scaled], each at most half as wide as the grid's,
+    evaluated in one `_g_series` call.  The table holds O(ln(1/T)) nodes,
+    so neither memory nor kernel work grows like 1/T.
     """
-    totals, batch, last, room = None, [], [], math.inf
-    for n in itertools.count():
+    x, w = _grid(spec)
+    totals = 0.5 * ((_g_series(geom, x, orders, channel) @ w) / math.pi)
+    lo, hi = math.log(2.0 * math.pi * T_scaled), math.log(spec.qmax_scaled)
+    if lo >= hi:
+        return totals
+    width = math.log(spec.qmax_scaled / spec.qmin_scaled) / (2 * spec.panel_count)
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+    table = _g_series(geom, np.exp(panel_grid(edges, spec.node_count)[0]), orders, channel)
+    for n in itertools.count(1):
         xn = 2.0 * math.pi * n * T_scaled
-        grid = _z_nodes(xn, spec) if xn < spec.qmax_scaled else None
-        if batch and (grid is None or len(batch) >= room or
-                      sum(x.size for _, x, _ in batch) + grid[0].size > _BATCH_NODES):
-            g = _g_series(geom, np.concatenate([x for _, x, _ in batch]), orders, channel)
-            cuts = np.cumsum([x.size for _, x, _ in batch[:-1]])
-            stop = 1e-3 * spec.tolerance
-            for part, (k, _, w) in zip(np.split(g, cuts, axis=1), batch):
-                term = (np.ascontiguousarray(part) @ w) / math.pi
-                totals = totals + term if k else 0.5 * term
-                if k and abs(term[-1]) <= stop * abs(totals[-1]):
-                    return totals
-                last = [*last[-1:], abs(term[-1])]
-            if len(last) == 2 and 0.0 < last[1] < last[0]:
-                need = math.log(stop * abs(totals[-1]) / last[1]) / math.log(last[1] / last[0])
-                room = max(1, math.floor(need))
-            batch = []
-        if grid is None:
+        if xn >= spec.qmax_scaled:
             return totals
-        batch.append((n, *grid))
+        zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
+        z, w = panel_grid([0.0] + [e for e in _Z_EDGES if e < zmax] + [zmax], spec.node_count)
+        idx, basis = panel_interp(edges, spec.node_count, np.log(np.hypot(xn, z)))
+        term = ((table[:, idx] * basis).sum(axis=-1) @ w) / math.pi
+        totals = totals + term
+        if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+            return totals
 
 
 def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
@@ -495,11 +479,11 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     tolerance.  As T_scaled grows only n = 0 survives and the energy
     approaches -(T_scaled/H^2) times the classical coefficient; as
     T_scaled -> 0 the sum goes over into the zero-temperature
-    frequency integral.  Terms are evaluated in batches of at most 512
-    frequency nodes, so memory does not grow with 1/T, and the values
-    are bitwise those of one evaluation per term.  The error budget,
-    and the `AccuracyError` on a failed node-doubling check, are those
-    of `energy_per_length`.
+    frequency integral.  The terms n >= 1 read g from one table in
+    ln x, so the kernel sees O(ln(1/T)) nodes, not O(1/T).  The error
+    budget, and the `AccuracyError` on a failed node-doubling check,
+    are those of `energy_per_length`; the check doubles the table's
+    nodes too, so ``quad_error`` covers its interpolation.
     """
     if T_scaled < 0.0 or not math.isfinite(T_scaled):
         raise DomainError("T_scaled must be nonnegative and finite")

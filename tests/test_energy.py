@@ -23,7 +23,7 @@ from paracasimir.energy import (
     extrapolate_numax,
     thermal_energy,
 )
-from paracasimir._quad import expmap_grid, panel_grid
+from paracasimir._quad import expmap_grid, panel_grid, panel_interp
 from paracasimir.roundtrip import _block_orders, build_kernel, kernel_blocks
 from paracasimir.scattering import BoundaryMode, Geometry
 from paracasimir.specfun import DomainError, bateman_m_log
@@ -356,15 +356,6 @@ def _term_grid(xn, spec):
     return np.hypot(xn, z), w
 
 
-def _term_sizes(T_scaled, spec):
-    """Node count of every term with x_n below the cutoff, in order of n."""
-    sizes, n = [], 0
-    while 2.0 * math.pi * n * T_scaled < spec.qmax_scaled:
-        sizes.append(_term_grid(2.0 * math.pi * n * T_scaled, spec)[0].size)
-        n += 1
-    return sizes
-
-
 def _matsubara_sum_per_term(geom, T_scaled, orders, channel, spec):
     """The Matsubara sum with one `_g_series` call per term, on that
     term's own grid, under the same stop rule."""
@@ -381,6 +372,46 @@ def _matsubara_sum_per_term(geom, T_scaled, orders, channel, spec):
             break
         n += 1
     return totals
+
+
+def _thermal_by_oracle(monkeypatch, geom, T_scaled, nu_max, channel, spec):
+    """`thermal_energy` with the ladder summed by `_matsubara_sum_per_term`.
+
+    Only the node-doubling check keeps the library's sum: it sets
+    quad_error alone, and the oracle would take twice as long on it.
+    """
+    library = energy_module._matsubara_sum
+
+    def matsubara_sum(geom, T, orders, channel, run_spec):
+        by = _matsubara_sum_per_term if run_spec == spec else library
+        return by(geom, T, orders, channel, run_spec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(energy_module, "_matsubara_sum", matsubara_sum)
+        return thermal_energy(geom, T_scaled, nu_max, spec, channel)
+
+
+def _table_calls(monkeypatch, T_scaled, nu_max=8, spec=None):
+    """Node counts of every `_g_series` call, grouped by `_matsubara_sum` run."""
+    runs = []
+    g_series, matsubara_sum = energy_module._g_series, energy_module._matsubara_sum
+
+    def recording(geom, x, orders, channel):
+        runs[-1].append(x.size)
+        return g_series(geom, x, orders, channel)
+
+    def marking(geom, T, orders, channel, spec):
+        runs.append([])
+        return matsubara_sum(geom, T, orders, channel, spec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(energy_module, "_g_series", recording)
+        patch.setattr(energy_module, "_matsubara_sum", marking)
+        result = thermal_energy(KNIFE, T_scaled, nu_max=nu_max, spec=spec)
+    return result, runs
+
+
+_QMAX = QuadratureSpec().qmax_scaled
 
 
 class TestThermal:
@@ -440,80 +471,105 @@ class TestThermal:
         with pytest.raises(AccuracyError):
             thermal_energy(KNIFE, 0.05, nu_max=LADDER)
 
-    # ``batches`` counts the batches of the full ladder's evaluation, and
-    # ``unused`` the nodes of its last batch that lie beyond the stop, on
-    # an n = 0 grid of 18 panels (180 nodes).
-    @pytest.mark.parametrize("T_scaled,nu_max,spec,batches,unused", [
-        (0.5, 32, QuadratureSpec(panel_count=18), 1, 0),       # all terms, one batch
-        (0.3, 32, QuadratureSpec(panel_count=18), 2, 0),       # all terms, two
-        (0.01, LADDER, QuadratureSpec(panel_count=18), 30, 0),  # many batches
-        (0.05, LADDER, QuadratureSpec(panel_count=18, tolerance=1e-2), 5, 0),
-        (0.05, LADDER, QuadratureSpec(panel_count=18, tolerance=1e-3), 6, 0),
-        # Blocks past 33 rows, where the Cholesky factor's last bits can
-        # depend on the block size, so a batch's nodes must each keep
-        # their own cut.  Only the second case holds a term whose own
-        # largest cut lies between 33 rows and its batch's, so only it
-        # fails if a batch's nodes share the batch's largest cut.
-        (0.05, (20, 40, 80, 160), QuadratureSpec(panel_count=18), 7, 0),
-        (0.2, (40, 80, 160, 320), QuadratureSpec(panel_count=18), 2, 0),
-    ])
-    def test_batched_sum_is_bitwise_per_term(self, monkeypatch, T_scaled, nu_max, spec,
-                                             batches, unused):
-        calls = []
+    # The tilted knife edge skips T = 0.01, where its per-term sum takes
+    # about 5 s per channel.
+    @pytest.mark.parametrize("geom,nu_max,channel,T_scaled", [
+        pytest.param(geom, nu_max, channel, T_scaled, id=f"{name}-{T_scaled}")
+        for name, geom, nu_max, channel in (
+            ("knife", KNIFE, (20, 40, 80, 160), "em"),
+            ("tilted-dirichlet", Geometry(0.0, 1.0, 1.0), LADDER, "dirichlet"),
+            ("tilted-neumann", Geometry(0.0, 1.0, 1.0), LADDER, "neumann"),
+            ("body", Geometry(1.0, 0.5), LADDER, "em"))
+        for T_scaled in (0.5, 0.2, 0.05, 0.01)
+        if not (geom.theta and T_scaled == 0.01)])
+    def test_table_matches_per_term_sum(self, monkeypatch, geom, nu_max, channel, T_scaled):
+        spec = default_quadrature(geom)
+        got = thermal_energy(geom, T_scaled, nu_max, spec, channel)
+        want = _thermal_by_oracle(monkeypatch, geom, T_scaled, nu_max, channel, spec)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+        assert got.extrapolated == pytest.approx(want.extrapolated, rel=1e-12, abs=0)
+
+    def test_quad_error_covers_the_table(self, monkeypatch):
+        # On half as many panels the table's interpolation error shows
+        # (above 1e-12 of the value at some T), and the node-doubling
+        # check, which doubles the table's nodes too, measures it: the
+        # deviation from the per-term sum, which shares every z-node,
+        # lies within quad_error up to g's own rounding.
+        spec = QuadratureSpec(panel_count=6)
+        seen = 0.0
+        for T_scaled in (0.5, 0.2, 0.05, 0.01):
+            got = thermal_energy(KNIFE, T_scaled, LADDER, spec)
+            want = _thermal_by_oracle(monkeypatch, KNIFE, T_scaled, LADDER, "em", spec)
+            deviation = abs(got.value - want.value)
+            assert deviation <= got.quad_error + 1e-13 * abs(want.value), T_scaled
+            seen = max(seen, deviation / abs(want.value))
+        assert seen > 1e-12
+
+    def test_kernel_nodes_grow_like_log_inverse_temperature(self, monkeypatch):
+        # One call for the n = 0 grid, one for the table, in the evaluation
+        # and in its node-doubling check; T / 10 adds a few table panels.
+        counts = {}
+        for T_scaled in (0.01, 0.001):
+            _, runs = _table_calls(monkeypatch, T_scaled)
+            assert [len(sizes) for sizes in runs] == [2, 2]
+            counts[T_scaled] = sum(runs[0])
+        assert 200 <= counts[0.001] <= 500
+        assert counts[0.001] <= 2 * counts[0.01]
+
+    def test_cutoff_just_above_first_frequency(self, monkeypatch):
+        # One thin table panel: the n = 1 term's z-range is 0.05 wide.
+        T_scaled = 0.999 * _QMAX / (2.0 * math.pi)
+        got, runs = _table_calls(monkeypatch, T_scaled, nu_max=LADDER)
+        assert runs[0][1] == QuadratureSpec().node_count
+        want = _thermal_by_oracle(monkeypatch, KNIFE, T_scaled, LADDER, "em", QuadratureSpec())
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+
+    def test_cutoff_below_first_frequency(self, monkeypatch):
+        # Only n = 0 remains: no table is built, and the value is the
+        # half-weight frequency integral, bitwise.
+        T_scaled = 1.001 * _QMAX / (2.0 * math.pi)
+        got, runs = _table_calls(monkeypatch, T_scaled, nu_max=LADDER)
+        assert [len(sizes) for sizes in runs] == [1, 1]
+        want = _thermal_by_oracle(monkeypatch, KNIFE, T_scaled, LADDER, "em", QuadratureSpec())
+        assert got.value == want.value
+
+    def test_nonfinite_table_raises(self, monkeypatch):
         g_series = energy_module._g_series
+        T_scaled = 0.05
 
-        def recording(geom, x, orders, channel):
-            calls.append((len(orders), x.size))
-            return g_series(geom, x, orders, channel)
+        def poisoned(geom, x, orders, channel):
+            g = g_series(geom, x, orders, channel)
+            if x.min() >= 2.0 * math.pi * T_scaled:  # the table, not the n = 0 grid
+                g[:, 3] = math.nan
+            return g
 
-        monkeypatch.setattr(energy_module, "_g_series", recording)
-        got = thermal_energy(KNIFE, T_scaled, nu_max=nu_max, spec=spec)
-        batched = [size for rungs, size in calls if rungs > 1]
-        calls.clear()
-        monkeypatch.setattr(energy_module, "_matsubara_sum", _matsubara_sum_per_term)
-        want = thermal_energy(KNIFE, T_scaled, nu_max=nu_max, spec=spec)
-        per_term = [size for rungs, size in calls if rungs > 1]
-        for field in ("value", "extrapolated", "trunc_error", "quad_error"):
-            assert getattr(got, field) == getattr(want, field), field
-        assert len(batched) == batches
-        assert sum(batched) - sum(per_term) == unused
+        monkeypatch.setattr(energy_module, "_g_series", poisoned)
+        with pytest.raises(AccuracyError):
+            thermal_energy(KNIFE, T_scaled, nu_max=LADDER)
 
-    @pytest.mark.parametrize("T_scaled,spec", [
-        (0.001, None),                          # every term below the cap
-        (0.3, QuadratureSpec(node_count=40)),   # every term alone, n = 0 above it
-    ])
-    def test_batches_bound_memory(self, monkeypatch, T_scaled, spec):
-        # Each call of `_g_series` holds consecutive terms, from n = 0 on,
-        # and exceeds the cap only as a single term: memory is bounded by
-        # the batch, not by 1/T.
-        runs = []
-        g_series, matsubara_sum = energy_module._g_series, energy_module._matsubara_sum
 
-        def recording(geom, x, orders, channel):
-            runs[-1][1].append(x.size)
-            return g_series(geom, x, orders, channel)
+class TestPanelInterp:
+    EDGES = np.array([-1.0, -0.3, 0.5, 2.0])
 
-        def marking(geom, T, orders, channel, spec):
-            runs.append((spec, []))
-            return matsubara_sum(geom, T, orders, channel, spec)
+    @pytest.mark.parametrize("node_count", [3, 10, 20])
+    def test_polynomial_reproduced(self, node_count):
+        poly = np.polynomial.Polynomial(
+            np.random.default_rng(node_count).standard_normal(node_count), domain=[-1.0, 2.0])
+        nodes, _ = panel_grid(self.EDGES, node_count)
+        points = np.linspace(-1.0, 2.0, 301)
+        idx, basis = panel_interp(self.EDGES, node_count, points)
+        got = (poly(nodes)[idx] * basis).sum(axis=-1)
+        scale = np.max(np.abs(poly(points)))
+        np.testing.assert_allclose(got, poly(points), rtol=0, atol=1e-13 * scale)
 
-        monkeypatch.setattr(energy_module, "_g_series", recording)
-        monkeypatch.setattr(energy_module, "_matsubara_sum", marking)
-        thermal_energy(KNIFE, T_scaled, nu_max=8, spec=spec)
-        cap = energy_module._BATCH_NODES
-        assert len(runs) == 2  # the evaluation and its node-doubling check
-        for run_spec, sizes in runs:
-            terms = iter(_term_sizes(T_scaled, run_spec))
-            for size in sizes:
-                group = [next(terms)]
-                while sum(group) < size:
-                    group.append(next(terms))
-                assert sum(group) == size
-                assert size <= cap or len(group) == 1
-        if spec is None:
-            assert len(runs[0][1]) > 100 and max(s for _, sizes in runs for s in sizes) <= cap
-        else:
-            assert max(runs[1][1]) > cap
+    @pytest.mark.parametrize("node_count", [3, 10, 20])
+    def test_nodes_return_table_values(self, node_count):
+        nodes, _ = panel_grid(self.EDGES, node_count)
+        table = np.random.default_rng(node_count).standard_normal(nodes.size)
+        idx, basis = panel_interp(self.EDGES, node_count, nodes)
+        assert np.all(np.any(idx == np.arange(nodes.size)[:, None], axis=1))
+        np.testing.assert_allclose((table[idx] * basis).sum(axis=-1), table,
+                                   rtol=0, atol=1e-14)
 
 
 class TestLadderAgainstLU:
