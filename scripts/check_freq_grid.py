@@ -12,8 +12,10 @@ geometries of the acceptance gates and the benchmark's seed-0 inputs,
 and prints |top rung - reference top rung| and |extrapolated -
 reference extrapolated| as ratios to the default grid's own error
 budget, trunc_error + quad_error.  The classical coefficient has
-a grid of its own and is not checked here; the thermal energy changes
-only in its n = 0 term, which uses the default grid.
+a grid of its own and is not checked here.  The thermal energy's n = 0
+term uses the default grid, and its terms n >= 1 read g from a table in
+ln x whose panels are half as wide as the grid's, so the reference
+refines the table too.
 
 Run it from the repository root with
 

@@ -115,8 +115,8 @@ class EnergyResult:
     are E/(hbar c L), negative for attraction.  ``trunc_error`` bounds
     the truncation-plus-fit uncertainty of ``extrapolated``, and is
     infinite for a series of one order, which gives no estimate;
-    ``quad_error`` is a node-doubling estimate of the frequency-grid
-    error.
+    ``quad_error`` is a node-doubling estimate of the error of the
+    frequency grid and of a Matsubara sum's table.
     """
 
     value: float

@@ -391,7 +391,7 @@ def _thermal_by_oracle(monkeypatch, geom, T_scaled, nu_max, channel, spec):
         return thermal_energy(geom, T_scaled, nu_max, spec, channel)
 
 
-def _table_calls(monkeypatch, T_scaled, nu_max=8, spec=None):
+def _table_calls(monkeypatch, T_scaled, nu_max=8):
     """Node counts of every `_g_series` call, grouped by `_matsubara_sum` run."""
     runs = []
     g_series, matsubara_sum = energy_module._g_series, energy_module._matsubara_sum
@@ -407,7 +407,7 @@ def _table_calls(monkeypatch, T_scaled, nu_max=8, spec=None):
     with monkeypatch.context() as patch:
         patch.setattr(energy_module, "_g_series", recording)
         patch.setattr(energy_module, "_matsubara_sum", marking)
-        result = thermal_energy(KNIFE, T_scaled, nu_max=nu_max, spec=spec)
+        result = thermal_energy(KNIFE, T_scaled, nu_max=nu_max)
     return result, runs
 
 
@@ -517,7 +517,7 @@ class TestThermal:
         assert counts[0.001] <= 2 * counts[0.01]
 
     def test_cutoff_just_above_first_frequency(self, monkeypatch):
-        # One thin table panel: the n = 1 term's z-range is 0.05 wide.
+        # One table panel, 1e-3 wide in ln x.
         T_scaled = 0.999 * _QMAX / (2.0 * math.pi)
         got, runs = _table_calls(monkeypatch, T_scaled, nu_max=LADDER)
         assert runs[0][1] == QuadratureSpec().node_count
