@@ -4,9 +4,11 @@ small gaps and the tilted knife edge near broadside.
 At R = 1 and H/R = 0.1, 0.05 and 0.02, on the ladders (400, ..., 3200)
 and (800, ..., 6400), this prints for each channel
 
-- the time of one `energy_per_length` call;
+- the time of one `energy_per_length` call's main ladder, and of its
+  node-doubling check (the ladder's lowest rung on twice the frequency
+  nodes, which takes the rank cut too);
 - the smallest, median and largest rank of the rank cut's factors over
-  that call's frequency grid (every block that takes the cut);
+  the main ladder's frequency grid (every block that takes the cut);
 - the largest |delta g| between `_g_series` and the dense rungs of
   `build_kernel`'s matrix at x = 1e-3, 0.3 and 3, for the rungs up to
   3200 (a dense matrix of 6401 orders would take about 1 GB);
@@ -14,7 +16,7 @@ and (800, ..., 6400), this prints for each channel
 and then E/E_pfa of both channels together, from the extrapolated
 values.  At the knife edge tilted by 80, 85 and 88 degrees, on the
 ladders (100, ..., 800) and (200, ..., 1600), it then prints for each
-channel the time of one `energy_per_length` call, a histogram of the
+channel the same two times, a histogram of the
 orders each node's factor keeps after the rung cut over that call's
 frequency grid (orders:nodes), and the largest |delta g| against the
 dense rungs at the same three nodes.  Run it from the repository root
@@ -33,6 +35,7 @@ import time
 
 import numpy as np
 
+import paracasimir.energy as energy_module
 from paracasimir.approx import pfa_energy
 from paracasimir.energy import _g_series, _grid, default_quadrature, energy_per_length
 from paracasimir.roundtrip import build_kernel, kernel_blocks, logdet_one_minus
@@ -46,12 +49,13 @@ NODES = (1e-3, 0.3, 3.0)
 
 
 def factor_shapes(geom, ladder, mode):
-    """Shape of every factor block over the default frequency grid: the
-    rank cut's (rank, orders), or the tilted knife edge's (2U, kept)."""
+    """Shape of each node's factor over the default frequency grid: the
+    rank cut's (rank, orders), its rows past the rank being zero, or the
+    tilted knife edge's (2U, kept)."""
     x, _ = _grid(default_quadrature(geom))
-    return [block.shape
+    return [(int(np.count_nonzero(np.any(factor != 0.0, axis=1))), factor.shape[1])
             for _, blocks in kernel_blocks(geom, x / geom.H, ladder, (mode,))
-            for _, block in blocks if block.ndim == 2]
+            for _, stack, factored in blocks if factored for factor in stack]
 
 
 def dense_rungs(geom, mode, rungs):
@@ -75,13 +79,26 @@ def largest_gap(geom, ladder, mode, dense, dense_ladder):
 
 
 def timed(geom, ladder, mode):
-    start = time.perf_counter()
-    result = energy_per_length(geom, nu_max=ladder, channel=mode.value)
-    return result, time.perf_counter() - start
+    """One `energy_per_length` call, and the seconds of its two `_g_series`
+    calls: the main ladder, then the node-doubling check."""
+    g_series, seconds = energy_module._g_series, []
+
+    def timing(*args):
+        start = time.perf_counter()
+        out = g_series(*args)
+        seconds.append(time.perf_counter() - start)
+        return out
+
+    energy_module._g_series = timing
+    try:
+        result = energy_per_length(geom, nu_max=ladder, channel=mode.value)
+    finally:
+        energy_module._g_series = g_series
+    return result, seconds
 
 
 def check_gaps():
-    print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'time/s':>7s} "
+    print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'check/s':>7s} "
           f"{'rank min/med/max':>17s} {'max |dg|':>9s} {'extrapolated':>14s}")
     for h in GAPS:
         geom = Geometry(1.0, h)
@@ -96,14 +113,15 @@ def check_gaps():
                     dense[mode] = dense_rungs(geom, mode, list(LADDERS[0]))
                 gap = largest_gap(geom, ladder, mode, dense[mode], LADDERS[0])
                 print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
-                      f"{seconds:7.2f} {min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
+                      f"{seconds[0]:7.2f} {seconds[1]:7.2f} "
+                      f"{min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
                       f"{gap:9.1e} {result.extrapolated:14.8f}", flush=True)
             print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} E/E_pfa = "
                   f"{total / pfa_energy(h, 1.0):.6f}", flush=True)
 
 
 def check_tilts():
-    print(f"\n{'tilt':>5s} {'ladder':>11s} {'channel':>9s} {'time/s':>7s} "
+    print(f"\n{'tilt':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'check/s':>7s} "
           f"{'max |dg|':>9s}  orders kept:nodes")
     for deg in TILTS:
         geom = Geometry(0.0, 1.0, math.radians(deg))
@@ -114,7 +132,7 @@ def check_tilts():
                 gap = largest_gap(geom, ladder, mode, dense_rungs(geom, mode, ladder), ladder)
                 histogram = " ".join(f"{rows}:{count}" for rows, count in sorted(kept.items()))
                 print(f"{deg:5.1f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
-                      f"{seconds:7.2f} {gap:9.1e}  {histogram}", flush=True)
+                      f"{seconds[0]:7.2f} {seconds[1]:7.2f} {gap:9.1e}  {histogram}", flush=True)
 
 
 def main() -> int:

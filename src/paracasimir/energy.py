@@ -172,27 +172,31 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
     kernel's blocks are assembled at the largest order, for runs of
     consecutive nodes at once, and the smaller truncations are their
     leading blocks, which is exact because entries do not depend on the
-    truncation.  Each block, a stack or one node's factor, then yields
-    every rung at every node of the run from one `logdet_one_minus`
-    call.  `kernel_blocks` may end a node's block at a lower rung, when
-    no order above it can move 1 - N; searching the ladder in the
-    shortened orders then maps every higher rung onto its last.  A loss
-    of positivity raises `PhysicalRegimeError` naming the node and the
+    truncation.  Each block, a stack of matrices or of factors, then
+    yields every rung at every node of the run from one
+    `logdet_one_minus` call.  `kernel_blocks` may end a node's block at
+    a lower rung, when no order above it can move 1 - N; searching the
+    ladder in the shortened orders then maps every higher rung onto its
+    last.  A ladder of one rung takes the rank cut too.  A loss of
+    positivity raises `PhysicalRegimeError` naming the node and the
     partial-wave order where it showed (on the Gram side of a factor,
     the last order of the first rung whose Gram failed), as does a
-    nonfinite entry of a factor.
+    nonfinite entry of a block.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((len(orders), x.size))
-    for nodes, blocks in kernel_blocks(geom, x / geom.H, orders, _modes(channel)):
-        for idx, block in blocks:
-            cuts = np.searchsorted(idx, orders, side="right")
-            try:
-                ladders = logdet_one_minus(block, cuts, factored=block.ndim == 2)
-                out[:, nodes] += ladders.T if block.ndim == 3 else ladders[:, None]
-            except _PivotFailure as err:
-                raise PhysicalRegimeError(_FAILURES[err.kind].format(
-                    x=x[nodes][err.matrix], nu=idx[err.rows - 1])) from None
+    try:
+        for nodes, blocks in kernel_blocks(geom, x / geom.H, orders, _modes(channel)):
+            for idx, block, factored in blocks:
+                at = (nodes, idx)
+                cuts = np.searchsorted(idx, orders, side="right")
+                out[:, nodes] += logdet_one_minus(block, cuts, factored=factored).T
+    except _PivotFailure as err:
+        # A failure inside `kernel_blocks` says where it was; the others
+        # were in the block last factored.
+        nodes, idx = err.where or at
+        raise PhysicalRegimeError(_FAILURES[err.kind].format(
+            x=x[nodes][err.matrix], nu=idx[err.rows - 1])) from None
     return out
 
 
@@ -409,9 +413,10 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
     the kernel holds nu_max // 2 + 1 orders, twice as many below
     x = 2e-2, where the k-functions of argument 2x decay slowly in the
     order; below the grid's x = 3e-5 a fitted a ln x + b tail takes
-    over.  At
-    nu_max = 200 one call takes about 0.1 s on a 2-vCPU Xeon with one
-    BLAS thread (0.05 s for one channel), 85% of it in the log-dets.
+    over.  At nu_max = 200 the blocks of 202 orders take the rank cut
+    (`roundtrip`), and one call takes about 0.1 s on a busy 2-vCPU Xeon
+    with one BLAS thread (0.06 s for one channel), under 40% of it in
+    the log-dets.
     """
     nu_max = _check_order(nu_max)
     xmin, xmax = 3e-5, 11.0

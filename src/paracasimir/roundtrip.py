@@ -37,15 +37,16 @@ c = e^-w / pi > 0 and G = V V^T the parity Gram matrix of
 `translation._gram`, and it comes as its factor F = sqrt(c) V^T,
 N = F^T F, of 2U rows for U u-nodes, never as a dense N.  So
 |N_jk|^2 <= N_jj N_kk, and on a ladder of several rungs
-`kernel_blocks` makes two cuts at zero tilt and the rung cut at the
-tilted knife edge, where N_aa is the squared norm of F's column a.  On
-a ladder of one rung (`build_kernel`) no order is left out, and the
-tilted body's blocks, built from the Gram's sign/log form, stay whole;
+`kernel_blocks` makes the rung cut at zero tilt and at the tilted
+knife edge, where N_aa is the squared norm of F's column a; the rank
+cut at zero tilt takes every ladder, one rung too.  For
+`build_kernel`'s whole blocks no order is left out, and the tilted
+body's blocks, built from the Gram's sign/log form, stay whole;
 `logdet_one_minus`, which takes any symmetric N, cuts nothing.  It
-takes a factor's log-determinants on its cheaper side: from one syrk
-that writes 1 - F^T F and one Cholesky factorization for all rungs,
-or, with less than a third as many rows as orders (the rank cut), from
-the Gram matrices of F's rows.
+takes the log-determinants of a stack of factors on their cheaper
+side: from one syrk per factor that writes 1 - F^T F and one Cholesky
+factorization for all rungs, or, with less than a third as many rows
+as orders (the rank cut), from the Gram matrices of F's rows.
 
 The rung cut.  By its Schur complement, an order j whose diagonal
 entry lies below 2^-54 moves the exact log det by about
@@ -56,7 +57,7 @@ take its value.  It rounds up to a rung rather than cutting at that
 order because the leading rows of a Cholesky factor differ in their
 last bits with the size of the whole matrix: a rung depends only on
 the node and the ladder, so no node's value depends on the other
-nodes of its run.
+nodes of its run, save under the rank cut (below).
 
 The rank cut.  Scaled Hankel moment matrices of a positive measure
 have exponentially decaying singular values (a 401-order block has
@@ -68,11 +69,16 @@ largest residual diagonal entry, and stops per node once the residual
 trace is at most tau: 1e-15, or n eps max_a N_aa, the trace's own
 rounding, where that is larger.  So N = Y^T Y + E with Y of r << n
 rows and E positive semidefinite, and by Sylvester's identity rung s
-is log det(1 - G_s), G_s the r x r Gram matrix of Y's columns up to s,
-factored at the node's own rank.  Every leading block of E is positive
-semidefinite with trace at most tau, so each rung lies above the exact
-one by at most tau / (1 - lambda_max), to first order in tau, where
-lambda_max is the block's largest eigenvalue.
+is log det(1 - G_s), G_s the r x r Gram matrix of Y's columns up to s.
+Every leading block of E is positive semidefinite with trace at most
+tau, so each rung lies above the exact one by at most
+tau / (1 - lambda_max), to first order in tau, where lambda_max is the
+block's largest eigenvalue.  A run's factors come as one stack, zero
+rows padding each node's Y to the run's largest rank, and one
+`logdet_one_minus` call factors the Grams of every node and rung of
+the stack: a zero row adds a unit row and column to 1 - G_s, which
+leave its determinant as it is, though its Cholesky factorization, and
+with it the rung's last bits, can depend on the padded size.
 """
 
 from __future__ import annotations
@@ -109,14 +115,33 @@ class PhysicalRegimeError(ArithmeticError):
 class _PivotFailure(PhysicalRegimeError):
     """The factorization of matrix ``matrix`` of a stack failed within
     its block's leading ``rows`` orders, by ``kind``: "minor" (that
-    leading minor is not positive), "nonfinite" (a factor's first
-    nonfinite column) or "gram" (the Gram of a factor's leading ``rows``
-    columns has an eigenvalue of at least one).  `energy._g_series`
-    names the node and the partial-wave order from these."""
+    leading minor is not positive), "nonfinite" (the smallest leading
+    block that holds a nonfinite entry) or "gram" (the Gram of a
+    factor's leading ``rows`` columns has an eigenvalue of at least
+    one).  A failure inside `kernel_blocks` carries ``where``, the
+    (nodes, orders) of its run and block; `energy._g_series` names the
+    node and the partial-wave order from these."""
 
     def __init__(self, message: str, matrix: int, rows: int, kind: str):
         super().__init__(message)
         self.matrix, self.rows, self.kind = matrix, rows, kind
+        self.where = None
+
+
+def _nonfinite(bad: np.ndarray, first: int = 0) -> _PivotFailure:
+    """The failure at the first matrix of a stack, numbered from
+    ``first``, with a nonfinite entry: ``bad[j, a]`` says whether matrix
+    j's leading block of a + 1 orders is the smallest to hold one."""
+    j = int(np.argmax(bad.any(axis=1)))
+    return _PivotFailure("kernel contains nonfinite entries", first + j,
+                         int(np.argmax(bad[j])) + 1, "nonfinite")
+
+
+def _nonfinite_square(head: np.ndarray, first: int = 0) -> _PivotFailure:
+    """`_nonfinite` of a stack of square matrices, in which entry (a, b)
+    enters the leading blocks from max(a, b) + 1 orders up."""
+    nf = ~np.isfinite(head)
+    return _nonfinite(np.tril(nf).any(axis=2) | np.triu(nf).any(axis=1), first)
 
 
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
@@ -177,12 +202,16 @@ def _knife_block_from_gram(V: np.ndarray, w: float) -> np.ndarray:
     return V.T
 
 
-def _body_half_logs(nu_max: int, mode: BoundaryMode, mu0_scaled: np.ndarray):
+def _body_half_logs(nu_max: int, modes: tuple, mu0_scaled: np.ndarray):
     """Half-logs 0.5 * log|F_nu / nu!| of the cylinder amplitudes, the
-    per-row balancing weight, of shape (nu_max + 1, len(mu0_scaled));
-    column i belongs to mu0_scaled[i]."""
-    _, logf = parabolic_amplitude_table(nu_max, mode, mu0_scaled)
-    return 0.5 * (logf - gammaln(np.arange(nu_max + 1) + 1.0)[:, None])
+    per-row balancing weight, of shape (len(modes), nu_max + 1,
+    len(mu0_scaled)); [m, :, i] belongs to modes[m] and mu0_scaled[i].
+    Every mode comes from one pass of the recurrences, bitwise what it
+    gets alone (`parabolic_amplitude_table`)."""
+    half = np.stack([logs for _, logs in parabolic_amplitude_table(nu_max, modes, mu0_scaled)])
+    half -= gammaln(np.arange(nu_max + 1) + 1.0)[:, None]
+    half *= 0.5
+    return half
 
 
 def _body_block_theta0(rows: np.ndarray, cols: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -246,15 +275,18 @@ def _block_diagonal(idx: np.ndarray, table: np.ndarray, half) -> np.ndarray:
         return np.exp(2.0 * half[idx].T + table[:, idx])
 
 
-def _pivoted_factors(diag: np.ndarray, column) -> list:
-    """Partial pivoted Cholesky factors Y, of shape (r, n), of a run of
-    positive semidefinite blocks with diagonals ``diag`` (one row per
-    node); ``column(k, p)`` returns column p[i] of node k[i]'s block,
-    one row per pair.  Each node pivots on its largest residual diagonal
-    entry, positive while the residual trace exceeds its tau (the module
-    docstring), sets that entry to zero, and stops once the trace is at
-    most tau.  Every step reads each node's own rows alone, so no factor
-    depends on the run.  A nonfinite entry raises `PhysicalRegimeError`.
+def _pivoted_factors(diag: np.ndarray, column) -> np.ndarray:
+    """Partial pivoted Cholesky factors of a run of positive semidefinite
+    blocks with diagonals ``diag`` (one row per node), as one stack of
+    shape (run, r, n): node k's factor Y, N = Y^T Y + E, is stack[k],
+    whose rows past the node's own rank are zero, and r is the run's
+    largest rank.  ``column(k, p)`` returns column p[i] of node k[i]'s
+    block, one row per pair.  Each node pivots on its largest residual
+    diagonal entry, positive while the residual trace exceeds its tau
+    (the module docstring), sets that entry to zero, and stops once the
+    trace is at most tau.  Every step reads each node's own rows alone,
+    so no factor depends on the run.  A nonfinite residual diagonal
+    entry raises `_PivotFailure` at its node and its order.
     """
     resid = np.array(diag, dtype=float)
     run, n = resid.shape
@@ -262,14 +294,18 @@ def _pivoted_factors(diag: np.ndarray, column) -> list:
     ys = np.empty((run, min(n, _RANK_COLUMNS), n))
     tau = np.maximum(_RANK_TRACE, n * np.finfo(float).eps * resid.max(axis=1, initial=0.0))
     for r in range(n + 1):
-        if not np.all(np.isfinite(resid)):
-            raise PhysicalRegimeError("kernel contains nonfinite entries")
-        done = ~(resid.sum(axis=1) > tau) | (r == n)
+        trace = resid.sum(axis=1)
+        # A nonfinite entry makes its row's trace nonfinite.
+        if not np.all(np.isfinite(trace)) and not np.all(np.isfinite(resid)):
+            bad = np.zeros((run, n), dtype=bool)
+            bad[live] = ~np.isfinite(resid)
+            raise _nonfinite(bad)
+        done = ~(trace > tau) | (r == n)
         if done.any():
             for k in np.flatnonzero(done):
                 factors[live[k]] = ys[k, :r].copy()
             if done.all():
-                return factors
+                break
             live, resid, ys, tau = live[~done], resid[~done], ys[~done], tau[~done]
         if r == ys.shape[1]:
             ys = np.concatenate([ys, np.empty_like(ys)], axis=1)
@@ -281,6 +317,10 @@ def _pivoted_factors(diag: np.ndarray, column) -> list:
         resid -= col * col
         resid[k, piv] = 0.0
         ys[:, r] = col
+    stack = np.zeros((run, max(y.shape[0] for y in factors), n))
+    for k, y in enumerate(factors):
+        stack[k, :y.shape[0]] = y
+    return stack
 
 
 def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
@@ -320,19 +360,21 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     """Yield the kernel's decoupled blocks for runs of frequency nodes.
 
     ``orders`` is the truncation ladder the blocks will be factored on,
-    an increasing sequence of orders; an int is a ladder of one rung.
-    The nodes of the array ``q`` are taken in runs of consecutive nodes.
+    an increasing sequence of orders, or an int n for the whole blocks
+    up to order n, as `build_kernel` scatters them: a sequence of one
+    rung may still come as rank-cut factors, an int never does.  The
+    nodes of the array ``q`` are taken in runs of consecutive nodes.
     For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
     of ``q`` the run covers, and ``blocks`` is one list of (orders,
-    block) pairs, one per diagonal block, ordered by ``modes`` and then
-    by `_block_orders`.  A block is a stack, stack[k] the block's matrix
-    at node q[nodes][k], or, in a run of one node, a 2-d factor F with
-    the block's matrix N = F^T F (`logdet_one_minus` with ``factored``
-    takes either).  Orders outside every block do not couple (or, at the
-    knife edge, do not take part).  The determinant of 1 - N over a
-    mode is the product over its blocks, and truncating at order nu
-    keeps each block's leading orders up to nu.  The blocks are the
-    kernel up to the S of the module docstring.
+    block, factored) triples, one per diagonal block, ordered by
+    ``modes`` and then by `_block_orders`.  A block is a stack over the
+    run's nodes, block[k] belonging to node q[nodes][k]: of the block's
+    matrices N, or, where ``factored``, of factors F with N = F^T F
+    (`logdet_one_minus` takes either).  Orders outside every block do
+    not couple (or, at the knife edge, do not take part).  The
+    determinant of 1 - N over a mode is the product over its blocks, and
+    truncating at order nu keeps each block's leading orders up to nu.
+    The blocks are the kernel up to the S of the module docstring.
 
     On a ladder of several rungs a zero-tilt block, and a block of the
     tilted knife edge, holds only its orders up to the smallest rung
@@ -345,21 +387,26 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     different orders, and a run holds as many nodes as keep its largest
     block's stack within _RUN_BYTES, so small blocks, as in the
     Matsubara sum, are factored many nodes per call.  Under the rank
-    cut of the module docstring, and at the tilted knife edge, a run
-    holds one node and each block comes as its factor: Y of r rows, or
-    F = sqrt(e^-w / pi) V^T of the parity Gram's factor V.  What does
-    not depend on the node is computed once for the series: the
-    zero-tilt element table and each block's Hankel view of it, and, at
-    positive radius, each mode's half-logs over all nodes.  At zero tilt
-    a run's stack is built from the block's view; for the tilted body
-    each node's matrix is written into its slot of the run's buffer,
-    and the element matrix is built once per node for all modes.
+    cut of the module docstring a run's blocks come as stacks of the
+    factors Y of its nodes, zero rows padding the ranks below the run's
+    largest, and at the tilted knife edge a run holds one node, whose
+    blocks come as F = sqrt(e^-w / pi) V^T of the parity Gram's factor
+    V.  What does not depend on the node is computed once for the
+    series: the zero-tilt element table and each block's Hankel view of
+    it, and, at positive radius, every mode's half-logs over all nodes,
+    from one pass of the amplitude recurrences.  At zero tilt a run's
+    stack is built from the block's view; for the tilted body each
+    node's matrix is written into its slot of the run's buffer, and the
+    element matrix is built once per node for all modes.  A failure of
+    the rank cut's factorization raises `_PivotFailure` with its
+    ``where`` set.
 
     This is the only place the four constructions (knife or body,
     tilted or not) are chosen; `build_kernel` scatters the blocks into
     one matrix and the energy integrands factor them block by block.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
+    whole = np.ndim(orders) == 0
     orders = np.atleast_1d(orders)
     nu_max = int(orders.max())
     knife, untilted = geom.R == 0.0, geom.theta == 0.0
@@ -369,12 +416,12 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
         # balanced gauge's constant.
         logm = bateman_m_log(nu_max, 2.0 * q * geom.d)
         table = np.ascontiguousarray((np.exp(logm) if knife else _LOG_SQRT_HALF_PI + logm).T)
+    modes = tuple(modes)
+    halves = ((None,) * len(modes) if knife
+              else _body_half_logs(nu_max, modes, geom.mu0 * np.sqrt(2.0 * q)))
     # One (orders, Hankel view, half) entry per block.
-    layout = []
-    for mode in modes:
-        half = None if knife else _body_half_logs(nu_max, mode, geom.mu0 * np.sqrt(2.0 * q))
-        layout += [(idx, _by_pair(table, idx) if untilted else None, half)
-                   for idx in _block_orders(geom, nu_max, mode)]
+    layout = [(idx, _by_pair(table, idx) if untilted else None, half)
+              for mode, half in zip(modes, halves) for idx in _block_orders(geom, nu_max, mode)]
     if knife and not untilted:
         yield from _knife_factor_runs(geom, q, orders, [idx for idx, *_ in layout])
         return
@@ -386,28 +433,28 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     bounds = [0, *changes.tolist(), q.size]
     for start, stop in zip(bounds, bounds[1:]):
         size = int(rows[start].max(initial=1))
-        ranked = untilted and orders.size > 1 and size > _RANK_FROM
+        ranked = untilted and not whole and size > _RANK_FROM
         run = max(1, (_RANK_BYTES // (8 * _RANK_COLUMNS * size)) if ranked
                   else _RUN_BYTES // (8 * size ** 2))
         for lo in range(start, stop, run):
             nodes = slice(lo, min(lo + run, stop))
             kept = [(idx[:s], pairs, half) for (idx, pairs, half), s in zip(layout, rows[lo])]
             if ranked:
-                yield from _rank_cut_runs(kept, table, nodes, orders)
+                yield nodes, _rank_cut_blocks(kept, table, nodes)
                 continue
             if knife:
-                blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]))
+                blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]), False)
                           for idx, pairs, _ in kept]
             elif untilted:
                 blocks = [(idx, _body_block_theta0(half[idx, nodes].T, half[idx, nodes].T,
-                                                   pairs[nodes, :idx.size, :idx.size]))
+                                                   pairs[nodes, :idx.size, :idx.size]), False)
                           for idx, pairs, half in kept]
             else:
-                blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)))
+                blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)), False)
                           for idx, *_ in kept]
                 for k, i in enumerate(range(lo, nodes.stop)):
                     sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
-                    for (_, _, half), (_, stack) in zip(kept, blocks):
+                    for (_, _, half), (_, stack, _) in zip(kept, blocks):
                         _body_block_tilted(half[:, i], sT, lT, stack[k])
             yield nodes, blocks
 
@@ -425,15 +472,15 @@ def _knife_factor_runs(geom: Geometry, q: np.ndarray, orders: np.ndarray, layout
             V, w = _gram(q[i], geom.d, geom.theta, nu_max, start=int(idx[0]), step=2)
             factor = _knife_block_from_gram(V, w)
             rows = _smallest_rungs(idx, orders, np.einsum("ij,ij->j", factor, factor)[None])[0]
-            blocks.append((idx[:rows], factor[:, :rows]))
+            blocks.append((idx[:rows], factor[None, :, :rows], True))
         yield slice(i, i + 1), blocks
 
 
-def _rank_cut_runs(kept: list, table: np.ndarray, nodes: slice, orders: np.ndarray):
-    """One-node runs of `kernel_blocks` under the rank cut: each block is
-    factored for all ``nodes`` at once by `_pivoted_factors`, and each
-    node yields (orders, Y) per block, its factor Y of shape (r, n)."""
-    per_block = []
+def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice) -> list:
+    """The blocks of one run of `kernel_blocks` under the rank cut: each
+    block is factored for all ``nodes`` at once by `_pivoted_factors`,
+    and comes as (orders, the stack of its nodes' factors Y, True)."""
+    blocks = []
     for idx, pairs, half in kept:
         hs = None if half is None else half[idx, nodes].T
 
@@ -444,9 +491,12 @@ def _rank_cut_runs(kept: list, table: np.ndarray, nodes: slice, orders: np.ndarr
             return _body_block_theta0(hs[k], hs[k, p][:, None], entries[:, :, None])[:, :, 0]
 
         diag = _block_diagonal(idx, table[nodes], None if half is None else half[:, nodes])
-        per_block.append(_pivoted_factors(diag, column))
-    for k, i in enumerate(range(nodes.start, nodes.stop)):
-        yield slice(i, i + 1), [(idx, ys[k]) for (idx, *_), ys in zip(kept, per_block)]
+        try:
+            blocks.append((idx, _pivoted_factors(diag, column), True))
+        except _PivotFailure as err:
+            err.where = (nodes, idx)
+            raise
+    return blocks
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):
@@ -454,23 +504,22 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
 
     Returns ``(entries, orders)``: ``entries[i, j]`` couples partial-wave
     order ``orders[i]`` to ``orders[j]`` in the balanced gauge, up to
-    the module's S.  The matrix is scattered from the blocks of
-    `kernel_blocks` at this one node, asked for the one-rung ladder
-    nu_max, so no order is left out; ``orders`` lists the orders those
-    blocks cover: on the knife edge the mode's parity only, for
-    positive radius all orders 0..nu_max.  Entries between different
-    blocks are exact zeros.
+    the module's S.  The matrix is scattered from the whole blocks of
+    `kernel_blocks` at this one node, asked for the int nu_max, so no
+    order is left out; ``orders`` lists the orders those blocks cover:
+    on the knife edge the mode's parity only, for positive radius all
+    orders 0..nu_max.  Entries between different blocks are exact zeros.
     """
     if q <= 0 or not math.isfinite(q):
         raise DomainError("q must be positive and finite")
     nu_max = _check_order(nu_max)
     mode = BoundaryMode(mode)
     _, blocks = next(kernel_blocks(geom, q, nu_max, (mode,)))
-    orders = np.sort(np.concatenate([np.arange(0)] + [idx for idx, _ in blocks]))
+    orders = np.sort(np.concatenate([np.arange(0)] + [idx for idx, *_ in blocks]))
     entries = np.zeros((orders.size, orders.size))
-    for idx, block in blocks:
+    for idx, block, factored in blocks:
         sel = np.searchsorted(orders, idx)
-        entries[np.ix_(sel, sel)] = block.T @ block if block.ndim == 2 else block[0]
+        entries[np.ix_(sel, sel)] = block[0].T @ block[0] if factored else block[0]
     if not np.all(np.isfinite(entries)):
         raise PhysicalRegimeError(
             "kernel entries overflowed; the balanced gauge does not cover "
@@ -531,15 +580,16 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     is made in `kernel_blocks`, whose zero-tilt blocks are positive
     semidefinite.
 
-    With ``factored``, ``kernel`` is instead one block's factor F, of
-    shape (k, n), as `kernel_blocks` yields it: N = F^T F, and a size s
-    keeps F's leading s columns.  Its log-determinants are taken on F's
-    cheaper side by `_factor_logdets`, with no dense N formed.
+    With ``factored``, ``kernel`` is instead a factor F, of shape
+    (k, n), or a stack of them, of shape (run, k, n), as `kernel_blocks`
+    yields them: N = F^T F, and a size s keeps F's leading s columns.
+    Their log-determinants are taken on F's cheaper side by
+    `_factor_logdets`, with no dense N formed.
     """
     entries = np.asarray(kernel)
     stacked = entries.ndim == 3
-    if factored and entries.ndim != 2:
-        raise DomainError("expected a factor of shape (k, n)")
+    if factored and entries.ndim not in (2, 3):
+        raise DomainError("expected a factor of shape (k, n) or a stack of them")
     if not factored and (entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]):
         raise DomainError("expected a square matrix or a stack of them")
     n = entries.shape[-1]
@@ -551,10 +601,22 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
         raise DomainError(f"block sizes must lie in [0, {n}]")
     if factored:
         cuts, where = np.unique(want, return_inverse=True)
-        out = _factor_logdets(entries, cuts)[where] if want.size else np.zeros(0)
-        return float(out[0]) if sizes is None else out
+        factors = entries if stacked else entries[None]
+        out = (_factor_logdets(factors, cuts)[:, where] if want.size
+               else np.zeros((factors.shape[0], 0)))
+    else:
+        out = _square_logdets(entries if stacked else entries[None], want, stacked)
+    if stacked:
+        return out[:, 0] if sizes is None else out
+    return float(out[0, 0]) if sizes is None else out[0]
+
+
+def _square_logdets(stack: np.ndarray, want: np.ndarray, stacked: bool) -> np.ndarray:
+    """`logdet_one_minus` of a stack of square matrices at the sizes
+    ``want``, of shape (run, len(want)); ``stacked`` says whether the
+    caller gave a stack, for the messages."""
     top = int(want.max(initial=0))
-    head = (entries if stacked else entries[None])[:, :top, :top]
+    head = stack[:, :top, :top]
     run = head.shape[0]
     # C order whatever the input's layout, so the reshape below is a view.
     m = np.negative(head, dtype=float, order="C")
@@ -562,7 +624,7 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     # NaN compares unequal to itself, so a NaN entry fails this test too.
     if not np.all(m == m.transpose(0, 2, 1)):
         if not np.all(np.isfinite(head)):
-            raise PhysicalRegimeError("kernel contains nonfinite entries")
+            raise _nonfinite_square(head)
         j = int(np.argmin(np.all(m == m.transpose(0, 2, 1), axis=(1, 2))))
         where = f"matrix {j} of the stack" if stacked else "the matrix"
         raise DomainError(f"the kernel must be exactly symmetric: {where} is not")
@@ -571,7 +633,7 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     if failed is not None:
         j, info = failed
         if not np.all(np.isfinite(head[j, :info, :info])):
-            raise PhysicalRegimeError("kernel contains nonfinite entries")
+            raise _nonfinite_square(head[j:j + 1, :info, :info], j)
         where = f"matrix {j} of the stack: " if stacked else ""
         raise _PivotFailure(
             f"1 - N is not positive definite: {where}its leading minor of "
@@ -580,56 +642,65 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     out = ladders[:, want]
     # A nonfinite entry of the factored head reaches the top rung.
     if not np.all(np.isfinite(out)):
-        raise PhysicalRegimeError("kernel contains nonfinite entries")
-    if stacked:
-        return out[:, 0] if sizes is None else out
-    return float(out[0, 0]) if sizes is None else out[0]
+        raise _nonfinite_square(head)
+    return out
 
 
-def _factor_logdets(factor: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """log det(1 - F^T F) at each of the increasing leading column
-    counts ``cuts`` of a block's factor F, of shape (k, n), for
-    `logdet_one_minus`.
+    counts ``cuts`` of each factor F of a stack, of shape (run, k, n),
+    for `logdet_one_minus`; the result has shape (run, len(cuts)).
 
-    F is taken on its cheaper side.  With 3k < n (the rank cut's Y), by
-    Sylvester's identity value j is log det(1 - G_j) of the k x k Gram
-    G_j of F's leading cuts[j] columns, built as partial sums between
-    cuts and made exactly symmetric.  Otherwise one dsyrk writes
-    1 - F^T F into one triangle of an identity, and one Cholesky
-    factorization in place serves every cut.  The Grams cost about
-    2 k^2 n + k^3 / 3 per cut, the single factorization n^2 k + n^3 / 3,
-    and with one BLAS thread the two take the same time from about
-    k = n / 3 (k = 120 to 150 at n = 401, 300 at n = 801).  A failure raises
-    `_PivotFailure` at F's first nonfinite column, else at the leading
-    minor, or the first cut's Gram, that is not positive definite.
+    The stack is taken on its cheaper side.  With 3k < n (the rank
+    cut's Y), by Sylvester's identity value j is log det(1 - G_j) of the
+    k x k Gram G_j of F's leading cuts[j] columns, built for the whole
+    stack as partial sums between cuts, made exactly symmetric, and
+    factored in one call; zero rows of F add an exact unit row and
+    column to 1 - G_j, and so a factor of 1.0 to its determinant.
+    Otherwise one dsyrk per factor writes 1 - F^T F into one triangle of
+    an identity, and one Cholesky factorization in place serves every
+    cut.  The Grams cost about 2 k^2 n + k^3 / 3 per cut, the single
+    factorization n^2 k + n^3 / 3, and with one BLAS thread the two take
+    the same time from about k = n / 3 (k = 120 to 150 at n = 401, 300
+    at n = 801).  A failure raises `_PivotFailure` at the first factor's
+    first nonfinite column, if any factor holds one, else at the first
+    factor whose leading minor, or whose first cut's Gram, is not
+    positive definite.
     """
-    k, n = factor.shape
+    run, k, n = factors.shape
     top = int(cuts.max(initial=0))
-    failed = (top, "nonfinite", "kernel contains nonfinite entries")
+    nonfinite = "kernel contains nonfinite entries"
     if 3 * k < n:
-        sums = np.cumsum([s @ s.T for s in np.split(factor, cuts, axis=1)[:cuts.size]], axis=0)
+        # sums[j, c]: node j's Gram of F's leading cuts[c] columns.
+        sums = np.stack([s @ s.transpose(0, 2, 1)
+                         for s in np.split(factors, cuts, axis=2)[:cuts.size]], axis=1)
+        np.cumsum(sums, axis=1, out=sums)
+        grams = 0.5 * (sums + sums.transpose(0, 1, 3, 2))
         try:
-            return logdet_one_minus(0.5 * (sums + sums.transpose(0, 2, 1)))
+            return logdet_one_minus(grams.reshape(run * cuts.size, k, k)).reshape(run, cuts.size)
         except _PivotFailure as err:
-            failed = (int(cuts[err.matrix]), "gram", "1 - N is not positive definite: a Gram "
-                      "matrix of its factor has an eigenvalue of at least one")
-        except PhysicalRegimeError:
-            pass
+            node, cut = divmod(err.matrix, cuts.size)
+            failed = ((node, int(cuts[cut]), "gram", "1 - N is not positive definite: a Gram "
+                       "matrix of its factor has an eigenvalue of at least one")
+                      if err.kind == "minor" else (node, int(cuts[cut]), "nonfinite", nonfinite))
     else:
-        # F's columns are contiguous, so dsyrk reads F in place, and m[0].T
-        # is the identity in Fortran order, which it overwrites.
-        m = np.identity(top)[None]
-        if top:
-            blas.dsyrk(-1.0, factor[:, :top], beta=1.0, c=m[0].T, trans=1, lower=1,
+        # F's columns are contiguous, so dsyrk reads F in place, and m[j].T
+        # is an identity in Fortran order, which it overwrites.
+        m = np.zeros((run, top, top))
+        m.reshape(run, top * top)[:, ::top + 1] = 1.0
+        for j in range(run if top else 0):
+            blas.dsyrk(-1.0, factors[j, :, :top], beta=1.0, c=m[j].T, trans=1, lower=1,
                        overwrite_c=1)
         ladders, stop = _cholesky_ladders(m)
-        if stop is None and np.isfinite(ladders[0, -1]):
-            return ladders[0, cuts]
+        if stop is None and np.all(np.isfinite(ladders[:, -1])):
+            return ladders[:, cuts]
         if stop is not None:
-            failed = (stop[1], "minor", "1 - N is not positive definite: its leading minor "
-                      f"of order {stop[1]} (of {top}) is not positive")
-    bad = np.flatnonzero(~np.all(np.isfinite(factor[:, :top]), axis=0))
-    if bad.size:
-        failed = (int(bad[0]) + 1, "nonfinite", "kernel contains nonfinite entries")
-    rows, kind, message = failed
-    raise _PivotFailure(message, 0, rows, kind)
+            failed = (stop[0], stop[1], "minor", "1 - N is not positive definite: its leading "
+                      f"minor of order {stop[1]} (of {top}) is not positive")
+        else:
+            failed = (int(np.argmin(np.isfinite(ladders[:, -1]))), top, "nonfinite", nonfinite)
+    bad = ~np.all(np.isfinite(factors[:, :, :top]), axis=1)
+    if bad.any():
+        raise _nonfinite(bad)
+    matrix, rows, kind, message = failed
+    raise _PivotFailure(message, matrix, rows, kind)

@@ -127,7 +127,7 @@ def plane_amplitude(mode: BoundaryMode) -> float:
     raise DomainError(f"unknown boundary mode {mode!r}")
 
 
-def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
+def parabolic_amplitude_table(nmax: int, mode, mu0_scaled):
     """Sign/log tables of the cylinder amplitude F_n for n = 0..nmax.
 
     ``mu0_scaled`` is a scalar or a 1-d array of nonnegative arguments,
@@ -139,11 +139,22 @@ def parabolic_amplitude_table(nmax: int, mode: BoundaryMode, mu0_scaled):
     the others sign 0 and log -inf, from the same ratio formula as every
     other argument.
 
-    Returns ``(sign, logmag)`` arrays.
+    Returns ``(sign, logmag)`` arrays for one `BoundaryMode`, or for a
+    tuple of modes a list of them, one per mode in its order.  A tuple
+    takes every mode from one pass of the recurrences: the derivative
+    tables that Neumann needs come with the values that Dirichlet needs,
+    so each mode's tables are bitwise those it gets alone.
     """
-    if not isinstance(mode, BoundaryMode):
+    modes = mode if isinstance(mode, tuple) else (mode,)
+    if not modes or not all(isinstance(m, BoundaryMode) for m in modes):
         raise DomainError(f"unknown boundary mode {mode!r}")
-    neumann = mode is BoundaryMode.NEUMANN
-    *_, sv, lv = pcf_regular_imag_table(nmax, mu0_scaled, with_derivative=neumann)
-    *_, sb, lb = pcf_outgoing_table(nmax, mu0_scaled, with_derivative=neumann)
-    return -sv * sb, lv - lb
+    neumann = BoundaryMode.NEUMANN in modes
+    regular = pcf_regular_imag_table(nmax, mu0_scaled, with_derivative=neumann)
+    outgoing = pcf_outgoing_table(nmax, mu0_scaled, with_derivative=neumann)
+    tables = []
+    for m in modes:
+        # Values first, then the derivative's sign and log.
+        at = 2 if m is BoundaryMode.NEUMANN else 0
+        (sv, lv), (sb, lb) = regular[at:at + 2], outgoing[at:at + 2]
+        tables.append((-sv * sb, lv - lb))
+    return tables if isinstance(mode, tuple) else tables[0]

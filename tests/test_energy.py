@@ -672,14 +672,14 @@ class TestKernelBlockStream:
         assert len(layout) == per_mode * len(modes)
         covered = 0
         for nodes, blocks in kernel_blocks(geom, q, 60, modes):
-            assert [idx.tolist() for idx, _ in blocks] == [idx.tolist() for _, idx in layout]
+            assert [idx.tolist() for idx, *_ in blocks] == [idx.tolist() for _, idx in layout]
             run = nodes.stop - nodes.start
-            for (mode, _), (idx, stack) in zip(layout, blocks):
-                if stack.ndim == 2:
-                    assert run == 1 and stack.shape[1] == idx.size
+            for (mode, _), (idx, stack, factored) in zip(layout, blocks):
+                if factored:
+                    assert run == 1 and stack.shape[0] == 1 and stack.shape[2] == idx.size
                     entries, kept = build_kernel(geom, q[nodes.start], 60, mode)
                     assert np.array_equal(kept, idx)
-                    assert np.array_equal(stack.T @ stack, entries)
+                    assert np.array_equal(stack[0].T @ stack[0], entries)
                     continue
                 assert stack.shape == (run, idx.size, idx.size)
                 for k, entries in enumerate(stack):

@@ -173,15 +173,16 @@ class TestRankCut:
         for mode in BoundaryMode:
             (_, blocks), = kernel_blocks(geom, np.array([q]), self.ORDERS, (mode,))
             full, kept = build_kernel(geom, q, self.ORDERS[-1], mode)
-            for (cut_idx, stack), idx in zip(blocks, _block_orders(geom, self.ORDERS[-1], mode)):
+            for (cut_idx, stack, factored), idx in zip(blocks,
+                                                       _block_orders(geom, self.ORDERS[-1], mode)):
                 sel = np.searchsorted(kept, idx)
                 block = full[np.ix_(sel, sel)]
                 dense = logdet_one_minus(block, np.searchsorted(idx, self.ORDERS, side="right"))
                 cuts = np.searchsorted(cut_idx, self.ORDERS, side="right")
-                if stack.ndim == 2:
+                if factored:
                     ranked += 1
-                    assert stack.shape[0] < 64
-                    got = logdet_one_minus(stack, cuts, factored=True)
+                    assert stack.shape[0] == 1 and stack.shape[1] < 64
+                    got = logdet_one_minus(stack, cuts, factored=True)[0]
                 else:
                     assert cut_idx.size <= _RANK_FROM
                     got = logdet_one_minus(stack, cuts)[0]
@@ -193,18 +194,97 @@ class TestRankCut:
         assert ranked == (0 if x == 3.0 and geom.H == 1.0 else
                           (2 if geom.R == 0.0 else 4))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nonfinite_half_log_raises(self, monkeypatch, bad):
+    @staticmethod
+    def spoil_half_log(monkeypatch, order, bad):
+        """Put ``bad`` in the Dirichlet half-log of ``order`` at node 1."""
         half_logs = roundtrip_module._body_half_logs
 
-        def spoiled(nu_max, mode, mu0_scaled):
-            half = half_logs(nu_max, mode, mu0_scaled)
-            half[300, 1] = bad
+        def spoiled(nu_max, modes, mu0_scaled):
+            half = half_logs(nu_max, modes, mu0_scaled)
+            half[0, order, 1] = bad
             return half
 
         monkeypatch.setattr(roundtrip_module, "_body_half_logs", spoiled)
-        with pytest.raises(PhysicalRegimeError, match="nonfinite"):
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_half_log_raises(self, monkeypatch, bad):
+        # The block keeps all 401 orders at x = 0.3 and takes the rank cut,
+        # whose pivoting meets the nonfinite diagonal entry first.
+        self.spoil_half_log(monkeypatch, 300, bad)
+        with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
             _g_series(Geometry(1.0, 0.1), np.array([1e-3, 0.3, 3.0]), self.ORDERS, "em")
+        assert "at x = 0.3, partial-wave order 300" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_half_log_on_a_dense_stack_names_node_and_order(self, monkeypatch, bad):
+        # On the ladder to 200 no block exceeds _RANK_FROM orders, so the
+        # blocks are factored dense, and the order named is the smallest
+        # whose leading block holds a nonfinite entry.
+        self.spoil_half_log(monkeypatch, 30, bad)
+        with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
+            _g_series(Geometry(1.0, 0.1), np.array([1e-3, 0.3, 3.0]), [25, 50, 100, 200], "em")
+        assert "at x = 0.3, partial-wave order 30" in str(info.value)
+
+    def test_run_of_different_ranks_within_bound_of_dense_rungs(self):
+        # One run of nodes whose factors have ranks 24 to 34: the lower
+        # ranks are padded with zero rows, and each node's rungs from the
+        # whole stack keep the bound of the test above against the dense
+        # rungs of `build_kernel`.
+        geom, mode = Geometry(1.0, 0.1), BoundaryMode.DIRICHLET
+        x = np.array([1e-3, 3e-2, 1.0, 3.0])
+        (nodes, blocks), = kernel_blocks(geom, x / geom.H, self.ORDERS, (mode,))
+        assert nodes == slice(0, x.size)
+        for i, xi in enumerate(x):
+            full, kept = build_kernel(geom, xi / geom.H, self.ORDERS[-1], mode)
+            for cut_idx, stack, factored in blocks:
+                assert factored and stack.shape[0] == x.size
+                ranks = np.count_nonzero(np.any(stack != 0.0, axis=2), axis=1)
+                assert np.unique(ranks).size > 1 and ranks.max() == stack.shape[1]
+                assert not np.any(stack[i, ranks[i]:])
+                cuts = np.searchsorted(cut_idx, self.ORDERS, side="right")
+                got = logdet_one_minus(stack, cuts, factored=True)[i]
+                sel = np.searchsorted(kept, cut_idx)
+                block = full[np.ix_(sel, sel)]
+                dense = logdet_one_minus(block, cuts)
+                tau = max(1e-15, cut_idx.size * np.finfo(float).eps * block.diagonal().max())
+                bound = tau / (1.0 - np.linalg.eigvalsh(block)[-1])
+                assert np.all(np.abs(got - dense) <= bound + 1e-13), (xi, cut_idx[0])
+
+    def test_one_rung_takes_the_rank_cut(self):
+        # A ladder of one rung takes the rank cut above _RANK_FROM orders;
+        # an int asks `kernel_blocks` for the whole dense blocks, as
+        # `build_kernel` does.
+        geom, x, mode = Geometry(1.0, 0.1), 0.3, BoundaryMode.NEUMANN
+        (_, blocks), = kernel_blocks(geom, np.array([x / geom.H]), [400], (mode,))
+        assert [factored for *_, factored in blocks] == [True, True]
+        (_, whole), = kernel_blocks(geom, np.array([x / geom.H]), 400, (mode,))
+        assert [(idx.size, factored) for idx, _, factored in whole] == [(201, False), (200, False)]
+        full, _ = build_kernel(geom, x / geom.H, 400, mode)
+        bound = sum(max(1e-15, stack.shape[1] * np.finfo(float).eps * stack[0].diagonal().max())
+                    / (1.0 - np.linalg.eigvalsh(stack[0])[-1]) for _, stack, _ in whole)
+        got = _g_series(geom, np.array([x]), [400], mode.value)[0, 0]
+        assert abs(got - logdet_one_minus(full)) <= bound + 1e-13
+
+    def test_gram_failure_names_its_node_within_a_run(self, monkeypatch):
+        # Every node's blocks but the lowest node's are scaled by 4, which
+        # puts the Dirichlet even block's largest eigenvalue above one at
+        # x = 1e-3; the two nodes share one run, and the message names the
+        # second.
+        geom, x = Geometry(1.0, 0.1), np.array([5e-4, 1e-3])
+        half_logs = roundtrip_module._body_half_logs
+
+        def scaled(nu_max, modes, mu0_scaled):
+            lift = np.where(mu0_scaled > mu0_scaled.min(), 0.5 * math.log(4.0), 0.0)
+            return half_logs(nu_max, modes, mu0_scaled) + lift
+
+        monkeypatch.setattr(roundtrip_module, "_body_half_logs", scaled)
+        runs = [nodes for nodes, _ in kernel_blocks(geom, x / geom.H, self.ORDERS,
+                                                     (BoundaryMode.DIRICHLET,))]
+        assert runs == [slice(0, 2)]
+        assert np.all(np.isfinite(_g_series(geom, x[:1], self.ORDERS, "dirichlet")))
+        with pytest.raises(PhysicalRegimeError, match="at x = 0.001: ") as info:
+            _g_series(geom, x, self.ORDERS, "dirichlet")
+        assert "Gram matrix of its factor" in str(info.value)
 
     def test_eigenvalue_above_one_names_the_node(self, monkeypatch):
         # Scaling every block by 4 puts the Dirichlet even block's largest
@@ -216,6 +296,22 @@ class TestRankCut:
         with pytest.raises(PhysicalRegimeError, match="at x = 0.001: ") as info:
             _g_series(Geometry(1.0, 0.1), np.array([1e-3]), self.ORDERS, "dirichlet")
         assert "order" not in str(info.value)
+
+
+class TestSharedHalfLogs:
+    def test_one_pass_is_bitwise_each_mode_alone(self):
+        # `_body_half_logs` takes every mode from one pass of the
+        # recurrences; each mode's half-logs are bitwise those of its own
+        # `parabolic_amplitude_table`, whatever the order of the modes.
+        mu = np.concatenate([[0.0], np.sqrt(2.0 * np.geomspace(1e-3, 60.0, 40))])
+        for modes in (tuple(BoundaryMode), tuple(reversed(BoundaryMode)),
+                      (BoundaryMode.NEUMANN,), (BoundaryMode.DIRICHLET,)):
+            half = roundtrip_module._body_half_logs(300, modes, mu)
+            assert half.shape == (len(modes), 301, mu.size)
+            for mode, got in zip(modes, half):
+                _, logs = parabolic_amplitude_table(300, mode, mu)
+                expected = 0.5 * (logs - roundtrip_module.gammaln(np.arange(301) + 1.0)[:, None])
+                assert np.array_equal(got, expected)
 
 
 class TestTiltedFactor:
@@ -235,7 +331,7 @@ class TestTiltedFactor:
         geom = Geometry(0.0, 1.0, math.radians(deg))
         for mode in BoundaryMode:
             got = _g_series(geom, np.array([x]), self.ORDERS, mode.value)[:, 0]
-            (_, [(cut_idx, factor)]), = kernel_blocks(geom, np.array([x]), self.ORDERS, (mode,))
+            (_, [(cut_idx, *_)]), = kernel_blocks(geom, np.array([x]), self.ORDERS, (mode,))
             block, idx = build_kernel(geom, x, self.ORDERS[-1], mode)
             assert np.array_equal(cut_idx, idx[:cut_idx.size])
             dense = logdet_one_minus(block, np.searchsorted(idx, self.ORDERS, side="right"))
@@ -248,8 +344,9 @@ class TestTiltedFactor:
     def test_block_at_large_frequency_stops_below_the_top_rung(self):
         geom = Geometry(0.0, 1.0, math.radians(85.0))
         (_, blocks), = kernel_blocks(geom, np.array([3.0]), self.ORDERS, tuple(BoundaryMode))
-        assert [factor.ndim for _, factor in blocks] == [2, 2]
-        assert all(idx.size < 401 and factor.shape[1] == idx.size for idx, factor in blocks)
+        assert [factored for *_, factored in blocks] == [True, True]
+        assert all(idx.size < 401 and factor.shape[0] == 1 and factor.shape[2] == idx.size
+                   for idx, factor, _ in blocks)
 
     def test_nonfinite_factor_names_node_and_order(self, monkeypatch):
         gram = roundtrip_module._gram
@@ -467,7 +564,7 @@ class TestLogDet:
             assert logdet_one_minus(block, factored=True) == pytest.approx(got[0], rel=1e-15)
             assert logdet_one_minus(block, [], factored=True).shape == (0,)
         with pytest.raises(DomainError, match="factor"):
-            logdet_one_minus(np.zeros((2, 3, 3)), factored=True)
+            logdet_one_minus(np.zeros((2, 2, 3, 3)), factored=True)
         with pytest.raises(PhysicalRegimeError, match="not positive definite"):
             logdet_one_minus(10.0 * factor, [2, 9], factored=True)
 

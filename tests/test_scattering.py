@@ -103,6 +103,23 @@ class TestKnifeEdgeAmplitudes:
             assert logs[orders, 1] == pytest.approx(logs[orders, 0], abs=1e-6)
 
 
+class TestSharedPass:
+    def test_tuple_of_modes_is_bitwise_each_mode_alone(self):
+        mu0_scaled = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 30)])
+        for modes in (tuple(BoundaryMode), tuple(reversed(BoundaryMode)),
+                      (BoundaryMode.NEUMANN,)):
+            tables = parabolic_amplitude_table(120, modes, mu0_scaled)
+            assert len(tables) == len(modes)
+            for mode, (signs, logs) in zip(modes, tables):
+                alone = parabolic_amplitude_table(120, mode, mu0_scaled)
+                assert np.array_equal(signs, alone[0]) and np.array_equal(logs, alone[1])
+
+    @pytest.mark.parametrize("modes", [(), ("neumann",), (BoundaryMode.DIRICHLET, None)])
+    def test_bad_tuple_rejected(self, modes):
+        with pytest.raises(DomainError, match="boundary mode"):
+            parabolic_amplitude_table(3, modes, 0.5)
+
+
 class TestFiniteRadiusAmplitudes:
     @pytest.mark.parametrize("mu0_scaled", [0.3, 1.0, 2.7, 8.0])
     def test_dirichlet_sign_alternation(self, mu0_scaled):
