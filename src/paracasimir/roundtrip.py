@@ -605,45 +605,37 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
         out = (_factor_logdets(factors, cuts)[:, where] if want.size
                else np.zeros((factors.shape[0], 0)))
     else:
-        out = _square_logdets(entries if stacked else entries[None], want, stacked)
+        top = int(want.max(initial=0))
+        head = (entries if stacked else entries[None])[:, :top, :top]
+        run = head.shape[0]
+        # C order whatever the input's layout, so the reshape below is a view.
+        m = np.negative(head, dtype=float, order="C")
+        m.reshape(run, top * top)[:, ::top + 1] += 1.0
+        # NaN compares unequal to itself, so a NaN entry fails this test too.
+        if not np.all(m == m.transpose(0, 2, 1)):
+            if not np.all(np.isfinite(head)):
+                raise _nonfinite_square(head)
+            j = int(np.argmin(np.all(m == m.transpose(0, 2, 1), axis=(1, 2))))
+            where = f"matrix {j} of the stack" if stacked else "the matrix"
+            raise DomainError(f"the kernel must be exactly symmetric: {where} is not")
+        # m is exactly symmetric, so the triangle LAPACK reads is the matrix.
+        ladders, failed = _cholesky_ladders(m)
+        if failed is not None:
+            j, info = failed
+            if not np.all(np.isfinite(head[j, :info, :info])):
+                raise _nonfinite_square(head[j:j + 1, :info, :info], j)
+            where = f"matrix {j} of the stack: " if stacked else ""
+            raise _PivotFailure(
+                f"1 - N is not positive definite: {where}its leading minor of "
+                f"order {info} (of {top}) is not positive; increase quadrature "
+                "resolution or check the geometry", j, info, "minor")
+        out = ladders[:, want]
+        # A nonfinite entry of the factored head reaches the top rung.
+        if not np.all(np.isfinite(out)):
+            raise _nonfinite_square(head)
     if stacked:
         return out[:, 0] if sizes is None else out
     return float(out[0, 0]) if sizes is None else out[0]
-
-
-def _square_logdets(stack: np.ndarray, want: np.ndarray, stacked: bool) -> np.ndarray:
-    """`logdet_one_minus` of a stack of square matrices at the sizes
-    ``want``, of shape (run, len(want)); ``stacked`` says whether the
-    caller gave a stack, for the messages."""
-    top = int(want.max(initial=0))
-    head = stack[:, :top, :top]
-    run = head.shape[0]
-    # C order whatever the input's layout, so the reshape below is a view.
-    m = np.negative(head, dtype=float, order="C")
-    m.reshape(run, top * top)[:, ::top + 1] += 1.0
-    # NaN compares unequal to itself, so a NaN entry fails this test too.
-    if not np.all(m == m.transpose(0, 2, 1)):
-        if not np.all(np.isfinite(head)):
-            raise _nonfinite_square(head)
-        j = int(np.argmin(np.all(m == m.transpose(0, 2, 1), axis=(1, 2))))
-        where = f"matrix {j} of the stack" if stacked else "the matrix"
-        raise DomainError(f"the kernel must be exactly symmetric: {where} is not")
-    # m is exactly symmetric, so the triangle LAPACK reads is the matrix.
-    ladders, failed = _cholesky_ladders(m)
-    if failed is not None:
-        j, info = failed
-        if not np.all(np.isfinite(head[j, :info, :info])):
-            raise _nonfinite_square(head[j:j + 1, :info, :info], j)
-        where = f"matrix {j} of the stack: " if stacked else ""
-        raise _PivotFailure(
-            f"1 - N is not positive definite: {where}its leading minor of "
-            f"order {info} (of {top}) is not positive; increase quadrature "
-            "resolution or check the geometry", j, info, "minor")
-    out = ladders[:, want]
-    # A nonfinite entry of the factored head reaches the top rung.
-    if not np.all(np.isfinite(out)):
-        raise _nonfinite_square(head)
-    return out
 
 
 def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -669,7 +661,6 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """
     run, k, n = factors.shape
     top = int(cuts.max(initial=0))
-    nonfinite = "kernel contains nonfinite entries"
     if 3 * k < n:
         # sums[j, c]: node j's Gram of F's leading cuts[c] columns.
         sums = np.stack([s @ s.transpose(0, 2, 1)
@@ -680,9 +671,7 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
             return logdet_one_minus(grams.reshape(run * cuts.size, k, k)).reshape(run, cuts.size)
         except _PivotFailure as err:
             node, cut = divmod(err.matrix, cuts.size)
-            failed = ((node, int(cuts[cut]), "gram", "1 - N is not positive definite: a Gram "
-                       "matrix of its factor has an eigenvalue of at least one")
-                      if err.kind == "minor" else (node, int(cuts[cut]), "nonfinite", nonfinite))
+            failed = (node, int(cuts[cut]), "gram" if err.kind == "minor" else "nonfinite")
     else:
         # F's columns are contiguous, so dsyrk reads F in place, and m[j].T
         # is an identity in Fortran order, which it overwrites.
@@ -694,13 +683,17 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
         ladders, stop = _cholesky_ladders(m)
         if stop is None and np.all(np.isfinite(ladders[:, -1])):
             return ladders[:, cuts]
-        if stop is not None:
-            failed = (stop[0], stop[1], "minor", "1 - N is not positive definite: its leading "
-                      f"minor of order {stop[1]} (of {top}) is not positive")
-        else:
-            failed = (int(np.argmin(np.isfinite(ladders[:, -1]))), top, "nonfinite", nonfinite)
+        failed = ((*stop, "minor") if stop is not None
+                  else (int(np.argmin(np.isfinite(ladders[:, -1]))), top, "nonfinite"))
     bad = ~np.all(np.isfinite(factors[:, :, :top]), axis=1)
     if bad.any():
         raise _nonfinite(bad)
-    matrix, rows, kind, message = failed
+    matrix, rows, kind = failed
+    message = {
+        "gram": "1 - N is not positive definite: a Gram matrix of its factor has an "
+                "eigenvalue of at least one",
+        "minor": f"1 - N is not positive definite: its leading minor of order {rows} "
+                 f"(of {top}) is not positive",
+        "nonfinite": "kernel contains nonfinite entries",
+    }[kind]
     raise _PivotFailure(message, matrix, rows, kind)
