@@ -191,6 +191,8 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
                 at = (nodes, idx)
                 cuts = np.searchsorted(idx, orders, side="right")
                 out[:, nodes] += logdet_one_minus(block, cuts, factored=factored).T
+            # Let go of this run's blocks before the next run is built.
+            del blocks, block
     except _PivotFailure as err:
         # A failure inside `kernel_blocks` says where it was; the others
         # were in the block last factored.

@@ -127,7 +127,7 @@ def plane_amplitude(mode: BoundaryMode) -> float:
     raise DomainError(f"unknown boundary mode {mode!r}")
 
 
-def parabolic_amplitude_table(nmax: int, mode, mu0_scaled):
+def parabolic_amplitude_table(nmax: int, mode: BoundaryMode | tuple, mu0_scaled):
     """Sign/log tables of the cylinder amplitude F_n for n = 0..nmax.
 
     ``mu0_scaled`` is a scalar or a 1-d array of nonnegative arguments,
