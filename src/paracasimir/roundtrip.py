@@ -157,12 +157,13 @@ _NEGLIGIBLE = 2.0 ** -54
 
 # The rank cut (module docstring) takes runs whose blocks keep more than
 # _RANK_FROM orders, factors them to a residual trace of _RANK_TRACE or
-# its rounding, and holds _RANK_COLUMNS columns per node within
-# _RANK_BYTES: 10 nodes at 401 orders, one from 513 up.
+# its rounding, and starts with _RANK_COLUMNS columns per node within
+# _RANK_BYTES: 20 nodes at 202 orders, 10 at 401, 5 at 801.  A node of
+# higher rank doubles the columns.
 _RANK_FROM = 128
 _RANK_TRACE = 1e-15
-_RANK_COLUMNS = 64
-_RANK_BYTES = 2 * 1024 * 1024
+_RANK_COLUMNS = 32
+_RANK_BYTES = 1024 * 1024
 
 
 def _knife_start(mode: BoundaryMode) -> int:
@@ -306,7 +307,12 @@ def _pivoted_factors(diag: np.ndarray, column) -> np.ndarray:
                 factors[live[k]] = ys[k, :r].copy()
             if done.all():
                 break
-            live, resid, ys, tau = live[~done], resid[~done], ys[~done], tau[~done]
+            # Compact in place: a copy would hold the buffer twice.
+            keep = np.flatnonzero(~done)
+            for j, i in enumerate(keep):
+                if j != i:
+                    ys[j] = ys[i]
+            live, resid, ys, tau = live[keep], resid[keep], ys[:keep.size], tau[keep]
         if r == ys.shape[1]:
             ys = np.concatenate([ys, np.empty_like(ys)], axis=1)
         k = np.arange(live.size)
@@ -317,6 +323,7 @@ def _pivoted_factors(diag: np.ndarray, column) -> np.ndarray:
         resid -= col * col
         resid[k, piv] = 0.0
         ys[:, r] = col
+    del ys  # before the stack is built, as the buffer is no longer needed
     stack = np.zeros((run, max(y.shape[0] for y in factors), n))
     for k, y in enumerate(factors):
         stack[k, :y.shape[0]] = y
