@@ -7,6 +7,9 @@ and (800, ..., 6400), this prints for each channel
 - the time of one `energy_per_length` call's main ladder, and of its
   node-doubling check (the ladder's lowest rung on twice the frequency
   nodes, which takes the rank cut too);
+- the main ladder's pivot loops and steps: the rank cut pivots each run
+  of nodes in one loop over all of its blocks, of as many steps as the
+  run's largest rank;
 - the smallest, median and largest rank of the rank cut's factors over
   the main ladder's frequency grid (every block that takes the cut);
 - the largest |delta g| between `_g_series` and the dense rungs of
@@ -49,13 +52,20 @@ NODES = (1e-3, 0.3, 3.0)
 
 
 def factor_shapes(geom, ladder, mode):
-    """Shape of each node's factor over the default frequency grid: the
+    """Shape of each node's factor over the default frequency grid, the
     rank cut's (rank, orders), its rows past the rank being zero, or the
-    tilted knife edge's (2U, kept)."""
+    tilted knife edge's (2U, kept); and at zero tilt the rank cut's pivot
+    loops and steps, one loop per run, of as many steps as the largest
+    rank of its blocks' stacks."""
     x, _ = _grid(default_quadrature(geom))
-    return [(int(np.count_nonzero(np.any(factor != 0.0, axis=1))), factor.shape[1])
-            for _, blocks in kernel_blocks(geom, x / geom.H, ladder, (mode,))
-            for _, stack, factored in blocks if factored for factor in stack]
+    shapes, loops, steps = [], 0, 0
+    for _, blocks in kernel_blocks(geom, x / geom.H, ladder, (mode,)):
+        stacks = [stack for _, stack, factored in blocks if factored]
+        shapes += [(int(np.count_nonzero(np.any(factor != 0.0, axis=1))), factor.shape[1])
+                   for stack in stacks for factor in stack]
+        if stacks and geom.theta == 0.0:
+            loops, steps = loops + 1, steps + max(stack.shape[1] for stack in stacks)
+    return shapes, loops, steps
 
 
 def dense_rungs(geom, mode, rungs):
@@ -98,8 +108,8 @@ def timed(geom, ladder, mode):
 
 
 def check_gaps():
-    print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'check/s':>7s} "
-          f"{'rank min/med/max':>17s} {'max |dg|':>9s} {'extrapolated':>14s}")
+    print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'loops/steps':>11s} "
+          f"{'check/s':>7s} {'rank min/med/max':>17s} {'max |dg|':>9s} {'extrapolated':>14s}")
     for h in GAPS:
         geom = Geometry(1.0, h)
         dense = {}
@@ -108,12 +118,13 @@ def check_gaps():
             for mode in BoundaryMode:
                 result, seconds = timed(geom, ladder, mode)
                 total += result.extrapolated
-                r = [shape[0] for shape in factor_shapes(geom, ladder, mode)]
+                shapes, loops, steps = factor_shapes(geom, ladder, mode)
+                r = [shape[0] for shape in shapes]
                 if mode not in dense:
                     dense[mode] = dense_rungs(geom, mode, list(LADDERS[0]))
                 gap = largest_gap(geom, ladder, mode, dense[mode], LADDERS[0])
                 print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
-                      f"{seconds[0]:7.2f} {seconds[1]:7.2f} "
+                      f"{seconds[0]:7.2f} {loops:5d}/{steps:<5d} {seconds[1]:7.2f} "
                       f"{min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
                       f"{gap:9.1e} {result.extrapolated:14.8f}", flush=True)
             print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} E/E_pfa = "
@@ -128,7 +139,8 @@ def check_tilts():
         for ladder in TILT_LADDERS:
             for mode in BoundaryMode:
                 _, seconds = timed(geom, ladder, mode)
-                kept = collections.Counter(shape[1] for shape in factor_shapes(geom, ladder, mode))
+                shapes, _, _ = factor_shapes(geom, ladder, mode)
+                kept = collections.Counter(shape[1] for shape in shapes)
                 gap = largest_gap(geom, ladder, mode, dense_rungs(geom, mode, ladder), ladder)
                 histogram = " ".join(f"{rows}:{count}" for rows, count in sorted(kept.items()))
                 print(f"{deg:5.1f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "

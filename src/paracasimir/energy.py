@@ -416,9 +416,9 @@ def classical_coefficient(nu_max: int = 200, channel: str = "em") -> float:
     x = 2e-2, where the k-functions of argument 2x decay slowly in the
     order; below the grid's x = 3e-5 a fitted a ln x + b tail takes
     over.  At nu_max = 200 the blocks of 202 orders take the rank cut
-    (`roundtrip`), and one call takes about 0.1 s on a busy 2-vCPU Xeon
-    with one BLAS thread (0.06 s for one channel), under 40% of it in
-    the log-dets.
+    (`roundtrip`), and one call takes 0.04 to 0.07 s on a busy 2-vCPU
+    Xeon with one BLAS thread (0.03 to 0.04 s for one channel), about
+    40% of it in the log-dets.
     """
     nu_max = _check_order(nu_max)
     xmin, xmax = 3e-5, 11.0

@@ -63,22 +63,22 @@ The rank cut.  Scaled Hankel moment matrices of a positive measure
 have exponentially decaying singular values (a 401-order block has
 rank 14 to 42 on the default grids, from H = 1 to 0.05 at R = 1 and at
 the knife edge), so where a run's blocks keep more than _RANK_FROM =
-128 orders they are not built.  A partial pivoted Cholesky, vectorised
-over the run's nodes, builds at each step only the column of the
-largest residual diagonal entry, and stops per node once the residual
-trace is at most tau: 1e-15, or n eps max_a N_aa, the trace's own
-rounding, where that is larger.  So N = Y^T Y + E with Y of r << n
-rows and E positive semidefinite, and by Sylvester's identity rung s
-is log det(1 - G_s), G_s the r x r Gram matrix of Y's columns up to s.
-Every leading block of E is positive semidefinite with trace at most
-tau, so each rung lies above the exact one by at most
-tau / (1 - lambda_max), to first order in tau, where lambda_max is the
-block's largest eigenvalue.  A run's factors come as one stack, zero
-rows padding each node's Y to the run's largest rank, and one
-`logdet_one_minus` call factors the Grams of every node and rung of
-the stack: a zero row adds a unit row and column to 1 - G_s, which
-leave its determinant as it is, though its Cholesky factorization, and
-with it the rung's last bits, can depend on the padded size.
+128 orders they are not built.  A partial pivoted Cholesky, one loop
+over every block and node of the run, builds at each step only the
+column of the largest residual diagonal entry, and stops per block and
+node once the residual trace is at most tau: 1e-15, or n eps max_a
+N_aa, the trace's own rounding, where that is larger.  So N = Y^T Y + E
+with Y of r << n rows and E positive semidefinite, and by Sylvester's
+identity rung s is log det(1 - G_s), G_s the r x r Gram matrix of Y's
+columns up to s.  Every leading block of E is positive semidefinite
+with trace at most tau, so each rung lies above the exact one by at
+most tau / (1 - lambda_max), to first order in tau, where lambda_max is
+the block's largest eigenvalue.  A block's factors come as one stack,
+zero rows padding each node's Y to the block's largest rank in the run,
+and one `logdet_one_minus` call factors the Grams of every node and
+rung of the stack: a zero row adds a unit row and column to 1 - G_s,
+which leave its determinant as it is, though its Cholesky
+factorization, and with it the rung's last bits, can can depend on the padded size.
 """
 
 from __future__ import annotations
@@ -156,10 +156,10 @@ _RUN_BYTES = 256 * 1024
 _NEGLIGIBLE = 2.0 ** -54
 
 # The rank cut (module docstring) takes runs whose blocks keep more than
-# _RANK_FROM orders, factors them to a residual trace of _RANK_TRACE or
-# its rounding, and starts with _RANK_COLUMNS columns per node within
-# _RANK_BYTES: 20 nodes at 202 orders, 10 at 401, 5 at 801.  A node of
-# higher rank doubles the columns.
+# _RANK_FROM orders and factors them to a residual trace of _RANK_TRACE
+# or its rounding.  A run holds as many nodes as _RANK_COLUMNS columns
+# of a block fit in _RANK_BYTES (20 at 202 orders, 10 at 401, 5 at 801);
+# its pivot buffer starts at that many for each block, doubling as needed.
 _RANK_FROM = 128
 _RANK_TRACE = 1e-15
 _RANK_COLUMNS = 32
@@ -222,13 +222,13 @@ def _body_block_theta0(rows: np.ndarray, cols: np.ndarray, pairs: np.ndarray) ->
     Row k of ``rows`` and ``cols`` (the half-logs of the m rows' and c
     columns' orders) and matrix k of ``pairs`` (log sqrt(pi/2) + log
     m_(n+n')/2 of the Bateman table at w = 2 q d over them) belong to
-    node k.  Entries of odd order sum vanish by mirror parity, so the
-    kernel splits into an even and an odd block.  Every entry is
-    positive, and h_i + h_j is summed before anything else is added, so
-    every whole block (rows as cols) is exactly symmetric, and the rank
-    cut's columns are bitwise its entries.  The stack is built in one
-    buffer: a fresh temporary per step would cost as much as the
-    arithmetic.
+    node k (under the rank cut, to one block at one node).  Entries of
+    odd order sum vanish by mirror parity, so the kernel splits into an
+    even and an odd block.  Every entry is positive, and h_i + h_j is
+    summed before anything else is added, so every whole block (rows as
+    cols) is exactly symmetric, and the rank cut's columns are bitwise
+    its entries.  The stack is built in one buffer: a fresh temporary
+    per step would cost as much as the arithmetic.
     """
     entries = rows[:, :, None] + cols[:, None, :]
     entries += pairs
@@ -276,58 +276,52 @@ def _block_diagonal(idx: np.ndarray, table: np.ndarray, half) -> np.ndarray:
         return np.exp(2.0 * half[idx].T + table[:, idx])
 
 
-def _pivoted_factors(diag: np.ndarray, column) -> np.ndarray:
-    """Partial pivoted Cholesky factors of a run of positive semidefinite
-    blocks with diagonals ``diag`` (one row per node), as one stack of
-    shape (run, r, n): node k's factor Y, N = Y^T Y + E, is stack[k],
-    whose rows past the node's own rank are zero, and r is the run's
-    largest rank.  ``column(k, p)`` returns column p[i] of node k[i]'s
-    block, one row per pair.  Each node pivots on its largest residual
-    diagonal entry, positive while the residual trace exceeds its tau
-    (the module docstring), sets that entry to zero, and stops once the
-    trace is at most tau.  Every step reads each node's own rows alone,
-    so no factor depends on the run.  A nonfinite residual diagonal
-    entry raises `_PivotFailure` at its node and its order.
+def _pivoted_factors(diag: np.ndarray, sizes, column) -> list:
+    """Partial pivoted Cholesky factors of a run's positive semidefinite
+    blocks in one loop: diag[b, k] is block b's diagonal at node k, its
+    sizes[b] orders padded with zeros, and ``column(p)`` gives column
+    p[i] of each row i = b run + k, zero in the pad.  Each row pivots on
+    its largest residual diagonal entry, zeroes it, and stops once the
+    residual trace is at most its tau (module docstring) or its rank is
+    its size; it reads its own entries alone.  The zero-initialised
+    buffer is the result: block b's stack is its view (run, r, sizes[b]),
+    stack[k] node k's factor Y (N = Y^T Y + E), r the block's largest
+    rank.  A nonfinite residual raises `_PivotFailure` as pivoting the
+    blocks one after another would: in the first block with one, at the
+    node and order where it showed first, ``matrix`` being b run + k.
     """
-    resid = np.array(diag, dtype=float)
-    run, n = resid.shape
-    live, factors = np.arange(run), [None] * run
-    ys = np.empty((run, min(n, _RANK_COLUMNS), n))
-    tau = np.maximum(_RANK_TRACE, n * np.finfo(float).eps * resid.max(axis=1, initial=0.0))
+    blocks, run, n = diag.shape
+    resid = np.array(diag, dtype=float).reshape(blocks * run, n)
+    sizes, rows = np.repeat(sizes, run), np.arange(blocks * run)
+    live, ranks = np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=int)
+    ys, failure = np.zeros((rows.size, min(n, _RANK_COLUMNS), n)), None
+    tau = np.maximum(_RANK_TRACE, sizes * np.finfo(float).eps * resid.max(axis=1, initial=0.0))
     for r in range(n + 1):
         trace = resid.sum(axis=1)
-        # A nonfinite entry makes its row's trace nonfinite.
+        # A nonfinite entry makes its row's trace nonfinite.  Its block and
+        # the later ones stop; an earlier block that fails later replaces it.
         if not np.all(np.isfinite(trace)) and not np.all(np.isfinite(resid)):
-            bad = np.zeros((run, n), dtype=bool)
-            bad[live] = ~np.isfinite(resid)
-            raise _nonfinite(bad)
-        done = ~(trace > tau) | (r == n)
-        if done.any():
-            for k in np.flatnonzero(done):
-                factors[live[k]] = ys[k, :r].copy()
-            if done.all():
-                break
-            # Compact in place: a copy would hold the buffer twice.
-            keep = np.flatnonzero(~done)
-            for j, i in enumerate(keep):
-                if j != i:
-                    ys[j] = ys[i]
-            live, resid, ys, tau = live[keep], resid[keep], ys[:keep.size], tau[keep]
+            failure = _nonfinite(~np.isfinite(resid))
+            first = failure.matrix - failure.matrix % run
+            live[first:], resid[first:] = False, 0.0
+        live &= (trace > tau) & (r < sizes)
+        if not live.any():
+            break
+        ranks += live
         if r == ys.shape[1]:
-            ys = np.concatenate([ys, np.empty_like(ys)], axis=1)
-        k = np.arange(live.size)
+            ys = np.pad(ys, ((0, 0), (0, r), (0, 0)))
         piv = np.argmax(resid, axis=1)
-        col = column(live, piv)
-        col -= (ys[k, :r, piv][:, None, :] @ ys[:, :r])[:, 0]
-        col /= np.sqrt(resid[k, piv])[:, None]
+        col = column(piv)
+        col -= (ys[rows, :r, piv][:, None, :] @ ys[:, :r])[:, 0]
+        col /= np.sqrt(np.where(live, resid[rows, piv], 1.0))[:, None]
+        col[~live] = 0.0
         resid -= col * col
-        resid[k, piv] = 0.0
+        resid[rows, piv] = 0.0
         ys[:, r] = col
-    del ys  # before the stack is built, as the buffer is no longer needed
-    stack = np.zeros((run, max(y.shape[0] for y in factors), n))
-    for k, y in enumerate(factors):
-        stack[k, :y.shape[0]] = y
-    return stack
+    if failure is not None:
+        raise failure
+    ys, ranks = ys.reshape(blocks, run, -1, n), ranks.reshape(blocks, run).max(axis=1)
+    return [ys[b, :, :ranks[b], :size] for b, size in enumerate(sizes[::run])]
 
 
 def _rows_factored(idx: np.ndarray, orders: np.ndarray, table, half):
@@ -388,25 +382,24 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     that holds every order whose diagonal entry is not below 2^-54 at
     that node (`_smallest_rungs`); the module docstring shows that the
     orders left out change no rung beyond rounding, and truncating at a
-    higher rung keeps the whole shortened block.  A node whose tables
-    are not finite keeps the whole block, and a nonfinite column of a
-    factor counts as live.  Runs never mix nodes whose blocks hold
-    different orders, and a run holds as many nodes as keep its largest
-    block's stack within _RUN_BYTES, so small blocks, as in the
-    Matsubara sum, are factored many nodes per call.  Under the rank
-    cut of the module docstring a run's blocks come as stacks of the
-    factors Y of its nodes, zero rows padding the ranks below the run's
-    largest, and at the tilted knife edge a run holds one node, whose
-    blocks come as F = sqrt(e^-w / pi) V^T of the parity Gram's factor
-    V.  What does not depend on the node is computed once for the
-    series: the zero-tilt element table and each block's Hankel view of
-    it, and, at positive radius, every mode's half-logs over all nodes,
-    from one pass of the amplitude recurrences.  At zero tilt a run's
-    stack is built from the block's view; for the tilted body each
-    node's matrix is written into its slot of the run's buffer, and the
-    element matrix is built once per node for all modes.  A failure of
-    the rank cut's factorization raises `_PivotFailure` with its
-    ``where`` set.
+    higher rung keeps the whole shortened block.  A node whose tables are
+    not finite keeps the whole block, and a nonfinite column of a factor
+    counts as live.  Runs never mix nodes whose blocks hold different
+    orders, and a run holds as many nodes as keep its largest block's
+    stack within _RUN_BYTES, so small blocks, as in the Matsubara sum,
+    are factored many nodes per call.  Under the rank cut (module
+    docstring) a run's blocks come as stacks of its nodes' factors Y
+    from one pivot loop, zero rows padding each block's ranks to its
+    largest; its failure raises `_PivotFailure` with ``where`` set.  At
+    the tilted knife edge a run holds one node, whose blocks come as F =
+    sqrt(e^-w / pi) V^T of the parity Gram's factor V.  What does not
+    depend on the node is computed once for the series: the zero-tilt
+    element table and each block's Hankel view of it, and, at positive
+    radius, every mode's half-logs over all nodes, from one pass of the
+    amplitude recurrences.  A dense zero-tilt run's stack is built from
+    the block's view; for the tilted body each node's matrix is written
+    into its slot of the run's buffer, and the element matrix is built
+    once per node for all modes.
 
     This is the only place the four constructions (knife or body,
     tilted or not) are chosen; `build_kernel` scatters the blocks into
@@ -484,26 +477,36 @@ def _knife_factor_runs(geom: Geometry, q: np.ndarray, orders: np.ndarray, layout
 
 
 def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice) -> list:
-    """The blocks of one run of `kernel_blocks` under the rank cut: each
-    block is factored for all ``nodes`` at once by `_pivoted_factors`,
-    and comes as (orders, the stack of its nodes' factors Y, True)."""
-    blocks = []
-    for idx, pairs, half in kept:
-        hs = None if half is None else half[idx, nodes].T
+    """A run's blocks under the rank cut, each as (orders, its nodes'
+    factors Y, True), from one `_pivoted_factors` loop over the (block,
+    node) pairs.  Padded orders' entries are zero: -inf half-logs make
+    them at positive radius, a mask at the knife edge."""
+    run, sizes = nodes.stop - nodes.start, np.array([idx.size for idx, *_ in kept])
+    n, flat = int(sizes.max()), np.arange(len(kept) * run)
+    # Row b run + k: node k's table from block b's parity on, zero past the block; hs: half-logs.
+    moments = np.zeros((flat.size, 2 * n - 1))
+    hs = None if kept[0][2] is None else np.full((flat.size, n), -np.inf)
+    for b, (idx, _, half) in enumerate(kept):
+        start, mine = int(idx[0]) % 2, slice(b * run, (b + 1) * run)
+        moments[mine, :2 * idx.size - 1] = table[nodes, start:start + 2 * idx.size - 1]
+        if hs is not None:
+            hs[mine, :idx.size] = half[idx, nodes].T
+    hankel = sliding_window_view(moments, n, axis=1)
+    pad = np.arange(n) >= np.repeat(sizes, run)[:, None]
 
-        def column(k, p):
-            entries = pairs[nodes.start + k, :idx.size, p]
-            if hs is None:
-                return _knife_block_from_k(entries)
-            return _body_block_theta0(hs[k], hs[k, p][:, None], entries[:, :, None])[:, :, 0]
+    def column(p):
+        if hs is None:
+            return np.where(pad, 0.0, _knife_block_from_k(hankel[flat, p]))
+        return _body_block_theta0(hs, hs[flat, p][:, None], hankel[flat, p][:, :, None])[:, :, 0]
 
-        diag = _block_diagonal(idx, table[nodes], None if half is None else half[:, nodes])
-        try:
-            blocks.append((idx, _pivoted_factors(diag, column), True))
-        except _PivotFailure as err:
-            err.where = (nodes, idx)
-            raise
-    return blocks
+    diag = _block_diagonal(np.arange(n), moments[:, ::2], hs if hs is None else hs.T)
+    try:
+        stacks = _pivoted_factors(diag.reshape(len(kept), run, n), sizes, column)
+    except _PivotFailure as err:
+        block, err.matrix = divmod(err.matrix, run)
+        err.where = (nodes, kept[block][0])
+        raise
+    return [(idx, stack, True) for (idx, *_), stack in zip(kept, stacks)]
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):

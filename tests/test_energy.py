@@ -650,6 +650,22 @@ class TestLadderAgainstLU:
             alone = energy_module._g_series(geom, x[i:i + 1], orders, "em")
             assert np.array_equal(together[:, i], alone[:, 0]), x[i]
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_rank_cut_node_value_depends_on_its_run_in_the_last_bits(self, h):
+        # Under the rank cut, zero rows pad each node's factor Y to the
+        # largest rank of its run, and the padded Gram's product and its
+        # Cholesky blocking can move the node's last bits, though not its
+        # determinant: at R = 1 and H = 0.1 (0.05) 16 (35) of the 120
+        # main-grid nodes differ from the node alone, by at most 1.8e-15
+        # (3.6e-15) in g, and here 4 (6) of these 23 nodes differ.  So this
+        # asserts a bound, not equality as the test above does.
+        geom, orders = Geometry(1.0, h), [100, 200, 400, 800]
+        x = np.geomspace(1e-3, 25.0, 23)
+        together = energy_module._g_series(geom, x, orders, "em")
+        for i in range(x.size):
+            alone = energy_module._g_series(geom, x[i:i + 1], orders, "em")
+            assert np.all(np.abs(together[:, i] - alone[:, 0]) <= 1e-14), x[i]
+
 
 class TestKernelBlockStream:
     """Each run of `kernel_blocks` is one flat list of (orders, block)

@@ -9,6 +9,7 @@ import paracasimir.roundtrip as roundtrip_module
 from paracasimir.energy import _g_series
 from paracasimir.roundtrip import (
     PhysicalRegimeError,
+    _RANK_COLUMNS,
     _RANK_FROM,
     _block_orders,
     _rows_factored,
@@ -224,6 +225,79 @@ class TestRankCut:
         with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
             _g_series(Geometry(1.0, 0.1), np.array([1e-3, 0.3, 3.0]), [25, 50, 100, 200], "em")
         assert "at x = 0.3, partial-wave order 30" in str(info.value)
+
+    @staticmethod
+    def spoil(monkeypatch, name, where):
+        """Put a NaN at index ``where`` of the array `roundtrip` gets from
+        ``name`` (`_body_half_logs` or `bateman_m_log`)."""
+        make = getattr(roundtrip_module, name)
+
+        def spoiled(*args):
+            out = make(*args)
+            out[where] = math.nan
+            return out
+
+        monkeypatch.setattr(roundtrip_module, name, spoiled)
+
+    @pytest.mark.parametrize("spoils, named", [
+        # The last block of a run alone: the Neumann odd block.
+        ([("_body_half_logs", (1, 301, 1))], 301),
+        # Two blocks whose diagonals fail at the first step: the earlier
+        # one is named.
+        ([("_body_half_logs", (1, 301, 1)), ("_body_half_logs", (0, 300, 1))], 300),
+        # m_301 sits on the odd blocks' diagonal and off the even blocks'
+        # diagonal, so the odd blocks fail at the first step and the
+        # Dirichlet even block, which comes first, at the second; it is
+        # named, at the order its first pivot column (order 0) met.
+        ([("bateman_m_log", (301, 1))], 602),
+    ], ids=["neumann", "two-blocks", "off-diagonal"])
+    def test_nonfinite_names_the_first_failing_block(self, monkeypatch, spoils, named):
+        # As if the run's blocks were pivoted one after the other.
+        for name, where in spoils:
+            self.spoil(monkeypatch, name, where)
+        with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
+            _g_series(Geometry(1.0, 0.1), np.array([1e-3, 0.3, 3.0]), self.ORDERS, "em")
+        assert str(info.value).endswith(f"at x = 0.3, partial-wave order {named}")
+
+    @pytest.mark.parametrize("geom, orders, x", [
+        (Geometry(1.0, 0.1), ORDERS, np.geomspace(1e-3, 3.0, 12)),
+        # Ranks up to 36: the buffer outgrows its _RANK_COLUMNS columns.
+        (Geometry(1.0, 0.09), ORDERS, np.geomspace(1e-3, 3.0, 12)),
+        # Blocks of 202 orders, as `classical_coefficient` takes below x = 2e-2.
+        (KNIFE, [403], np.geomspace(3e-5, 2e-2, 24)),
+        (KNIFE, ORDERS, np.geomspace(1e-3, 3.0, 12)),
+    ], ids=["body-0.1", "body-0.09", "knife-202", "knife-401"])
+    def test_shared_loop_is_bitwise_each_block_alone(self, monkeypatch, geom, orders, x):
+        # One `_pivoted_factors` loop serves every block of a run, its rows
+        # padded to the largest block's orders; each block's stack is
+        # bitwise the one its own loop gives over the same nodes.
+        runs, shared = [], roundtrip_module._rank_cut_blocks
+
+        def recorded(kept, table, nodes):
+            runs.append((kept, table, nodes, shared(kept, table, nodes)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(roundtrip_module, "_rank_cut_blocks", recorded)
+        modes = tuple(BoundaryMode)
+        for _ in kernel_blocks(geom, x / geom.H, orders, modes):
+            pass
+        assert runs
+        padded = grown = False
+        for kept, table, nodes, blocks in runs:
+            assert len(blocks) == len(kept) == (2 if geom.R == 0.0 else 4)
+            sizes = {idx.size for idx, *_ in kept}
+            padded |= len(sizes) > 1
+            for b, (idx, stack, factored) in enumerate(blocks):
+                (alone_idx, alone, _), = shared(kept[b:b + 1], table, nodes)
+                assert factored and np.array_equal(idx, alone_idx)
+                assert stack.shape == alone.shape == (nodes.stop - nodes.start,
+                                                      stack.shape[1], idx.size)
+                assert np.array_equal(stack, alone), (nodes, b)
+                grown |= stack.shape[1] > _RANK_COLUMNS
+        # On the ladder to 800, blocks of 401 and 400 orders share a run.
+        assert padded == (orders[-1] == 800)
+        # A body run's buffer doubles.
+        assert grown or geom.R == 0.0
 
     def test_run_of_different_ranks_within_bound_of_dense_rungs(self):
         # One run of nodes whose factors have ranks 24 to 34: the lower
