@@ -78,7 +78,8 @@ zero rows padding each node's Y to the block's largest rank in the run,
 and one `logdet_one_minus` call factors the Grams of every node and
 rung of the stack: a zero row adds a unit row and column to 1 - G_s,
 which leave its determinant as it is, though its Cholesky
-factorization, and with it the rung's last bits, can can depend on the padded size.
+factorization, and with it the rung's last bits, can depend on the
+padded size.
 """
 
 from __future__ import annotations
@@ -483,7 +484,8 @@ def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice) -> list:
     them at positive radius, a mask at the knife edge."""
     run, sizes = nodes.stop - nodes.start, np.array([idx.size for idx, *_ in kept])
     n, flat = int(sizes.max()), np.arange(len(kept) * run)
-    # Row b run + k: node k's table from block b's parity on, zero past the block; hs: half-logs.
+    # Row b run + k: node k's table from block b's parity on and its half-logs,
+    # zero and -inf past the block.
     moments = np.zeros((flat.size, 2 * n - 1))
     hs = None if kept[0][2] is None else np.full((flat.size, n), -np.inf)
     for b, (idx, _, half) in enumerate(kept):
@@ -499,7 +501,7 @@ def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice) -> list:
             return np.where(pad, 0.0, _knife_block_from_k(hankel[flat, p]))
         return _body_block_theta0(hs, hs[flat, p][:, None], hankel[flat, p][:, :, None])[:, :, 0]
 
-    diag = _block_diagonal(np.arange(n), moments[:, ::2], hs if hs is None else hs.T)
+    diag = _block_diagonal(np.arange(n), moments[:, ::2], None if hs is None else hs.T)
     try:
         stacks = _pivoted_factors(diag.reshape(len(kept), run, n), sizes, column)
     except _PivotFailure as err:
