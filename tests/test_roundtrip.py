@@ -274,12 +274,12 @@ class TestRankCut:
         runs, shared = [], roundtrip_module._rank_cut_blocks
 
         def recorded(kept, table, nodes):
-            runs.append((kept, table, nodes, shared(kept, table, nodes)))
-            return runs[-1][-1]
+            blocks = shared(kept, table, nodes)
+            runs.append((kept, table, nodes, blocks))
+            return blocks
 
         monkeypatch.setattr(roundtrip_module, "_rank_cut_blocks", recorded)
-        modes = tuple(BoundaryMode)
-        for _ in kernel_blocks(geom, x / geom.H, orders, modes):
+        for _ in kernel_blocks(geom, x / geom.H, orders, tuple(BoundaryMode)):
             pass
         assert runs
         padded = grown = False
