@@ -34,7 +34,8 @@ import numpy as np
 from ._quad import expmap_grid, panel_grid, panel_interp
 from .specfun import DomainError, _check_order
 from .scattering import BoundaryMode, Geometry
-from .roundtrip import PhysicalRegimeError, _PivotFailure, kernel_blocks, logdet_one_minus
+from .roundtrip import (_RUN_BYTES, PhysicalRegimeError, _PivotFailure, kernel_blocks,
+                        logdet_one_minus)
 from .translation import AccuracyError
 
 __all__ = [
@@ -450,29 +451,50 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
     n >= 1, (1/pi) Int dz g(sqrt(x_n^2 + z^2)) on z-panels up to the
     cutoff, reads g by barycentric Lagrange interpolation from one table:
     Gauss-Legendre panels of ``node_count`` nodes uniform in ln x over
-    [2 pi T_scaled, qmax_scaled], each at most half as wide as the grid's,
-    evaluated in one `_g_series` call.  The table holds O(ln(1/T)) nodes,
-    so neither memory nor kernel work grows like 1/T.
+    [2 pi T_scaled, qmax_scaled], each at most half as wide as the grid's.
+    The grid and the table, O(ln(1/T)) nodes, are evaluated in one
+    `_g_series` call.  The terms, about qmax_scaled / (2 pi T_scaled) of
+    them unless the stop test fires first, are read in chunks whose
+    gathered table values, with their interpolation indices and weights,
+    stay within `_RUN_BYTES`: each chunk builds its terms' z-nodes and
+    interpolates them at once, and only each term's z-sum, the running
+    total and the stop test go term by term, in order of n.  So neither
+    memory nor kernel work grows like 1/T.
     """
     x, w = _grid(spec)
-    totals = 0.5 * ((_g_series(geom, x, orders, channel) @ w) / math.pi)
     lo, hi = math.log(2.0 * math.pi * T_scaled), math.log(spec.qmax_scaled)
     if lo >= hi:
-        return totals
+        return 0.5 * ((_g_series(geom, x, orders, channel) @ w) / math.pi)
+    nc = spec.node_count
     width = math.log(spec.qmax_scaled / spec.qmin_scaled) / (2 * spec.panel_count)
     edges = np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
-    table = _g_series(geom, np.exp(panel_grid(edges, spec.node_count)[0]), orders, channel)
-    for n in itertools.count(1):
-        xn = 2.0 * math.pi * n * T_scaled
-        if xn >= spec.qmax_scaled:
-            return totals
-        zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
-        z, w = panel_grid([0.0] + [e for e in _Z_EDGES if e < zmax] + [zmax], spec.node_count)
-        idx, basis = panel_interp(edges, spec.node_count, np.log(np.hypot(xn, z)))
-        term = ((table[:, idx] * basis).sum(axis=-1) @ w) / math.pi
-        totals = totals + term
-        if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
-            return totals
+    g = _g_series(geom, np.concatenate([x, np.exp(panel_grid(edges, nc)[0])]), orders, channel)
+    totals = 0.5 * ((g[:, :x.size] @ w) / math.pi)
+    table = g[:, x.size:]
+    # Terms per chunk: each of a term's z-nodes, at most nc per panel on
+    # len(_Z_EDGES) + 1 panels, holds nc table values per order, nc
+    # indices and nc weights.
+    size = max(1, _RUN_BYTES // (8 * (len(orders) + 2) * (len(_Z_EDGES) + 1) * nc ** 2))
+    xns = itertools.takewhile(lambda xn: xn < spec.qmax_scaled,
+                              (2.0 * math.pi * n * T_scaled for n in itertools.count(1)))
+    for chunk in iter(lambda: list(itertools.islice(xns, size)), []):
+        zedges = [[0.0, *(e for e in _Z_EDGES if e < zmax), zmax]
+                  for zmax in (math.sqrt(spec.qmax_scaled ** 2 - xn ** 2) for xn in chunk)]
+        # One panel grid over the terms' edges end to end, less the panels
+        # that join one term's zmax to the next term's 0.
+        z, wz = panel_grid(np.concatenate(zedges), nc)
+        keep = np.ones(z.size // nc, dtype=bool)
+        keep[np.cumsum([len(e) for e in zedges[:-1]], dtype=int) - 1] = False
+        z, wz = z.reshape(-1, nc)[keep].ravel(), wz.reshape(-1, nc)[keep].ravel()
+        counts = [nc * (len(e) - 1) for e in zedges]
+        idx, basis = panel_interp(edges, nc, np.log(np.hypot(np.repeat(chunk, counts), z)))
+        vals = (table[:, idx] * basis).sum(axis=-1)
+        for stop, count in zip(itertools.accumulate(counts), counts):
+            term = (vals[:, stop - count:stop] @ wz[stop - count:stop]) / math.pi
+            totals = totals + term
+            if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+                return totals
+    return totals
 
 
 def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
@@ -486,11 +508,14 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     tolerance.  As T_scaled grows only n = 0 survives and the energy
     approaches -(T_scaled/H^2) times the classical coefficient; as
     T_scaled -> 0 the sum goes over into the zero-temperature
-    frequency integral.  The terms n >= 1 read g from one table in
-    ln x, so the kernel sees O(ln(1/T)) nodes, not O(1/T).  The error
-    budget, and the `AccuracyError` on a failed node-doubling check,
-    are those of `energy_per_length`; the check doubles the table's
-    nodes too, so ``quad_error`` covers its interpolation.
+    frequency integral.  The sum has about qmax_scaled / (2 pi T_scaled)
+    terms n >= 1 (fewer when the tolerance stops it first), and they read
+    g from one table in ln x, evaluated in one kernel series with the
+    n = 0 grid: the kernel sees O(ln(1/T)) nodes, not O(1/T), and only
+    the interpolation, in chunks of bounded memory, grows like 1/T.  The
+    error budget, and the `AccuracyError` on a failed node-doubling
+    check, are those of `energy_per_length`; the check doubles the
+    table's nodes too, so ``quad_error`` covers its interpolation.
     """
     if T_scaled < 0.0 or not math.isfinite(T_scaled):
         raise DomainError("T_scaled must be nonnegative and finite")

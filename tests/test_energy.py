@@ -2,8 +2,10 @@
 
 import importlib
 import importlib.util
+import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -374,6 +376,42 @@ def _matsubara_sum_per_term(geom, T_scaled, orders, channel, spec):
     return totals
 
 
+def _matsubara_sum_term_by_term(geom, T_scaled, orders, channel, spec, seen=None):
+    """The table sum read one term at a time: one `_g_series` call on the
+    n = 0 grid and one on the ln-x table, then per term its own z-panels,
+    interpolation, z-sum and stop test.  ``seen``, if given, receives
+    each term's z-node count and, last, whether the stop test ended the
+    sum before the cutoff."""
+    x, w = _term_grid(0.0, spec)
+    totals = 0.5 * ((energy_module._g_series(geom, x, orders, channel) @ w) / math.pi)
+    lo, hi = math.log(2.0 * math.pi * T_scaled), math.log(spec.qmax_scaled)
+    if lo >= hi:
+        return totals
+    width = math.log(spec.qmax_scaled / spec.qmin_scaled) / (2 * spec.panel_count)
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+    table = energy_module._g_series(
+        geom, np.exp(panel_grid(edges, spec.node_count)[0]), orders, channel)
+    for n in itertools.count(1):
+        xn = 2.0 * math.pi * n * T_scaled
+        if xn >= spec.qmax_scaled:
+            stopped = False
+            break
+        zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
+        z, w = panel_grid([0.0] + [e for e in energy_module._Z_EDGES if e < zmax] + [zmax],
+                          spec.node_count)
+        idx, basis = panel_interp(edges, spec.node_count, np.log(np.hypot(xn, z)))
+        term = ((table[:, idx] * basis).sum(axis=-1) @ w) / math.pi
+        totals = totals + term
+        if seen is not None:
+            seen.append(z.size)
+        if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+            stopped = True
+            break
+    if seen is not None:
+        seen.append(stopped)
+    return totals
+
+
 def _thermal_by_oracle(monkeypatch, geom, T_scaled, nu_max, channel, spec):
     """`thermal_energy` with the ladder summed by `_matsubara_sum_per_term`.
 
@@ -505,31 +543,103 @@ class TestThermal:
             seen = max(seen, deviation / abs(want.value))
         assert seen > 1e-12
 
+    # Chunks hold 4 terms on LADDER at the default node count (2 in the
+    # node-doubling check): at T = 0.012 the stop test ends the sum at the
+    # first term of a chunk, at T = 0.011 at the last, on all three
+    # geometries (`test_stop_lands_first_and_last_in_a_chunk`).  The
+    # tilted knife edge runs above T = 0.01 only.
+    @pytest.mark.parametrize("geom,channel,T_scaled", [
+        pytest.param(geom, channel, T_scaled, id=f"{name}-{label}")
+        for name, geom, channel in (("knife", KNIFE, "em"),
+                                    ("tilted-dirichlet", Geometry(0.0, 1.0, 1.0), "dirichlet"),
+                                    ("body", Geometry(1.0, 0.5), "em"))
+        for label, T_scaled in (("0.5", 0.5), ("0.05", 0.05), ("stop-first", 0.012),
+                                ("stop-last", 0.011), ("0.01", 0.01), ("0.001", 0.001),
+                                ("one-panel", 0.999 * _QMAX / (2.0 * math.pi)),
+                                ("no-term", 1.001 * _QMAX / (2.0 * math.pi)))
+        if not (geom.theta and T_scaled <= 0.01)])
+    def test_chunked_sum_is_bitwise_the_term_loop(self, monkeypatch, geom, channel, T_scaled):
+        got = thermal_energy(geom, T_scaled, LADDER, channel=channel)
+        with monkeypatch.context() as patch:
+            patch.setattr(energy_module, "_matsubara_sum", _matsubara_sum_term_by_term)
+            want = thermal_energy(geom, T_scaled, LADDER, channel=channel)
+        assert got.value == want.value
+        assert got.extrapolated == want.extrapolated
+        assert got.quad_error == want.quad_error
+
+    @pytest.mark.parametrize("geom,channel", [
+        (KNIFE, "em"), (Geometry(0.0, 1.0, 1.0), "dirichlet"), (Geometry(1.0, 0.5), "em")],
+        ids=["knife", "tilted-dirichlet", "body"])
+    def test_stop_lands_first_and_last_in_a_chunk(self, monkeypatch, geom, channel):
+        # The premise of the stop-first and stop-last cases above, read
+        # from the chunks' interpolation calls: a sum that tested the stop
+        # once per chunk would add terms after the stop at T = 0.012.
+        spec, orders = default_quadrature(geom), list(LADDER)
+        for T_scaled, first in ((0.012, True), (0.011, False)):
+            chunks, seen = [], []
+
+            def counting(edges, node_count, t):
+                chunks.append(t.size)
+                return panel_interp(edges, node_count, t)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(energy_module, "panel_interp", counting)
+                energy_module._matsubara_sum(geom, T_scaled, orders, channel, spec)
+            _matsubara_sum_term_by_term(geom, T_scaled, orders, channel, spec, seen)
+            *counts, stopped = seen
+            assert stopped, T_scaled
+            ends = np.cumsum(chunks)
+            terms = np.cumsum(counts)
+            if first:
+                assert terms[-2] == ends[-2] and terms[-1] < ends[-1], T_scaled
+            else:
+                assert terms[-1] == ends[-1] and terms[-2] > ends[-2], T_scaled
+
+    def test_memory_does_not_grow_like_inverse_temperature(self):
+        # About 1,750 terms at T = 0.001 against 175 at T = 0.01; held all
+        # at once they would take about 60 MB.
+        thermal_energy(KNIFE, 1e-2, nu_max=8)
+        peaks = {}
+        for T_scaled in (1e-2, 1e-3):
+            tracemalloc.start()
+            try:
+                thermal_energy(KNIFE, T_scaled, nu_max=8)
+                peaks[T_scaled] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1e-3] <= 2 * peaks[1e-2]
+
     def test_kernel_nodes_grow_like_log_inverse_temperature(self, monkeypatch):
-        # One call for the n = 0 grid, one for the table, in the evaluation
-        # and in its node-doubling check; T / 10 adds a few table panels.
+        # One call for the n = 0 grid and the table together, in the
+        # evaluation and in its node-doubling check; T / 10 adds a few
+        # table panels.
         counts = {}
         for T_scaled in (0.01, 0.001):
             _, runs = _table_calls(monkeypatch, T_scaled)
-            assert [len(sizes) for sizes in runs] == [2, 2]
+            assert [len(sizes) for sizes in runs] == [1, 1]
             counts[T_scaled] = sum(runs[0])
         assert 200 <= counts[0.001] <= 500
         assert counts[0.001] <= 2 * counts[0.01]
 
     def test_cutoff_just_above_first_frequency(self, monkeypatch):
-        # One table panel, 1e-3 wide in ln x.
+        # One table panel, 1e-3 wide in ln x, after the n = 0 grid's nodes
+        # in the one call.
+        spec = QuadratureSpec()
         T_scaled = 0.999 * _QMAX / (2.0 * math.pi)
         got, runs = _table_calls(monkeypatch, T_scaled, nu_max=LADDER)
-        assert runs[0][1] == QuadratureSpec().node_count
+        assert runs[0] == [(spec.panel_count + 1) * spec.node_count]
         want = _thermal_by_oracle(monkeypatch, KNIFE, T_scaled, LADDER, "em", QuadratureSpec())
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
 
     def test_cutoff_below_first_frequency(self, monkeypatch):
-        # Only n = 0 remains: no table is built, and the value is the
-        # half-weight frequency integral, bitwise.
+        # Only n = 0 remains: no table is built, the one call holds the
+        # grid's nodes alone, and the value is the half-weight frequency
+        # integral, bitwise.
+        spec = QuadratureSpec()
         T_scaled = 1.001 * _QMAX / (2.0 * math.pi)
         got, runs = _table_calls(monkeypatch, T_scaled, nu_max=LADDER)
-        assert [len(sizes) for sizes in runs] == [1, 1]
+        assert runs == [[spec.panel_count * spec.node_count],
+                        [spec.panel_count * 2 * spec.node_count]]
         want = _thermal_by_oracle(monkeypatch, KNIFE, T_scaled, LADDER, "em", QuadratureSpec())
         assert got.value == want.value
 
@@ -538,9 +648,10 @@ class TestThermal:
         T_scaled = 0.05
 
         def poisoned(geom, x, orders, channel):
+            # The table follows the rising n = 0 grid in the one call, so
+            # it starts where x falls back; its fourth node is poisoned.
             g = g_series(geom, x, orders, channel)
-            if x.min() >= 2.0 * math.pi * T_scaled:  # the table, not the n = 0 grid
-                g[:, 3] = math.nan
+            g[:, np.flatnonzero(np.diff(x) < 0.0)[0] + 4] = math.nan
             return g
 
         monkeypatch.setattr(energy_module, "_g_series", poisoned)
