@@ -481,10 +481,10 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
         zedges = [[0.0, *(e for e in _Z_EDGES if e < zmax), zmax]
                   for zmax in (math.sqrt(spec.qmax_scaled ** 2 - xn ** 2) for xn in chunk)]
         # One panel grid over the terms' edges end to end, less the panels
-        # that join one term's zmax to the next term's 0.
-        z, wz = panel_grid(np.concatenate(zedges), nc)
-        keep = np.ones(z.size // nc, dtype=bool)
-        keep[np.cumsum([len(e) for e in zedges[:-1]], dtype=int) - 1] = False
+        # that fall back from one term's zmax to the next term's 0.
+        ends = np.concatenate(zedges)
+        z, wz = panel_grid(ends, nc)
+        keep = np.diff(ends) > 0.0
         z, wz = z.reshape(-1, nc)[keep].ravel(), wz.reshape(-1, nc)[keep].ravel()
         counts = [nc * (len(e) - 1) for e in zedges]
         idx, basis = panel_interp(edges, nc, np.log(np.hypot(np.repeat(chunk, counts), z)))

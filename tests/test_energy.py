@@ -396,14 +396,12 @@ def _matsubara_sum_term_by_term(geom, T_scaled, orders, channel, spec, seen=None
         if xn >= spec.qmax_scaled:
             stopped = False
             break
-        zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
-        z, w = panel_grid([0.0] + [e for e in energy_module._Z_EDGES if e < zmax] + [zmax],
-                          spec.node_count)
-        idx, basis = panel_interp(edges, spec.node_count, np.log(np.hypot(xn, z)))
+        x, w = _term_grid(xn, spec)
+        idx, basis = panel_interp(edges, spec.node_count, np.log(x))
         term = ((table[:, idx] * basis).sum(axis=-1) @ w) / math.pi
         totals = totals + term
         if seen is not None:
-            seen.append(z.size)
+            seen.append(x.size)
         if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
             stopped = True
             break
