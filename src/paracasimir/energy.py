@@ -488,6 +488,8 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
         z, wz = z.reshape(-1, nc)[keep].ravel(), wz.reshape(-1, nc)[keep].ravel()
         counts = [nc * (len(e) - 1) for e in zedges]
         idx, basis = panel_interp(edges, nc, np.log(np.hypot(np.repeat(chunk, counts), z)))
+        # table[:, idx] puts the orders innermost in memory; the sum over
+        # the nodes follows that layout, and so do the totals' last bits.
         vals = (table[:, idx] * basis).sum(axis=-1)
         for stop, count in zip(itertools.accumulate(counts), counts):
             term = (vals[:, stop - count:stop] @ wz[stop - count:stop]) / math.pi
