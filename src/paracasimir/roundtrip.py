@@ -59,27 +59,35 @@ last bits with the size of the whole matrix: a rung depends only on
 the node and the ladder, so no node's value depends on the other
 nodes of its run, save under the rank cut (below).
 
-The rank cut.  Scaled Hankel moment matrices of a positive measure
-have exponentially decaying singular values (a 401-order block has
-rank 14 to 42 on the default grids, from H = 1 to 0.05 at R = 1 and at
-the knife edge), so where a run's blocks keep more than _RANK_FROM =
-128 orders they are not built.  A partial pivoted Cholesky, one loop
-over every block and node of the run, builds at each step only the
-column of the largest residual diagonal entry, and stops per block and
-node once the residual trace is at most tau: 1e-15, or n eps max_a
-N_aa, the trace's own rounding, where that is larger.  So N = Y^T Y + E
-with Y of r << n rows and E positive semidefinite, and by Sylvester's
-identity rung s is log det(1 - G_s), G_s the r x r Gram matrix of Y's
-columns up to s.  Every leading block of E is positive semidefinite
-with trace at most tau, so each rung lies above the exact one by at
-most tau / (1 - lambda_max), to first order in tau, where lambda_max is
-the block's largest eigenvalue.  A block's factors come as one stack,
+The rank cut.  Scaled Hankel moment matrices of a positive measure have
+exponentially decaying singular values (a 401-order block has rank 14 to
+42 on the default grids, from H = 1 to 0.05 at R = 1 and at the knife
+edge), so where a run's blocks keep more than _RANK_FROM = 128 orders
+they are not built.  A partial pivoted Cholesky, one loop over every
+block and node of the run, builds at each step only the column of the
+largest residual diagonal entry, and stops per block and node once the
+residual trace is at most tau: 1e-15, or n eps max_a N_aa, the trace's
+own rounding, where that is larger.  So N = Y^T Y + E with Y of r << n
+rows and E positive semidefinite, and by Sylvester's identity rung s is
+log det(1 - G_s), G_s the r x r Gram matrix of Y's columns up to s.
+Every leading block of E is positive semidefinite with trace at most
+tau, so each rung lies above the exact one by at most
+tau / (1 - lambda_max), to first order in tau, where lambda_max is the
+block's largest eigenvalue.  At positive radius a parity's Dirichlet and
+Neumann blocks are D M D with one Hankel matrix M and each mode's
+balancing weights D = diag(e^h).  Where a run's two blocks keep the same
+orders, the loop pivots them once, on D' M D' with h' the larger of the
+two half-logs at each order and node, and each mode's factor is the
+shared Y with column a scaled by e^(h_a - h'_a) <= 1.  So each mode's
+N = Y_mode^T Y_mode + S E S with S <= 1 diagonal: its residual is
+positive semidefinite with trace at most tau, the larger of the two
+modes' tau, and every mode keeps the bound.  This halves the loop's
+rows when both modes are asked for at once.  A block's factors come as one stack,
 zero rows padding each node's Y to the block's largest rank in the run,
-and one `logdet_one_minus` call factors the Grams of every node and
-rung of the stack: a zero row adds a unit row and column to 1 - G_s,
-which leave its determinant as it is, though its Cholesky
-factorization, and with it the rung's last bits, can depend on the
-padded size.
+and one `logdet_one_minus` call factors the Grams of every node and rung
+of the stack: a zero row adds a unit row and column to 1 - G_s, which
+leave its determinant as it is, though its Cholesky factorization, and
+with it the rung's last bits, can depend on the padded size.
 """
 
 from __future__ import annotations
@@ -159,11 +167,13 @@ _NEGLIGIBLE = 2.0 ** -54
 # The rank cut (module docstring) takes runs whose blocks keep more than
 # _RANK_FROM orders and factors them to a residual trace of _RANK_TRACE
 # or its rounding.  A run holds as many nodes as _RANK_COLUMNS columns
-# of a block fit in _RANK_BYTES (20 at 202 orders, 10 at 401, 5 at 801);
-# its pivot buffer starts at that many for each block, doubling as needed.
+# of a block fit in _RANK_BYTES (20 at 202 orders, 10 at 401, 5 at 801).
+# The first run's pivot buffer starts at that many steps, each later one's
+# at the previous run's largest rank plus _RANK_MARGIN, doubling as needed.
 _RANK_FROM = 128
 _RANK_TRACE = 1e-15
 _RANK_COLUMNS = 32
+_RANK_MARGIN = 8
 _RANK_BYTES = 1024 * 1024
 
 
@@ -277,7 +287,7 @@ def _block_diagonal(idx: np.ndarray, table: np.ndarray, half) -> np.ndarray:
         return np.exp(2.0 * half[idx].T + table[:, idx])
 
 
-def _pivoted_factors(diag: np.ndarray, sizes, column) -> list:
+def _pivoted_factors(diag: np.ndarray, sizes, column, columns: int) -> list:
     """Partial pivoted Cholesky factors of a run's positive semidefinite
     blocks in one loop: diag[b, k] is block b's diagonal at node k, its
     sizes[b] orders padded with zeros, and ``column(p)`` gives column
@@ -285,7 +295,8 @@ def _pivoted_factors(diag: np.ndarray, sizes, column) -> list:
     its largest residual diagonal entry, zeroes it, and stops once the
     residual trace is at most its tau (module docstring) or its rank is
     its size; it reads its own entries alone.  The zero-initialised
-    buffer is the result: block b's stack is its view (run, r, sizes[b]),
+    buffer starts at ``columns`` steps, doubling as needed, and is the
+    result: block b's stack is its view (run, r, sizes[b]),
     stack[k] node k's factor Y (N = Y^T Y + E), r the block's largest
     rank.  A nonfinite residual raises `_PivotFailure` as pivoting the
     blocks one after another would: in the first block with one, at the
@@ -295,7 +306,7 @@ def _pivoted_factors(diag: np.ndarray, sizes, column) -> list:
     resid = np.array(diag, dtype=float).reshape(blocks * run, n)
     sizes, rows = np.repeat(sizes, run), np.arange(blocks * run)
     live, ranks = np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=int)
-    ys, failure = np.zeros((rows.size, min(n, _RANK_COLUMNS), n)), None
+    ys, failure = np.zeros((rows.size, min(n, columns), n)), None
     tau = np.maximum(_RANK_TRACE, sizes * np.finfo(float).eps * resid.max(axis=1, initial=0.0))
     for r in range(n + 1):
         trace = resid.sum(axis=1)
@@ -391,7 +402,10 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     are factored many nodes per call.  Under the rank cut (module
     docstring) a run's blocks come as stacks of its nodes' factors Y
     from one pivot loop, zero rows padding each block's ranks to its
-    largest; its failure raises `_PivotFailure` with ``where`` set.  At
+    largest, and blocks of different modes over the same orders are
+    pivoted once and scaled; the loop's buffer starts at the previous
+    run's largest rank plus _RANK_MARGIN steps.  Its failure raises
+    `_PivotFailure` with ``where`` set.  At
     the tilted knife edge a run holds one node, whose blocks come as F =
     sqrt(e^-w / pi) V^T of the parity Gram's factor V.  What does not
     depend on the node is computed once for the series: the zero-tilt
@@ -431,7 +445,7 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     for b, (idx, _, half) in enumerate(layout):
         rows[:, b] = _rows_factored(idx, orders, table, half)
     changes = np.flatnonzero(np.any(rows[1:] != rows[:-1], axis=1)) + 1
-    bounds = [0, *changes.tolist(), q.size]
+    bounds, columns = [0, *changes.tolist(), q.size], _RANK_COLUMNS
     for start, stop in zip(bounds, bounds[1:]):
         size = int(rows[start].max(initial=1))
         ranked = untilted and not whole and size > _RANK_FROM
@@ -441,7 +455,9 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
             nodes = slice(lo, min(lo + run, stop))
             kept = [(idx[:s], pairs, half) for (idx, pairs, half), s in zip(layout, rows[lo])]
             if ranked:
-                yield nodes, _rank_cut_blocks(kept, table, nodes)
+                blocks = _rank_cut_blocks(kept, table, nodes, columns)
+                columns = max(stack.shape[1] for _, stack, _ in blocks) + _RANK_MARGIN
+                yield nodes, blocks
                 continue
             if knife:
                 blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]), False)
@@ -477,22 +493,35 @@ def _knife_factor_runs(geom: Geometry, q: np.ndarray, orders: np.ndarray, layout
         yield slice(i, i + 1), blocks
 
 
-def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice) -> list:
+def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice, columns: int) -> list:
     """A run's blocks under the rank cut, each as (orders, its nodes'
-    factors Y, True), from one `_pivoted_factors` loop over the (block,
-    node) pairs.  Padded orders' entries are zero: -inf half-logs make
-    them at positive radius, a mask at the knife edge."""
-    run, sizes = nodes.stop - nodes.start, np.array([idx.size for idx, *_ in kept])
-    n, flat = int(sizes.max()), np.arange(len(kept) * run)
-    # Row b run + k: node k's table from block b's parity on and its half-logs,
-    # zero and -inf past the block.
+    factors Y, True), from one `_pivoted_factors` loop whose buffer
+    starts at ``columns`` steps.  Blocks over the same orders, at
+    positive radius the two modes' blocks of one parity, are D M D with
+    one Hankel matrix M and the modes' own balancing weights D = e^h.
+    They are pivoted once, on D M D with h the larger half-log of the
+    two at each order and node, and each mode's factor is that one's,
+    its columns scaled by e^(h_mode - h) <= 1, 0 where both half-logs are
+    -inf: the residual S E S, S <= 1, keeps the shared trace's bound
+    (module docstring).  Padded orders' entries are zero: -inf half-logs
+    make them at positive radius, a mask at the knife edge."""
+    run = nodes.stop - nodes.start
+    groups = {}
+    for b, (idx, *_) in enumerate(kept):
+        groups.setdefault((int(idx[0]), idx.size), []).append(b)
+    groups = list(groups.values())
+    sizes = np.array([kept[g[0]][0].size for g in groups])
+    n, flat = int(sizes.max()), np.arange(len(groups) * run)
+    # Row j run + k: node k's table from group j's parity on and its largest
+    # half-logs, zero and -inf past the group's orders.
     moments = np.zeros((flat.size, 2 * n - 1))
     hs = None if kept[0][2] is None else np.full((flat.size, n), -np.inf)
-    for b, (idx, _, half) in enumerate(kept):
-        start, mine = int(idx[0]) % 2, slice(b * run, (b + 1) * run)
+    for j, g in enumerate(groups):
+        idx = kept[g[0]][0]
+        start, mine = int(idx[0]) % 2, slice(j * run, (j + 1) * run)
         moments[mine, :2 * idx.size - 1] = table[nodes, start:start + 2 * idx.size - 1]
         if hs is not None:
-            hs[mine, :idx.size] = half[idx, nodes].T
+            hs[mine, :idx.size] = np.max([kept[b][2][idx, nodes].T for b in g], axis=0)
     hankel = sliding_window_view(moments, n, axis=1)
     pad = np.arange(n) >= np.repeat(sizes, run)[:, None]
 
@@ -503,12 +532,26 @@ def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice) -> list:
 
     diag = _block_diagonal(np.arange(n), moments[:, ::2], None if hs is None else hs.T)
     try:
-        stacks = _pivoted_factors(diag.reshape(len(kept), run, n), sizes, column)
+        stacks = _pivoted_factors(diag.reshape(len(groups), run, n), sizes, column, columns)
     except _PivotFailure as err:
-        block, err.matrix = divmod(err.matrix, run)
-        err.where = (nodes, kept[block][0])
+        j, err.matrix = divmod(err.matrix, run)
+        err.where = (nodes, kept[groups[j][0]][0])
         raise
-    return [(idx, stack, True) for (idx, *_), stack in zip(kept, stacks)]
+    blocks = [None] * len(kept)
+    for j, (g, stack) in enumerate(zip(groups, stacks)):
+        top = hs[j * run:(j + 1) * run, :stack.shape[2]] if len(g) > 1 else None
+        for b in g:
+            idx, _, half = kept[b]
+            if top is not None:
+                with np.errstate(invalid="ignore"):
+                    scale = np.where(top == -np.inf, 0.0, np.exp(half[idx, nodes].T - top))
+                # A mode whose half-logs are the larger ones throughout (at R = 1,
+                # Dirichlet's) takes the shared stack as it is.
+                if not np.all(scale == 1.0):
+                    blocks[b] = (idx, stack * scale[:, None, :], True)
+                    continue
+            blocks[b] = (idx, stack, True)
+    return blocks
 
 
 def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str):

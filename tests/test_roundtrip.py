@@ -11,6 +11,7 @@ from paracasimir.roundtrip import (
     PhysicalRegimeError,
     _RANK_COLUMNS,
     _RANK_FROM,
+    _RANK_MARGIN,
     _block_orders,
     _rows_factored,
     build_kernel,
@@ -46,6 +47,14 @@ def gauge_sign(geom, nu):
     """s_nu of the sign similarity S that every block is built without:
     (-1)^(nu // 2) at zero tilt, (-1)^nu at tilt."""
     return (-1.0) ** (nu // 2 if geom.theta == 0.0 else nu)
+
+
+def cut_bound(block, peak):
+    """The rank cut's bound tau / (1 - lambda_max) on a dense block's
+    rungs, tau = max(1e-15, n eps peak) for the largest diagonal entry
+    ``peak`` of the matrix pivoted (the `roundtrip` module docstring)."""
+    tau = max(1e-15, block.shape[0] * np.finfo(float).eps * peak)
+    return tau / (1.0 - np.linalg.eigvalsh(block)[-1])
 
 
 def knife_g(q, nu_max):
@@ -160,25 +169,37 @@ class TestRankCut:
 
     ORDERS = [100, 200, 400, 800]
 
-    @pytest.mark.parametrize("geom", [Geometry(1.0, 0.1), Geometry(1.0, 1.0), KNIFE],
-                             ids=["body-0.1", "body-1", "knife"])
+    @pytest.mark.parametrize("geom", [Geometry(1.0, 0.1), Geometry(1.0, 0.02),
+                                      Geometry(1.0, 1.0), KNIFE],
+                             ids=["body-0.1", "body-0.02", "body-1", "knife"])
     @pytest.mark.parametrize("x", [1e-3, 0.3, 3.0])
     def test_rungs_within_bound_of_dense_cholesky(self, geom, x):
         # Each rung lies within tau / (1 - lambda_max) of one dense Cholesky
         # of the same block, with the documented tau: 1e-15, or n eps
         # max_a N_aa where rounding keeps the residual trace above that.
-        # 1e-13 more allows for the rounding of a 401-order dense
-        # factorization: the routes differ by up to 7e-14.
+        # Asked for both modes at once, the two modes' blocks over the same
+        # orders are pivoted together, and N_aa is the larger of their two
+        # diagonals.  1e-13 more allows for the rounding of a 401-order
+        # dense factorization: the routes differ by up to 7e-14.
         q = x / geom.H
-        ranked = 0
+        full = {mode: build_kernel(geom, q, self.ORDERS[-1], mode) for mode in BoundaryMode}
+        dense = {}
         for mode in BoundaryMode:
-            (_, blocks), = kernel_blocks(geom, np.array([q]), self.ORDERS, (mode,))
-            full, kept = build_kernel(geom, q, self.ORDERS[-1], mode)
-            for (cut_idx, stack, factored), idx in zip(blocks,
-                                                       _block_orders(geom, self.ORDERS[-1], mode)):
+            entries, kept = full[mode]
+            for idx in _block_orders(geom, self.ORDERS[-1], mode):
                 sel = np.searchsorted(kept, idx)
-                block = full[np.ix_(sel, sel)]
-                dense = logdet_one_minus(block, np.searchsorted(idx, self.ORDERS, side="right"))
+                dense[mode, int(idx[0])] = entries[np.ix_(sel, sel)]
+        for modes in [(mode,) for mode in BoundaryMode] + [tuple(BoundaryMode)]:
+            (_, blocks), = kernel_blocks(geom, np.array([q]), self.ORDERS, modes)
+            layout = [(mode, idx) for mode in modes
+                      for idx in _block_orders(geom, self.ORDERS[-1], mode)]
+            ranked = 0
+            for (cut_idx, stack, factored), (mode, idx) in zip(blocks, layout, strict=True):
+                block = dense[mode, int(idx[0])]
+                peak = max(dense[other, int(idx[0])].diagonal().max()
+                           for other, other_idx in layout if other_idx[0] == idx[0])
+                sizes = np.searchsorted(idx, self.ORDERS, side="right")
+                want = logdet_one_minus(block, sizes)
                 cuts = np.searchsorted(cut_idx, self.ORDERS, side="right")
                 if factored:
                     ranked += 1
@@ -187,22 +208,21 @@ class TestRankCut:
                 else:
                     assert cut_idx.size <= _RANK_FROM
                     got = logdet_one_minus(stack, cuts)[0]
-                tau = max(1e-15, idx.size * np.finfo(float).eps * block.diagonal().max())
-                bound = tau / (1.0 - np.linalg.eigvalsh(block)[-1])
-                assert np.all(np.abs(got - dense) <= bound + 1e-13), (mode, idx[0])
-        # The knife at x = 3 and R = H = 1 at x = 3 keep few enough rows
-        # to stay dense; every other case takes the rank cut.
-        assert ranked == (0 if x == 3.0 and geom.H == 1.0 else
-                          (2 if geom.R == 0.0 else 4))
+                assert np.all(np.abs(got - want) <= cut_bound(block, peak) + 1e-13), (modes, idx[0])
+            # The knife at x = 3 and R = H = 1 at x = 3 keep few enough rows
+            # to stay dense; every other case takes the rank cut.
+            assert ranked == (0 if x == 3.0 and geom.H == 1.0 else
+                              len(modes) * (1 if geom.R == 0.0 else 2))
 
     @staticmethod
-    def spoil_half_log(monkeypatch, order, bad):
-        """Put ``bad`` in the Dirichlet half-log of ``order`` at node 1."""
+    def spoil_half_log(monkeypatch, order, bad, modes=0):
+        """Put ``bad`` in the half-log of ``order`` at node 1, in the
+        first mode asked for or in those ``modes`` picks."""
         half_logs = roundtrip_module._body_half_logs
 
-        def spoiled(nu_max, modes, mu0_scaled):
-            half = half_logs(nu_max, modes, mu0_scaled)
-            half[0, order, 1] = bad
+        def spoiled(nu_max, asked, mu0_scaled):
+            half = half_logs(nu_max, asked, mu0_scaled)
+            half[modes, order, 1] = bad
             return half
 
         monkeypatch.setattr(roundtrip_module, "_body_half_logs", spoiled)
@@ -269,60 +289,121 @@ class TestRankCut:
     ], ids=["body-0.1", "body-0.09", "knife-202", "knife-401"])
     def test_shared_loop_is_bitwise_each_block_alone(self, monkeypatch, geom, orders, x):
         # One `_pivoted_factors` loop serves every block of a run, its rows
-        # padded to the largest block's orders; each block's stack is
-        # bitwise the one its own loop gives over the same nodes.
+        # padded to the largest block's orders.  At the knife edge the modes
+        # take disjoint parities, and each block's stack is bitwise the one
+        # its own loop gives over the same nodes.  At positive radius each
+        # parity's two mode blocks keep the same orders in every run here
+        # and are pivoted once, on the larger half-logs h_max: that stack is
+        # bitwise what its own loop gives, and each mode's stack is exactly
+        # it times exp(h_mode - h_max).  A run's buffer starts at the
+        # previous run's largest rank plus _RANK_MARGIN, and only the first
+        # run's may grow.
         runs, shared = [], roundtrip_module._rank_cut_blocks
 
-        def recorded(kept, table, nodes):
-            blocks = shared(kept, table, nodes)
-            runs.append((kept, table, nodes, blocks))
+        def recorded(kept, table, nodes, columns):
+            blocks = shared(kept, table, nodes, columns)
+            runs.append((kept, table, nodes, columns, blocks))
             return blocks
 
         monkeypatch.setattr(roundtrip_module, "_rank_cut_blocks", recorded)
         for _ in kernel_blocks(geom, x / geom.H, orders, tuple(BoundaryMode)):
             pass
         assert runs
-        padded = grown = False
-        for kept, table, nodes, blocks in runs:
+        padded = above = False
+        start = _RANK_COLUMNS
+        for kept, table, nodes, columns, blocks in runs:
             assert len(blocks) == len(kept) == (2 if geom.R == 0.0 else 4)
-            sizes = {idx.size for idx, *_ in kept}
-            padded |= len(sizes) > 1
-            for b, (idx, stack, factored) in enumerate(blocks):
-                (alone_idx, alone, _), = shared(kept[b:b + 1], table, nodes)
-                assert factored and np.array_equal(idx, alone_idx)
-                assert stack.shape == alone.shape == (nodes.stop - nodes.start,
-                                                      stack.shape[1], idx.size)
-                assert np.array_equal(stack, alone), (nodes, b)
-                grown |= stack.shape[1] > _RANK_COLUMNS
+            padded |= len({idx.size for idx, *_ in kept}) > 1
+            rank = max(stack.shape[1] for _, stack, _ in blocks)
+            assert columns == start and (rank <= columns or start == _RANK_COLUMNS)
+            start, above = rank + _RANK_MARGIN, above or rank > _RANK_COLUMNS
+            # At positive radius blocks b and b + 2 are parity b's two modes.
+            for group in ([0], [1]) if geom.R == 0.0 else ([0, 2], [1, 3]):
+                idx, pairs, _ = kept[group[0]]
+                assert all(np.array_equal(kept[b][0], idx) for b in group)
+                top = None if geom.R == 0.0 else np.max([kept[b][2] for b in group], axis=0)
+                (alone_idx, alone, _), = shared([(idx, pairs, top)], table, nodes, _RANK_COLUMNS)
+                assert np.array_equal(idx, alone_idx)
+                assert alone.shape == (nodes.stop - nodes.start, alone.shape[1], idx.size)
+                for b in group:
+                    got_idx, stack, factored = blocks[b]
+                    assert factored and np.array_equal(got_idx, idx)
+                    want = alone
+                    if top is not None:
+                        want = alone * np.exp(kept[b][2][idx, nodes] - top[idx, nodes]).T[:, None]
+                    assert np.array_equal(stack, want), (nodes, b)
         # On the ladder to 800, blocks of 401 and 400 orders share a run.
         assert padded == (orders[-1] == 800)
-        # A body run's buffer doubles.
-        assert grown or geom.R == 0.0
+        # Body ranks pass _RANK_COLUMNS, where the first run's buffer size
+        # would have doubled.
+        assert above or geom.R == 0.0
 
-    def test_run_of_different_ranks_within_bound_of_dense_rungs(self):
+    @pytest.mark.parametrize("modes", [(BoundaryMode.DIRICHLET,), tuple(BoundaryMode)],
+                             ids=["dirichlet", "em"])
+    def test_run_of_different_ranks_within_bound_of_dense_rungs(self, modes):
         # One run of nodes whose factors have ranks 24 to 34: the lower
         # ranks are padded with zero rows, and each node's rungs from the
         # whole stack keep the bound of the test above against the dense
-        # rungs of `build_kernel`.
-        geom, mode = Geometry(1.0, 0.1), BoundaryMode.DIRICHLET
+        # rungs of `build_kernel`, tau taken from the larger diagonal of the
+        # blocks pivoted together (both modes' over one parity, with both).
+        geom = Geometry(1.0, 0.1)
         x = np.array([1e-3, 3e-2, 1.0, 3.0])
-        (nodes, blocks), = kernel_blocks(geom, x / geom.H, self.ORDERS, (mode,))
+        (nodes, blocks), = kernel_blocks(geom, x / geom.H, self.ORDERS, modes)
         assert nodes == slice(0, x.size)
         for i, xi in enumerate(x):
-            full, kept = build_kernel(geom, xi / geom.H, self.ORDERS[-1], mode)
-            for cut_idx, stack, factored in blocks:
+            full = {mode: build_kernel(geom, xi / geom.H, self.ORDERS[-1], mode)
+                    for mode in modes}
+            for (cut_idx, stack, factored), mode in zip(blocks, np.repeat(modes, 2), strict=True):
                 assert factored and stack.shape[0] == x.size
                 ranks = np.count_nonzero(np.any(stack != 0.0, axis=2), axis=1)
                 assert np.unique(ranks).size > 1 and ranks.max() == stack.shape[1]
                 assert not np.any(stack[i, ranks[i]:])
                 cuts = np.searchsorted(cut_idx, self.ORDERS, side="right")
                 got = logdet_one_minus(stack, cuts, factored=True)[i]
-                sel = np.searchsorted(kept, cut_idx)
-                block = full[np.ix_(sel, sel)]
+                sel = np.ix_(*[np.searchsorted(full[mode][1], cut_idx)] * 2)
+                block = full[mode][0][sel]
+                peak = max(entries[sel].diagonal().max() for entries, _ in full.values())
                 dense = logdet_one_minus(block, cuts)
-                tau = max(1e-15, cut_idx.size * np.finfo(float).eps * block.diagonal().max())
-                bound = tau / (1.0 - np.linalg.eigvalsh(block)[-1])
-                assert np.all(np.abs(got - dense) <= bound + 1e-13), (xi, cut_idx[0])
+                assert np.all(np.abs(got - dense) <= cut_bound(block, peak) + 1e-13), (xi, mode)
+
+    def test_modes_keeping_different_orders_are_pivoted_apart(self):
+        # Near the knife edge the rung cut of this ladder keeps 401 and 300
+        # orders of the Dirichlet blocks and 301 and 400 of the Neumann ones
+        # at this node, so no two blocks share orders: both modes at once
+        # give bitwise each mode's blocks alone, each within its own bound.
+        geom, x, orders = Geometry(0.01, 1.0), np.array([0.1165]), [400, 600, 800]
+        (_, blocks), = kernel_blocks(geom, x / geom.H, orders, tuple(BoundaryMode))
+        assert [idx.size for idx, *_ in blocks] == [401, 300, 301, 400]
+        for mode, pair in zip(BoundaryMode, (blocks[:2], blocks[2:])):
+            (_, alone), = kernel_blocks(geom, x / geom.H, orders, (mode,))
+            full, kept = build_kernel(geom, x[0] / geom.H, orders[-1], mode)
+            for (idx, stack, factored), (alone_idx, alone_stack, _) in zip(pair, alone):
+                assert factored and np.array_equal(idx, alone_idx)
+                assert np.array_equal(stack, alone_stack)
+                block_idx = np.arange(idx[0], orders[-1] + 1, 2)
+                sel = np.ix_(*[np.searchsorted(kept, block_idx)] * 2)
+                cuts = np.searchsorted(idx, orders, side="right")
+                got = logdet_one_minus(stack, cuts, factored=True)[0]
+                dense = logdet_one_minus(full[sel], np.searchsorted(block_idx, orders,
+                                                                   side="right"))
+                bound = cut_bound(full[sel], full[sel].diagonal().max())
+                assert np.all(np.abs(got - dense) <= bound + 1e-13), (mode, idx[0])
+
+    def test_scale_is_zero_where_both_half_logs_are_minus_infinity(self, monkeypatch):
+        # Order 300 has half-log -inf in both modes at x = 0.3: a zero row
+        # and column of both even blocks, which are pivoted together.  Its
+        # scale is 0, not exp(-inf + inf), so no NaN reaches a factor.
+        self.spoil_half_log(monkeypatch, 300, -math.inf, modes=slice(None))
+        geom, x = Geometry(1.0, 0.1), np.array([1e-3, 0.3, 3.0])
+        merged = 0
+        for nodes, blocks in kernel_blocks(geom, x / geom.H, self.ORDERS, tuple(BoundaryMode)):
+            for idx, stack, factored in blocks:
+                assert np.all(np.isfinite(stack))
+                if factored and nodes.start <= 1 < nodes.stop and idx[0] == 0:
+                    merged += 1
+                    assert not np.any(stack[1 - nodes.start, :, idx == 300])
+        assert merged == 2
+        assert np.all(np.isfinite(_g_series(geom, x, self.ORDERS, "em")))
 
     def test_one_rung_takes_the_rank_cut(self):
         # A ladder of one rung takes the rank cut above _RANK_FROM orders;
