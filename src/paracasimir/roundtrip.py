@@ -470,7 +470,7 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
                 blocks = [(idx, np.empty((nodes.stop - lo, idx.size, idx.size)), False)
                           for idx, *_ in kept]
                 for k, i in enumerate(range(lo, nodes.stop)):
-                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta)
+                    sT, lT = tilted_matrix_log(nu_max, q[i], geom.d, geom.theta, geom.H)
                     for (_, _, half), (_, stack, _) in zip(kept, blocks):
                         _body_block_tilted(half[:, i], sT, lT, stack[k])
             yield nodes, blocks

@@ -64,23 +64,30 @@ class AccuracyError(ArithmeticError):
 # tail of the element matrix at small w.
 _U_EDGES_DAMPING = (0.25, 0.7, 1.6, 3.5, 7.0, 13.0, 24.0, 41.5)
 _U_EDGES_FIXED = (0.1, 0.25, 0.5, 1.0, 1.8, 3.0, 4.5)
+# Widest panel of a positive radius's grid, cut off by the gap (`_gram`).
+_U_WIDTH = 0.5
 
 
-def _u_grid(w: float, node_count: int = 16):
+def _u_grid(w: float, node_count: int = 16, width: float = math.inf):
     """Gauss-Legendre panels on u in [0, U] for damping exponent w.
 
     U is set by e^{-w(cosh U - 1)} ~ 1e-18 so the truncated tail is
-    negligible at double precision.
+    negligible at double precision.  A panel wider than ``width`` is
+    split into equal panels no wider.
     """
     upper = math.acosh(1.0 + _U_EDGES_DAMPING[-1] / w)
     edges = {math.acosh(1.0 + e / w) for e in _U_EDGES_DAMPING}
     edges.update(_U_EDGES_FIXED)
-    return panel_grid(sorted({0.0, upper, *(e for e in edges if 1e-3 < e < upper)}),
-                      node_count)
+    edges = sorted({0.0, upper, *(e for e in edges if 1e-3 < e < upper)})
+    if width < math.inf:
+        parts = [np.linspace(a, b, math.ceil((b - a) / width) + 1)[:-1]
+                 for a, b in zip(edges, edges[1:])]
+        edges = [*np.concatenate(parts), upper]
+    return panel_grid(edges, node_count)
 
 
 def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
-          start: int = 0, step: int = 1):
+          start: int = 0, step: int = 1, gap: float | None = None):
     """Real factor V of the half-line Gram matrix G = V V^T of the
     tilted element integrand.
 
@@ -92,6 +99,13 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     all orders (step 1).  The overall e^{-w} is stripped so the matrix
     stays well scaled at large w; callers restore it (usually in log
     space).
+
+    The u-grid is `_u_grid(w)`, or, given the ``gap`` H of a cylinder of
+    positive radius, `_u_grid(2 q H)` in panels at most _U_WIDTH wide.
+    The balanced amplitudes |F_n / n!|^(1/2) grow like e^(c sqrt(n)), so
+    the high orders' entries reach out to large u, where their decay is
+    set by the gap and not by the focal distance d; at the knife edge
+    H = d and the grid is `_u_grid(w)`.
 
     With the square root of the positive weight folded into the powers,
     P[i, u] = sqrt(weight(u)) t(u)^n_i, G is the real part of P P^H.
@@ -116,7 +130,7 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     Returns (V, w).
     """
     w = 2.0 * q * d
-    u, wq = _u_grid(w, node_count)
+    u, wq = _u_grid(w, node_count) if gap is None else _u_grid(2.0 * q * gap, node_count, _U_WIDTH)
     half = 0.5 * (theta - 1j * u)
     t = np.tan(half)
     c2 = np.abs(np.cos(half)) ** 2
@@ -133,18 +147,18 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     return P.view(np.float64), w
 
 
-def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float):
+def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float, gap: float | None = None):
     """Sign/log form of (-1)^n2 T[n, n2] at tilt theta.
 
     T[n, n2] = (-1)^n2 G[n, n2] e^{-w} / sqrt(2 pi) from the folded
     half-line Gram; the parity never reaches a determinant (see
     `roundtrip`).  The log form lets the kernel assembler attach the
     factorially growing amplitude factors without intermediate overflow
-    or underflow.
+    or underflow.  ``gap`` picks the u-grid as in `_gram`.
 
     Returns ``(sign, logmag)`` arrays of shape (nu_max+1, nu_max+1).
     """
-    V, w = _gram(q, d, theta, nu_max)
+    V, w = _gram(q, d, theta, nu_max, gap=gap)
     G = V @ V.T
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(G)) - w - 0.5 * math.log(2.0 * math.pi)

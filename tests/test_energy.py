@@ -312,6 +312,28 @@ class TestEnergyPerLength:
         with pytest.raises(DomainError):
             energy_per_length(KNIFE, nu_max=16, channel="scalar")
 
+    def test_tilted_body_is_continuous_at_zero_tilt(self):
+        # The tilted body's route (the Gram's u-quadrature, dense blocks)
+        # and the zero-tilt one (Bateman table, rank cut) share no kernel
+        # code.  At theta = 1e-4 the extrapolated energy matches within the
+        # tilted budget.  Rung by rung, on the same ladder and frequency
+        # grid, the two differ by the tilt's own c theta^2 alone, so the
+        # theta -> 0 limit (4 E(theta) - E(2 theta)) / 3 matches the zero-
+        # tilt rung within the three quad_errors and 1e-12 of rounding.  A
+        # u-grid cut off at the focal distance rather than the gap misses
+        # the high orders' entries, and is off by 1e-8 to 6e-4 here.
+        ladder, theta = (25, 50, 100, 200), 1e-4
+        flat, tilted, twice = (
+            energy_per_length(Geometry(1.0, 0.1, t), nu_max=ladder, channel="dirichlet")
+            for t in (0.0, theta, 2.0 * theta))
+        assert abs(tilted.extrapolated - flat.extrapolated) <= tilted.trunc_error + tilted.quad_error
+        rungs = [np.array([v for _, v in r.series]) for r in (flat, tilted, twice)]
+        limit = (4.0 * rungs[1] - rungs[2]) / 3.0
+        budget = flat.quad_error + tilted.quad_error + twice.quad_error + 1e-12
+        assert np.all(np.abs(limit - rungs[0]) <= budget)
+        # The tilt's own term is there, and is of order theta^2.
+        assert np.all(np.abs(rungs[1] - rungs[0]) <= 100.0 * theta ** 2)
+
 
 class TestCTheta:
     def test_zero_tilt_matches_untilted_constant(self):

@@ -237,6 +237,16 @@ class TestLegendreRule:
         u_ref, wq_ref = direct_grid(edges, 16)
         assert np.array_equal(u, u_ref) and np.array_equal(wq, wq_ref)
 
+    @pytest.mark.parametrize("w", [1e-3, 0.3, 50.0])
+    def test_u_grid_of_the_gap_splits_wide_panels(self, w):
+        # A positive radius's grid (`_gram` with the gap) keeps every panel
+        # end of `_u_grid(w)` and splits each panel into equal ones at most
+        # 0.5 wide.  A panel's weights sum to its width.
+        ends, old_ends = (np.cumsum(wq.reshape(-1, 16).sum(axis=1))
+                          for _, wq in (_u_grid(w, 16, 0.5), _u_grid(w, 16)))
+        assert np.all(np.diff(ends, prepend=0.0) <= 0.5 * (1.0 + 1e-12))
+        assert np.all(np.min(np.abs(ends[:, None] - old_ends), axis=0) <= 1e-12 * old_ends)
+
 
 class TestGreenOracle:
     R1 = ParabolicPoint(0.8, 0.5, 0.0)
