@@ -7,17 +7,21 @@ and (800, ..., 6400), this prints for each channel
 - the time of one `energy_per_length` call's main ladder, and of its
   node-doubling check (the ladder's lowest rung on twice the frequency
   nodes, which takes the rank cut too);
-- the main ladder's pivot loops and steps: the rank cut pivots each run
-  of nodes in one loop over all of its blocks, of as many steps as the
-  run's largest rank;
+- the main ladder's pivot loops and steps, and the loops' rows per
+  step: the rank cut pivots each run of nodes in one loop over all of
+  its blocks, of as many steps as the run's largest rank, one row per
+  block and node;
 - the smallest, median and largest rank of the rank cut's factors over
   the main ladder's frequency grid (every block that takes the cut);
 - the largest |delta g| between `_g_series` and the dense rungs of
   `build_kernel`'s matrix at x = 1e-3, 0.3 and 3, for the rungs up to
   3200 (a dense matrix of 6401 orders would take about 1 GB);
 
-and then E/E_pfa of both channels together, from the extrapolated
-values.  At the knife edge tilted by 80, 85 and 88 degrees, on the
+then the same for "em", both modes in one call, whose blocks of the
+two modes over one parity's orders share one loop (so its ranks are
+the shared ones), with each mode's largest |delta g| from the blocks of
+that call; and then E/E_pfa of both channels together, from the
+extrapolated values.  At the knife edge tilted by 80, 85 and 88 degrees, on the
 ladders (100, ..., 800) and (200, ..., 1600), it then prints for each
 channel the same two times, a histogram of the
 orders each node's factor keeps after the rung cut over that call's
@@ -27,8 +31,8 @@ with
 
     PYTHONPATH=src python scripts/check_rank_cut.py
 
-It takes about 80 s on one core of a 2-vCPU Xeon and peaks at about
-300 MB, most of it the dense 3201-order matrices.
+It takes about 2 minutes on one core of a 2-vCPU Xeon and peaks at
+about 300 MB, most of it the dense 3201-order matrices.
 """
 
 import collections
@@ -39,6 +43,7 @@ import time
 import numpy as np
 
 import paracasimir.energy as energy_module
+import paracasimir.roundtrip as roundtrip_module
 from paracasimir.approx import pfa_energy
 from paracasimir.energy import _g_series, _grid, default_quadrature, energy_per_length
 from paracasimir.roundtrip import build_kernel, kernel_blocks, logdet_one_minus
@@ -51,21 +56,28 @@ TILT_LADDERS = ((100, 200, 400, 800), (200, 400, 800, 1600))
 NODES = (1e-3, 0.3, 3.0)
 
 
-def factor_shapes(geom, ladder, mode):
+def factor_shapes(geom, ladder, modes):
     """Shape of each node's factor over the default frequency grid, the
     rank cut's (rank, orders), its rows past the rank being zero, or the
-    tilted knife edge's (2U, kept); and at zero tilt the rank cut's pivot
-    loops and steps, one loop per run, of as many steps as the largest
-    rank of its blocks' stacks."""
+    tilted knife edge's (2U, kept); and the rank cut's pivot loops, as
+    (rows, steps) each: one loop per run, of one row per block pivoted
+    and node, and of as many steps as the largest rank of its stacks."""
     x, _ = _grid(default_quadrature(geom))
-    shapes, loops, steps = [], 0, 0
-    for _, blocks in kernel_blocks(geom, x / geom.H, ladder, (mode,)):
-        stacks = [stack for _, stack, factored in blocks if factored]
-        shapes += [(int(np.count_nonzero(np.any(factor != 0.0, axis=1))), factor.shape[1])
-                   for stack in stacks for factor in stack]
-        if stacks and geom.theta == 0.0:
-            loops, steps = loops + 1, steps + max(stack.shape[1] for stack in stacks)
-    return shapes, loops, steps
+    shapes, loops, pivot = [], [], roundtrip_module._pivoted_factors
+
+    def counted(diag, *args):
+        stacks = pivot(diag, *args)
+        loops.append((diag.shape[0] * diag.shape[1], max(stack.shape[1] for stack in stacks)))
+        return stacks
+
+    roundtrip_module._pivoted_factors = counted
+    try:
+        for _, blocks in kernel_blocks(geom, x / geom.H, ladder, modes):
+            shapes += [(int(np.count_nonzero(np.any(factor != 0.0, axis=1))), factor.shape[1])
+                       for _, stack, factored in blocks if factored for factor in stack]
+    finally:
+        roundtrip_module._pivoted_factors = pivot
+    return shapes, loops
 
 
 def dense_rungs(geom, mode, rungs):
@@ -88,7 +100,25 @@ def largest_gap(geom, ladder, mode, dense, dense_ladder):
         - dense[x][pick]))) for x in NODES)
 
 
-def timed(geom, ladder, mode):
+def largest_gaps_em(geom, ladder, dense, dense_ladder):
+    """{mode: max |delta g|} as `largest_gap`, each mode's g summed from
+    the blocks of one `kernel_blocks` call for both modes."""
+    rungs = [o for o in ladder if o in dense_ladder]
+    pick = [list(dense_ladder).index(o) for o in rungs]
+    gaps = dict.fromkeys(BoundaryMode, 0.0)
+    for x in NODES:
+        (_, blocks), = kernel_blocks(geom, np.array([x / geom.H]), list(ladder),
+                                     tuple(BoundaryMode))
+        per_block = len(blocks) // len(BoundaryMode)
+        for m, mode in enumerate(BoundaryMode):
+            g = sum(logdet_one_minus(stack, np.searchsorted(idx, rungs, side="right"),
+                                     factored=factored)[0]
+                    for idx, stack, factored in blocks[m * per_block:(m + 1) * per_block])
+            gaps[mode] = max(gaps[mode], float(np.max(np.abs(g - dense[mode][x][pick]))))
+    return gaps
+
+
+def timed(geom, ladder, channel):
     """One `energy_per_length` call, and the seconds of its two `_g_series`
     calls: the main ladder, then the node-doubling check."""
     g_series, seconds = energy_module._g_series, []
@@ -101,7 +131,7 @@ def timed(geom, ladder, mode):
 
     energy_module._g_series = timing
     try:
-        result = energy_per_length(geom, nu_max=ladder, channel=mode.value)
+        result = energy_per_length(geom, nu_max=ladder, channel=channel)
     finally:
         energy_module._g_series = g_series
     return result, seconds
@@ -109,24 +139,33 @@ def timed(geom, ladder, mode):
 
 def check_gaps():
     print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'loops/steps':>11s} "
-          f"{'check/s':>7s} {'rank min/med/max':>17s} {'max |dg|':>9s} {'extrapolated':>14s}")
+          f"{'rows/step':>9s} {'check/s':>7s} {'rank min/med/max':>17s} {'max |dg|':>9s} "
+          f"{'extrapolated':>14s}")
     for h in GAPS:
         geom = Geometry(1.0, h)
-        dense = {}
+        dense = {mode: dense_rungs(geom, mode, list(LADDERS[0])) for mode in BoundaryMode}
         for ladder in LADDERS:
             total = 0.0
-            for mode in BoundaryMode:
-                result, seconds = timed(geom, ladder, mode)
-                total += result.extrapolated
-                shapes, loops, steps = factor_shapes(geom, ladder, mode)
+            for channel in [mode.value for mode in BoundaryMode] + ["em"]:
+                result, seconds = timed(geom, ladder, channel)
+                modes = tuple(BoundaryMode) if channel == "em" else (BoundaryMode(channel),)
+                shapes, loops = factor_shapes(geom, ladder, modes)
                 r = [shape[0] for shape in shapes]
-                if mode not in dense:
-                    dense[mode] = dense_rungs(geom, mode, list(LADDERS[0]))
-                gap = largest_gap(geom, ladder, mode, dense[mode], LADDERS[0])
-                print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
-                      f"{seconds[0]:7.2f} {loops:5d}/{steps:<5d} {seconds[1]:7.2f} "
+                steps = sum(step for _, step in loops)
+                if channel == "em":
+                    gaps = largest_gaps_em(geom, ladder, dense, LADDERS[0])
+                    gap, tail = max(gaps.values()), " ".join(
+                        f"{mode.value} {value:.1e}" for mode, value in gaps.items())
+                else:
+                    total += result.extrapolated
+                    gap, tail = largest_gap(geom, ladder, modes[0], dense[modes[0]],
+                                            LADDERS[0]), ""
+                rows = sum(rows * step for rows, step in loops) / max(steps, 1)
+                print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {channel:>9s} "
+                      f"{seconds[0]:7.2f} {len(loops):5d}/{steps:<5d} "
+                      f"{rows:9.1f} {seconds[1]:7.2f} "
                       f"{min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
-                      f"{gap:9.1e} {result.extrapolated:14.8f}", flush=True)
+                      f"{gap:9.1e} {result.extrapolated:14.8f} {tail}".rstrip(), flush=True)
             print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} E/E_pfa = "
                   f"{total / pfa_energy(h, 1.0):.6f}", flush=True)
 
@@ -138,8 +177,8 @@ def check_tilts():
         geom = Geometry(0.0, 1.0, math.radians(deg))
         for ladder in TILT_LADDERS:
             for mode in BoundaryMode:
-                _, seconds = timed(geom, ladder, mode)
-                shapes, _, _ = factor_shapes(geom, ladder, mode)
+                _, seconds = timed(geom, ladder, mode.value)
+                shapes, _ = factor_shapes(geom, ladder, (mode,))
                 kept = collections.Counter(shape[1] for shape in shapes)
                 gap = largest_gap(geom, ladder, mode, dense_rungs(geom, mode, ladder), ladder)
                 histogram = " ".join(f"{rows}:{count}" for rows, count in sorted(kept.items()))
