@@ -160,10 +160,10 @@ def check_gaps():
                     total += result.extrapolated
                     gap, tail = largest_gap(geom, ladder, modes[0], dense[modes[0]],
                                             LADDERS[0]), ""
-                rows = sum(rows * step for rows, step in loops) / max(steps, 1)
+                per_step = sum(rows * step for rows, step in loops) / max(steps, 1)
                 print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {channel:>9s} "
                       f"{seconds[0]:7.2f} {len(loops):5d}/{steps:<5d} "
-                      f"{rows:9.1f} {seconds[1]:7.2f} "
+                      f"{per_step:9.1f} {seconds[1]:7.2f} "
                       f"{min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
                       f"{gap:9.1e} {result.extrapolated:14.8f} {tail}".rstrip(), flush=True)
             print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} E/E_pfa = "

@@ -59,35 +59,37 @@ last bits with the size of the whole matrix: a rung depends only on
 the node and the ladder, so no node's value depends on the other
 nodes of its run, save under the rank cut (below).
 
-The rank cut.  Scaled Hankel moment matrices of a positive measure have
-exponentially decaying singular values (a 401-order block has rank 14 to
-42 on the default grids, from H = 1 to 0.05 at R = 1 and at the knife
-edge), so where a run's blocks keep more than _RANK_FROM = 128 orders
-they are not built.  A partial pivoted Cholesky, one loop over every
-block and node of the run, builds at each step only the column of the
-largest residual diagonal entry, and stops per block and node once the
-residual trace is at most tau: 1e-15, or n eps max_a N_aa, the trace's
-own rounding, where that is larger.  So N = Y^T Y + E with Y of r << n
-rows and E positive semidefinite, and by Sylvester's identity rung s is
-log det(1 - G_s), G_s the r x r Gram matrix of Y's columns up to s.
-Every leading block of E is positive semidefinite with trace at most
-tau, so each rung lies above the exact one by at most
-tau / (1 - lambda_max), to first order in tau, where lambda_max is the
-block's largest eigenvalue.  At positive radius a parity's Dirichlet and
-Neumann blocks are D M D with one Hankel matrix M and each mode's
-balancing weights D = diag(e^h).  Where a run's two blocks keep the same
-orders, the loop pivots them once, on D' M D' with h' the larger of the
-two half-logs at each order and node, and each mode's factor is the
-shared Y with column a scaled by e^(h_a - h'_a) <= 1.  So each mode's
-N = Y_mode^T Y_mode + S E S with S <= 1 diagonal: its residual is
-positive semidefinite with trace at most tau, the larger of the two
-modes' tau, and every mode keeps the bound.  This halves the loop's
-rows when both modes are asked for at once.  A block's factors come as one stack,
+The rank cut.  Scaled Hankel moment matrices of a positive measure
+have exponentially decaying singular values (a 401-order block has
+rank 14 to 42 on the default grids, from H = 1 to 0.05 at R = 1 and at
+the knife edge), so where a run's blocks keep more than _RANK_FROM =
+128 orders they are not built.  A partial pivoted Cholesky, one loop
+over every block and node of the run, builds at each step only the
+column of the largest residual diagonal entry, and stops per block and
+node once the residual trace is at most tau: 1e-15, or n eps max_a
+N_aa, the trace's own rounding, where that is larger.  So N = Y^T Y + E
+with Y of r << n rows and E positive semidefinite, and by Sylvester's
+identity rung s is log det(1 - G_s), G_s the r x r Gram matrix of Y's
+columns up to s.  Every leading block of E is positive semidefinite
+with trace at most tau, so each rung lies above the exact one by at
+most tau / (1 - lambda_max), to first order in tau, where lambda_max is
+the block's largest eigenvalue.  At positive radius a parity's
+Dirichlet and Neumann blocks are D M D with one Hankel matrix M and
+each mode's balancing weights D = diag(e^h).  Where a run's two blocks
+keep the same orders, the loop pivots them once, on D' M D' with h' the
+larger of the two half-logs at each order and node, and each mode's
+factor is the shared Y with column a scaled by e^(h_a - h'_a) <= 1.  So
+each mode's N = Y_mode^T Y_mode + S E S with S <= 1 diagonal: its
+residual is positive semidefinite with trace at most tau, the larger of
+the two modes' tau, and every mode keeps the bound.  This halves the
+loop's rows when both modes are asked for at once.  A block's factors
+come as one stack,
 zero rows padding each node's Y to the block's largest rank in the run,
-and one `logdet_one_minus` call factors the Grams of every node and rung
-of the stack: a zero row adds a unit row and column to 1 - G_s, which
-leave its determinant as it is, though its Cholesky factorization, and
-with it the rung's last bits, can depend on the padded size.
+and one `logdet_one_minus` call factors the Grams of every node and
+rung of the stack: a zero row adds a unit row and column to 1 - G_s,
+which leave its determinant as it is, though its Cholesky
+factorization, and with it the rung's last bits, can depend on the
+padded size.
 """
 
 from __future__ import annotations
@@ -457,9 +459,7 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
             if ranked:
                 blocks = _rank_cut_blocks(kept, table, nodes, columns)
                 columns = max(stack.shape[1] for _, stack, _ in blocks) + _RANK_MARGIN
-                yield nodes, blocks
-                continue
-            if knife:
+            elif knife:
                 blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]), False)
                           for idx, pairs, _ in kept]
             elif untilted:
@@ -474,6 +474,8 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
                     for (_, _, half), (_, stack, _) in zip(kept, blocks):
                         _body_block_tilted(half[:, i], sT, lT, stack[k])
             yield nodes, blocks
+            # Let go of this run's blocks before the next run is built.
+            del blocks
 
 
 def _knife_factor_runs(geom: Geometry, q: np.ndarray, orders: np.ndarray, layout: list):
@@ -497,31 +499,31 @@ def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice, columns: int) 
     """A run's blocks under the rank cut, each as (orders, its nodes'
     factors Y, True), from one `_pivoted_factors` loop whose buffer
     starts at ``columns`` steps.  Blocks over the same orders, at
-    positive radius the two modes' blocks of one parity, are D M D with
-    one Hankel matrix M and the modes' own balancing weights D = e^h.
-    They are pivoted once, on D M D with h the larger half-log of the
-    two at each order and node, and each mode's factor is that one's,
-    its columns scaled by e^(h_mode - h) <= 1, 0 where both half-logs are
-    -inf: the residual S E S, S <= 1, keeps the shared trace's bound
-    (module docstring).  Padded orders' entries are zero: -inf half-logs
-    make them at positive radius, a mask at the knife edge."""
+    positive radius a parity's blocks of two modes, are pivoted once, on
+    the larger of their half-logs at each order and node, and each
+    block's factor is the shared one with its columns scaled by
+    e^(h_block - h_larger) <= 1, and by 0 where both are -inf (module
+    docstring).  Padded orders' entries are zero: -inf half-logs make
+    them at positive radius, a mask at the knife edge."""
     run = nodes.stop - nodes.start
-    groups = {}
-    for b, (idx, *_) in enumerate(kept):
-        groups.setdefault((int(idx[0]), idx.size), []).append(b)
-    groups = list(groups.values())
-    sizes = np.array([kept[g[0]][0].size for g in groups])
-    n, flat = int(sizes.max()), np.arange(len(groups) * run)
+    # group[b]: block b's group, numbered by first appearance; lead[j]: the
+    # first block of group j.
+    keys = {}
+    group = [keys.setdefault((int(idx[0]), idx.size), len(keys)) for idx, *_ in kept]
+    lead = [group.index(j) for j in range(len(keys))]
+    sizes = np.array([kept[b][0].size for b in lead])
+    n, flat = int(sizes.max()), np.arange(len(lead) * run)
     # Row j run + k: node k's table from group j's parity on and its largest
     # half-logs, zero and -inf past the group's orders.
     moments = np.zeros((flat.size, 2 * n - 1))
     hs = None if kept[0][2] is None else np.full((flat.size, n), -np.inf)
-    for j, g in enumerate(groups):
-        idx = kept[g[0]][0]
+    for j, b in enumerate(lead):
+        idx = kept[b][0]
         start, mine = int(idx[0]) % 2, slice(j * run, (j + 1) * run)
         moments[mine, :2 * idx.size - 1] = table[nodes, start:start + 2 * idx.size - 1]
         if hs is not None:
-            hs[mine, :idx.size] = np.max([kept[b][2][idx, nodes].T for b in g], axis=0)
+            hs[mine, :idx.size] = np.max([half[idx, nodes].T for (_, _, half), i
+                                          in zip(kept, group) if i == j], axis=0)
     hankel = sliding_window_view(moments, n, axis=1)
     pad = np.arange(n) >= np.repeat(sizes, run)[:, None]
 
@@ -532,25 +534,23 @@ def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice, columns: int) 
 
     diag = _block_diagonal(np.arange(n), moments[:, ::2], None if hs is None else hs.T)
     try:
-        stacks = _pivoted_factors(diag.reshape(len(groups), run, n), sizes, column, columns)
+        stacks = _pivoted_factors(diag.reshape(len(lead), run, n), sizes, column, columns)
     except _PivotFailure as err:
         j, err.matrix = divmod(err.matrix, run)
-        err.where = (nodes, kept[groups[j][0]][0])
+        err.where = (nodes, kept[lead[j]][0])
         raise
-    blocks = [None] * len(kept)
-    for j, (g, stack) in enumerate(zip(groups, stacks)):
-        top = hs[j * run:(j + 1) * run, :stack.shape[2]] if len(g) > 1 else None
-        for b in g:
-            idx, _, half = kept[b]
-            if top is not None:
-                with np.errstate(invalid="ignore"):
-                    scale = np.where(top == -np.inf, 0.0, np.exp(half[idx, nodes].T - top))
-                # A mode whose half-logs are the larger ones throughout (at R = 1,
-                # Dirichlet's) takes the shared stack as it is.
-                if not np.all(scale == 1.0):
-                    blocks[b] = (idx, stack * scale[:, None, :], True)
-                    continue
-            blocks[b] = (idx, stack, True)
+    blocks = []
+    for (idx, _, half), j in zip(kept, group):
+        stack = stacks[j]
+        if group.count(j) > 1:
+            top = hs[j * run:(j + 1) * run, :idx.size]
+            with np.errstate(invalid="ignore"):
+                scale = np.where(top == -np.inf, 0.0, np.exp(half[idx, nodes].T - top))
+            # A block whose half-logs are the larger throughout takes the
+            # shared stack as it is.
+            if not np.all(scale == 1.0):
+                stack = stack * scale[:, None, :]
+        blocks.append((idx, stack, True))
     return blocks
 
 
