@@ -101,7 +101,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 from scipy.special import gammaln
 
-from .specfun import DomainError, _check_order, bateman_m_log
+from .specfun import DomainError, _argument_array, _check_order, bateman_m_log
 from .scattering import BoundaryMode, Geometry, parabolic_amplitude_table
 from .translation import _gram, tilted_matrix_log
 
@@ -378,7 +378,9 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     an increasing sequence of orders, or an int n for the whole blocks
     up to order n, as `build_kernel` scatters them: a sequence of one
     rung may still come as rank-cut factors, an int never does.  The
-    nodes of the array ``q`` are taken in runs of consecutive nodes.
+    nodes of ``q``, a scalar or a nonempty 1-d array of finite
+    nonnegative values (else `DomainError`), are taken in runs of
+    consecutive nodes.
     For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
     of ``q`` the run covers, and ``blocks`` is one list of (orders,
     block, factored) triples, one per diagonal block, ordered by
@@ -407,22 +409,24 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     largest, and blocks of different modes over the same orders are
     pivoted once and scaled; the loop's buffer starts at the previous
     run's largest rank plus _RANK_MARGIN steps.  Its failure raises
-    `_PivotFailure` with ``where`` set.  At
-    the tilted knife edge a run holds one node, whose blocks come as F =
-    sqrt(e^-w / pi) V^T of the parity Gram's factor V.  What does not
-    depend on the node is computed once for the series: the zero-tilt
-    element table and each block's Hankel view of it, and, at positive
-    radius, every mode's half-logs over all nodes, from one pass of the
-    amplitude recurrences.  A dense zero-tilt run's stack is built from
+    `_PivotFailure` with ``where`` set.  At the tilted knife edge a run
+    holds one node, whose blocks come as F = sqrt(e^-w / pi) V^T of the
+    parity Gram's factor V: the 2U rows of F differ from node to node,
+    so no two nodes' factors stack.  What does not depend on the node is
+    computed once for the series: the zero-tilt element table and each
+    block's Hankel view of it, and, at positive radius, every mode's
+    half-logs over all nodes, from one pass of the amplitude
+    recurrences.  A dense zero-tilt run's stack is built from
     the block's view; for the tilted body each node's matrix is written
     into its slot of the run's buffer, and the element matrix is built
     once per node for all modes.
 
-    This is the only place the four constructions (knife or body,
-    tilted or not) are chosen; `build_kernel` scatters the blocks into
-    one matrix and the energy integrands factor them block by block.
+    This is the only place the five constructions (knife or body,
+    tilted or not, and the rank cut) are chosen, all in one loop over
+    the runs; `build_kernel` scatters the blocks into one matrix and the
+    energy integrands factor them block by block.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    q, _ = _argument_array(q)
     whole = np.ndim(orders) == 0
     orders = np.atleast_1d(orders)
     nu_max = int(orders.max())
@@ -439,9 +443,6 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     # One (orders, Hankel view, half) entry per block.
     layout = [(idx, _by_pair(table, idx) if untilted else None, half)
               for mode, half in zip(modes, halves) for idx in _block_orders(geom, nu_max, mode)]
-    if knife and not untilted:
-        yield from _knife_factor_runs(geom, q, orders, [idx for idx, *_ in layout])
-        return
     # rows[k, b]: the leading rows of block b built and factored at node k.
     rows = np.empty((q.size, len(layout)), dtype=int)
     for b, (idx, _, half) in enumerate(layout):
@@ -451,17 +452,25 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     for start, stop in zip(bounds, bounds[1:]):
         size = int(rows[start].max(initial=1))
         ranked = untilted and not whole and size > _RANK_FROM
-        run = max(1, (_RANK_BYTES // (8 * _RANK_COLUMNS * size)) if ranked
-                  else _RUN_BYTES // (8 * size ** 2))
+        run = (1 if knife and not untilted
+               else max(1, (_RANK_BYTES // (8 * _RANK_COLUMNS * size)) if ranked
+                        else _RUN_BYTES // (8 * size ** 2)))
         for lo in range(start, stop, run):
             nodes = slice(lo, min(lo + run, stop))
             kept = [(idx[:s], pairs, half) for (idx, pairs, half), s in zip(layout, rows[lo])]
             if ranked:
                 blocks = _rank_cut_blocks(kept, table, nodes, columns)
                 columns = max(stack.shape[1] for _, stack, _ in blocks) + _RANK_MARGIN
-            elif knife:
+            elif knife and untilted:
                 blocks = [(idx, _knife_block_from_k(pairs[nodes, :idx.size, :idx.size]), False)
                           for idx, pairs, _ in kept]
+            elif knife:
+                blocks = []
+                for idx, *_ in kept:
+                    V, w = _gram(q[lo], geom.d, geom.theta, nu_max, start=int(idx[0]), step=2)
+                    F = _knife_block_from_gram(V, w)
+                    cut = _smallest_rungs(idx, orders, np.einsum("ij,ij->j", F, F)[None])[0]
+                    blocks.append((idx[:cut], F[None, :, :cut], True))
             elif untilted:
                 blocks = [(idx, _body_block_theta0(half[idx, nodes].T, half[idx, nodes].T,
                                                    pairs[nodes, :idx.size, :idx.size]), False)
@@ -476,23 +485,6 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
             yield nodes, blocks
             # Let go of this run's blocks before the next run is built.
             del blocks
-
-
-def _knife_factor_runs(geom: Geometry, q: np.ndarray, orders: np.ndarray, layout: list):
-    """One-node runs of `kernel_blocks` at the tilted knife edge: the
-    block over each orders ``idx`` of ``layout`` comes as its factor F
-    (N = F^T F) from the parity Gram's factor, cut to the smallest rung
-    holding every order whose diagonal entry N_aa = |F_a|^2 is not below
-    _NEGLIGIBLE."""
-    nu_max = int(orders.max())
-    for i in range(q.size):
-        blocks = []
-        for idx in layout:
-            V, w = _gram(q[i], geom.d, geom.theta, nu_max, start=int(idx[0]), step=2)
-            factor = _knife_block_from_gram(V, w)
-            rows = _smallest_rungs(idx, orders, np.einsum("ij,ij->j", factor, factor)[None])[0]
-            blocks.append((idx[:rows], factor[None, :, :rows], True))
-        yield slice(i, i + 1), blocks
 
 
 def _rank_cut_blocks(kept: list, table: np.ndarray, nodes: slice, columns: int) -> list:

@@ -766,7 +766,9 @@ class TestLadderAgainstLU:
         (KNIFE, 800), (Geometry(1.0, 1.0), 800),
         # Tilted blocks are factored whole; a shorter ladder keeps them cheap.
         (Geometry(0.0, 1.0, math.radians(85.0)), 160), (Geometry(1.0, 1.0, 0.3), 160),
-    ], ids=["knife-0", "body-0", "knife-85", "body-0.3"])
+        # Blocks of 41 orders: 19 tilted-body nodes share a run.
+        (Geometry(1.0, 1.0, 0.3), 40),
+    ], ids=["knife-0", "body-0", "knife-85", "body-0.3", "body-0.3-shared-run"])
     def test_node_value_depends_on_that_node_alone(self, geom, top):
         # Each zero-tilt node factors up to a rung of the ladder chosen from
         # that node alone.  Cutting a run at its largest live size would
@@ -799,10 +801,11 @@ class TestLadderAgainstLU:
 
 
 class TestKernelBlockStream:
-    """Each run of `kernel_blocks` is one flat list of (orders, block)
-    pairs, laid out by `_block_orders` mode after mode, for all four
-    constructions.  Every stack is bitwise symmetric, so the ladder
-    above factors each with one Cholesky rather than one LU per rung; at
+    """Each run of `kernel_blocks` is one flat list of (orders, block,
+    factored) triples, laid out by `_block_orders` mode after mode, for
+    all four geometries (knife or body, tilted or not).  Every stack is
+    bitwise symmetric, so the ladder above factors each with one
+    Cholesky rather than one LU per rung; at
     the tilted knife edge each one-node block comes as its factor F,
     and F^T F is `build_kernel`'s block."""
 

@@ -503,6 +503,22 @@ class TestTiltedFactor:
         assert all(idx.size < 401 and factor.shape[0] == 1 and factor.shape[2] == idx.size
                    for idx, factor, _ in blocks)
 
+    def test_runs_hold_one_node_each_factored_and_cut_alone(self):
+        # The nodes' factors have different row counts 2U, so no run
+        # stacks two; each node keeps the orders its own |F_a|^2 ask for.
+        geom, x = Geometry(0.0, 1.0, math.radians(85.0)), np.array([1e-3, 0.3, 3.0, 8.0])
+        runs = list(kernel_blocks(geom, x, self.ORDERS, tuple(BoundaryMode)))
+        assert [nodes for nodes, _ in runs] == [slice(i, i + 1) for i in range(x.size)]
+        rows, kept = set(), set()
+        for nodes, blocks in runs:
+            (_, alone), = kernel_blocks(geom, x[nodes], self.ORDERS, tuple(BoundaryMode))
+            for (idx, F, factored), (idx_alone, F_alone, _) in zip(blocks, alone, strict=True):
+                assert factored and F.shape[0] == 1 and F.shape[2] == idx.size
+                assert np.array_equal(idx, idx_alone) and np.array_equal(F, F_alone)
+                rows.add(F.shape[1])
+                kept.add(idx.size)
+        assert len(rows) > 1 and len(kept) > 1
+
     def test_nonfinite_factor_names_node_and_order(self, monkeypatch):
         gram = roundtrip_module._gram
 
@@ -782,3 +798,12 @@ class TestArgumentValidation:
             build_kernel(KNIFE, 1.0, -1, BoundaryMode.DIRICHLET)
         with pytest.raises(DomainError):
             build_kernel(KNIFE, 1.0, True, BoundaryMode.DIRICHLET)
+
+    @pytest.mark.parametrize("geom", [KNIFE, Geometry(0.0, 1.0, math.radians(85.0)),
+                                      Geometry(1.0, 1.0), Geometry(1.0, 1.0, 0.3)],
+                             ids=["knife-0", "knife-85", "body-0", "body-0.3"])
+    @pytest.mark.parametrize("q", [[], [0.5, math.nan], [-0.5]],
+                             ids=["empty", "nan", "negative"])
+    def test_kernel_blocks_rejects_bad_nodes(self, geom, q):
+        with pytest.raises(DomainError, match="argument must be"):
+            next(kernel_blocks(geom, np.array(q), [20, 40], tuple(BoundaryMode)))
