@@ -139,20 +139,21 @@ class _PivotFailure(PhysicalRegimeError):
         self.where = None
 
 
-def _nonfinite(bad: np.ndarray, first: int = 0) -> _PivotFailure:
-    """The failure at the first matrix of a stack, numbered from
-    ``first``, with a nonfinite entry: ``bad[j, a]`` says whether matrix
-    j's leading block of a + 1 orders is the smallest to hold one."""
-    j = int(np.argmax(bad.any(axis=1)))
-    return _PivotFailure("kernel contains nonfinite entries", first + j,
-                         int(np.argmax(bad[j])) + 1, "nonfinite")
+def _nonfinite(bad: np.ndarray):
+    """The failure at the first matrix of a stack with a nonfinite entry,
+    or None if there is none: ``bad[j, a]`` says whether matrix j's
+    leading block of a + 1 orders is the smallest to hold one."""
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=1)))
+        return _PivotFailure("kernel contains nonfinite entries", j,
+                             int(np.argmax(bad[j])) + 1, "nonfinite")
 
 
-def _nonfinite_square(head: np.ndarray, first: int = 0) -> _PivotFailure:
+def _nonfinite_square(head: np.ndarray):
     """`_nonfinite` of a stack of square matrices, in which entry (a, b)
     enters the leading blocks from max(a, b) + 1 orders up."""
     nf = ~np.isfinite(head)
-    return _nonfinite(np.tril(nf).any(axis=2) | np.triu(nf).any(axis=1), first)
+    return _nonfinite(np.tril(nf).any(axis=2) | np.triu(nf).any(axis=1))
 
 
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
@@ -254,12 +255,7 @@ def _body_block_tilted(half: np.ndarray, sT: np.ndarray, lT: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """The body's kernel at tilt, up to the module's S, from the
     sign/log form of the Gram matrix, written into ``out``."""
-    np.add(half[:, None], half[None, :], out=out)
-    out += lT
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out *= sT
-    return out
+    return np.multiply(_body_block_theta0(half[None], half[None], lT)[0], sT, out=out)
 
 
 def _block_orders(geom: Geometry, nu_max: int, mode: BoundaryMode) -> list:
@@ -574,28 +570,41 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     return entries, orders
 
 
-def _cholesky_ladders(m: np.ndarray):
+def _cholesky_ladders(m: np.ndarray, nonfinite, stacked: bool) -> np.ndarray:
     """log det of every leading block of each symmetric matrix m[j].
 
-    Returns ``(ladders, failed)``.  Row j of ``ladders`` holds the
-    ladder of m[j]; its entry s belongs to the leading s x s block,
-    since the Cholesky factor of a leading block is the leading block of
-    the factor, so one factorization serves them all.  Each matrix, a
-    C-ordered stack whose transposes LAPACK works on in place, is read
-    in the lower triangle of m[j].T (the upper of m[j]) and overwritten
-    by its factor, and the diagonals are read from the factored stack as
-    one strided view.  ``failed`` is None, or (j, info) of the first
-    matrix whose leading minor of order info is not positive, and then
-    ``ladders`` is None.
+    Row j of the result holds the ladder of m[j]; its entry s belongs to
+    the leading s x s block, since the Cholesky factor of a leading block
+    is the leading block of the factor, so one factorization serves them
+    all.  Each matrix, a C-ordered stack whose transposes LAPACK works on
+    in place, is read in the lower triangle of m[j].T (the upper of m[j])
+    and overwritten by its factor, and the diagonals are read from the
+    factored stack as one strided view.
+
+    Every failure of these factorizations raises `_PivotFailure`, by one
+    rule: ``nonfinite()``, the failure at the input's first nonfinite
+    entry or None, is raised if it gives one; else kind "minor" at
+    (j, r) for the first matrix j whose leading minor of order r is not
+    positive (the message names matrix j where ``stacked``); else kind
+    "nonfinite" at (j, n) for the first ladder that ends nonfinite from
+    finite input.  ``nonfinite`` is called only after a failure.
     """
     run, n = m.shape[:2]
     for j in range(run):
         _, info = lapack.dpotrf(m[j].T, lower=True, clean=False, overwrite_a=True)
         if info > 0:
-            return None, (j, info)
+            where = f"matrix {j} of the stack: " if stacked else ""
+            raise nonfinite() or _PivotFailure(
+                f"1 - N is not positive definite: {where}its leading minor of "
+                f"order {info} (of {n}) is not positive; increase quadrature "
+                "resolution or check the geometry", j, info, "minor")
     ladders = np.zeros((run, n + 1))
     np.cumsum(2.0 * np.log(np.diagonal(m, axis1=1, axis2=2)), axis=1, out=ladders[:, 1:])
-    return ladders, None
+    if not np.all(np.isfinite(ladders[:, -1])):
+        raise nonfinite() or _PivotFailure("kernel contains nonfinite entries",
+                                           int(np.argmin(np.isfinite(ladders[:, -1]))), n,
+                                           "nonfinite")
+    return ladders
 
 
 def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
@@ -614,13 +623,12 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     builds is, and since all its eigenvalues lie below one, 1 - N must
     be positive definite.  One Cholesky factorization of the largest
     block checks that and serves every smaller size through partial
-    sums of 2 log diag(L); a failure raises `PhysicalRegimeError` naming
-    the order of the leading minor where positivity was lost, and for a
-    stack the matrix.  A nonfinite entry raises `PhysicalRegimeError`
-    too, rather than returning a garbage value that downstream
-    integration would silently absorb; a finite matrix that is not
-    symmetric raises `DomainError`.  1 - N is formed once for the whole
-    stack, in a fresh buffer that the factorizations overwrite.
+    sums of 2 log diag(L).  A loss of positivity or a nonfinite entry
+    raises `PhysicalRegimeError` by the one rule of `_cholesky_ladders`,
+    rather than returning a garbage value that downstream integration
+    would silently absorb; a finite matrix that is not symmetric raises
+    `DomainError`.  1 - N is formed once for the whole stack, in a fresh
+    buffer that the factorizations overwrite.
 
     N need not be positive semidefinite, so no order is left out for a
     small diagonal entry: [[0, .5], [.5, 0]] gives log 0.75.  That cut
@@ -649,7 +657,7 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
     if factored:
         cuts, where = np.unique(want, return_inverse=True)
         factors = entries if stacked else entries[None]
-        out = (_factor_logdets(factors, cuts)[:, where] if want.size
+        out = (_factor_logdets(factors, cuts, stacked)[:, where] if want.size
                else np.zeros((factors.shape[0], 0)))
     else:
         top = int(want.max(initial=0))
@@ -660,32 +668,18 @@ def logdet_one_minus(kernel: np.ndarray, sizes=None, *, factored: bool = False):
         m.reshape(run, top * top)[:, ::top + 1] += 1.0
         # NaN compares unequal to itself, so a NaN entry fails this test too.
         if not np.all(m == m.transpose(0, 2, 1)):
-            if not np.all(np.isfinite(head)):
-                raise _nonfinite_square(head)
             j = int(np.argmin(np.all(m == m.transpose(0, 2, 1), axis=(1, 2))))
             where = f"matrix {j} of the stack" if stacked else "the matrix"
-            raise DomainError(f"the kernel must be exactly symmetric: {where} is not")
+            raise _nonfinite_square(head) or DomainError(
+                f"the kernel must be exactly symmetric: {where} is not")
         # m is exactly symmetric, so the triangle LAPACK reads is the matrix.
-        ladders, failed = _cholesky_ladders(m)
-        if failed is not None:
-            j, info = failed
-            if not np.all(np.isfinite(head[j, :info, :info])):
-                raise _nonfinite_square(head[j:j + 1, :info, :info], j)
-            where = f"matrix {j} of the stack: " if stacked else ""
-            raise _PivotFailure(
-                f"1 - N is not positive definite: {where}its leading minor of "
-                f"order {info} (of {top}) is not positive; increase quadrature "
-                "resolution or check the geometry", j, info, "minor")
-        out = ladders[:, want]
-        # A nonfinite entry of the factored head reaches the top rung.
-        if not np.all(np.isfinite(out)):
-            raise _nonfinite_square(head)
+        out = _cholesky_ladders(m, lambda: _nonfinite_square(head), stacked)[:, want]
     if stacked:
         return out[:, 0] if sizes is None else out
     return float(out[0, 0]) if sizes is None else out[0]
 
 
-def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+def _factor_logdets(factors: np.ndarray, cuts: np.ndarray, stacked: bool) -> np.ndarray:
     """log det(1 - F^T F) at each of the increasing leading column
     counts ``cuts`` of each factor F of a stack, of shape (run, k, n),
     for `logdet_one_minus`; the result has shape (run, len(cuts)).
@@ -701,13 +695,17 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     cut.  The Grams cost about 2 k^2 n + k^3 / 3 per cut, the single
     factorization n^2 k + n^3 / 3, and with one BLAS thread the two take
     the same time from about k = n / 3 (k = 120 to 150 at n = 401, 300
-    at n = 801).  A failure raises `_PivotFailure` at the first factor's
-    first nonfinite column, if any factor holds one, else at the first
-    factor whose leading minor, or whose first cut's Gram, is not
-    positive definite.
+    at n = 801).  A failure is raised by the rule of `_cholesky_ladders`,
+    the input's nonfinite entries being F's columns; on the Gram side a
+    leading minor that is not positive becomes kind "gram", at the first
+    factor and cut whose Gram has an eigenvalue of at least one.
     """
     run, k, n = factors.shape
     top = int(cuts.max(initial=0))
+
+    def nonfinite():
+        return _nonfinite(~np.all(np.isfinite(factors[:, :, :top]), axis=1))
+
     if 3 * k < n:
         # sums[j, c]: node j's Gram of F's leading cuts[c] columns.
         sums = np.stack([s @ s.transpose(0, 2, 1)
@@ -718,29 +716,16 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray) -> np.ndarray:
             return logdet_one_minus(grams.reshape(run * cuts.size, k, k)).reshape(run, cuts.size)
         except _PivotFailure as err:
             node, cut = divmod(err.matrix, cuts.size)
-            failed = (node, int(cuts[cut]), "gram" if err.kind == "minor" else "nonfinite")
-    else:
-        # F's columns are contiguous, so dsyrk reads F in place, and m[j].T
-        # is an identity in Fortran order, which it overwrites.
-        m = np.zeros((run, top, top))
-        m.reshape(run, top * top)[:, ::top + 1] = 1.0
-        for j in range(run if top else 0):
-            blas.dsyrk(-1.0, factors[j, :, :top], beta=1.0, c=m[j].T, trans=1, lower=1,
-                       overwrite_c=1)
-        ladders, stop = _cholesky_ladders(m)
-        if stop is None and np.all(np.isfinite(ladders[:, -1])):
-            return ladders[:, cuts]
-        failed = ((*stop, "minor") if stop is not None
-                  else (int(np.argmin(np.isfinite(ladders[:, -1]))), top, "nonfinite"))
-    bad = ~np.all(np.isfinite(factors[:, :, :top]), axis=1)
-    if bad.any():
-        raise _nonfinite(bad)
-    matrix, rows, kind = failed
-    message = {
-        "gram": "1 - N is not positive definite: a Gram matrix of its factor has an "
-                "eigenvalue of at least one",
-        "minor": f"1 - N is not positive definite: its leading minor of order {rows} "
-                 f"(of {top}) is not positive",
-        "nonfinite": "kernel contains nonfinite entries",
-    }[kind]
-    raise _PivotFailure(message, matrix, rows, kind)
+            gram = err.kind == "minor"
+            raise nonfinite() or _PivotFailure(
+                "1 - N is not positive definite: a Gram matrix of its factor has an eigenvalue "
+                "of at least one" if gram else str(err), node, int(cuts[cut]),
+                "gram" if gram else "nonfinite") from None
+    # F's columns are contiguous, so dsyrk reads F in place, and m[j].T is
+    # an identity in Fortran order, which it overwrites.
+    m = np.zeros((run, top, top))
+    m.reshape(run, top * top)[:, ::top + 1] = 1.0
+    for j in range(run if top else 0):
+        blas.dsyrk(-1.0, factors[j, :, :top], beta=1.0, c=m[j].T, trans=1, lower=1,
+                   overwrite_c=1)
+    return _cholesky_ladders(m, nonfinite, stacked)[:, cuts]

@@ -147,7 +147,7 @@ def _gram(q: float, d: float, theta: float, nu_max: int, node_count: int = 16,
     return P.view(np.float64), w
 
 
-def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float, gap: float | None = None):
+def tilted_matrix_log(nu_max: int, q: float, d: float, theta: float, gap: float):
     """Sign/log form of (-1)^n2 T[n, n2] at tilt theta.
 
     T[n, n2] = (-1)^n2 G[n, n2] e^{-w} / sqrt(2 pi) from the folded

@@ -1,6 +1,7 @@
 """Tests for round-trip kernel assembly and the stabilized log-determinant."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -684,6 +685,12 @@ class TestLogDet:
         for bad in (diagonal, pair, upper):
             with pytest.raises(PhysicalRegimeError, match="nonfinite"):
                 logdet_one_minus(np.stack([base, base, bad, base]), [2, 3])
+        # A nonfinite entry is named ahead of an earlier matrix's loss of
+        # positivity, as on a factor's syrk side.
+        stack = np.stack([np.diag([2.0, 0.5]), np.diag([0.1, -math.inf])])
+        with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
+            logdet_one_minus(stack, [1, 2])
+        assert (info.value.matrix, info.value.rows) == (1, 2)
 
     def test_input_layout_does_not_matter(self):
         # 1 - N must be formed correctly from Fortran-ordered matrices and
@@ -738,6 +745,21 @@ class TestLogDet:
             logdet_one_minus(np.zeros((2, 2, 3, 3)), factored=True)
         with pytest.raises(PhysicalRegimeError, match="not positive definite"):
             logdet_one_minus(10.0 * factor, [2, 9], factored=True)
+        # Both sides fail by one rule: a stack names the failing matrix, and
+        # a nonfinite column is named, at its order, ahead of an earlier
+        # factor's loss of positivity.
+        named = ("a Gram matrix of its factor has an eigenvalue of at least one" if shape[0] == 2
+                 else "matrix 1 of the stack: its leading minor of order 1 (of 9) is not "
+                      "positive; increase quadrature resolution or check the geometry")
+        with pytest.raises(PhysicalRegimeError, match=re.escape(named)) as info:
+            logdet_one_minus(np.stack([factor, 10.0 * factor]), [2, 9], factored=True)
+        assert info.value.matrix == 1
+        spoiled = factor.copy()
+        spoiled[0, 4] = math.nan
+        for stack, matrix in ((spoiled, 0), (np.stack([10.0 * factor, spoiled]), 1)):
+            with pytest.raises(PhysicalRegimeError, match="nonfinite") as info:
+                logdet_one_minus(stack, [2, 9], factored=True)
+            assert (info.value.matrix, info.value.rows) == (matrix, 5)
 
     def test_stack_names_the_matrix_that_loses_positivity(self):
         stack = np.stack([np.diag([0.5, 0.5, 0.5])] * 4)
