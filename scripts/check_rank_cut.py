@@ -4,9 +4,12 @@ small gaps and the tilted knife edge near broadside.
 At R = 1 and H/R = 0.1, 0.05 and 0.02, on the ladders (400, ..., 3200)
 and (800, ..., 6400), this prints for each channel
 
-- the time of one `energy_per_length` call's main ladder, and of its
-  node-doubling check (the ladder's lowest rung on twice the frequency
-  nodes, which takes the rank cut too);
+- the time of one `energy_per_length` call's main ladder, the parts of
+  it spent in the rank cut's pivot loops and in its factored
+  log-dets (the Grams of the factors and their Cholesky
+  factorizations), and the time of its node-doubling check (the
+  ladder's lowest rung on twice the frequency nodes, which takes the
+  rank cut too);
 - the main ladder's pivot loops and steps, and the loops' rows per
   step: the rank cut pivots each run of nodes in one loop over all of
   its blocks, of as many steps as the run's largest rank, one row per
@@ -21,7 +24,11 @@ then the same for "em", both modes in one call, whose blocks of the
 two modes over one parity's orders share one loop (so its ranks are
 the shared ones), with each mode's largest |delta g| from the blocks of
 that call; and then E/E_pfa of both channels together, from the
-extrapolated values.  At the knife edge tilted by 80, 85 and 88 degrees, on the
+extrapolated values.  Then, at H/R = 0.1, it times the Dirichlet `_g_series` on
+the default grid for a ladder of 4 rungs (100, 200, 400, 800) and one
+of 20 (100, 200, 300, then 400 to 800 in steps of 25), split the same
+way, the median of five alternating calls each: the cost of the rungs
+themselves.  At the knife edge tilted by 80, 85 and 88 degrees, on the
 ladders (100, ..., 800) and (200, ..., 1600), it then prints for each
 channel the same two times, a histogram of the
 orders each node's factor keeps after the rung cut over that call's
@@ -54,6 +61,10 @@ LADDERS = ((400, 800, 1600, 3200), (800, 1600, 3200, 6400))
 TILTS = (80.0, 85.0, 88.0)
 TILT_LADDERS = ((100, 200, 400, 800), (200, 400, 800, 1600))
 NODES = (1e-3, 0.3, 3.0)
+RUNG_LADDERS = ((100, 200, 400, 800), (100, 200, 300) + tuple(range(400, 801, 25)))
+# Timed per `_g_series` call: the call, its pivot loops, its factored log-dets.
+TIMED = ((energy_module, "_g_series"), (roundtrip_module, "_pivoted_factors"),
+         (roundtrip_module, "_factor_logdets"))
 
 
 def factor_shapes(geom, ladder, modes):
@@ -118,27 +129,34 @@ def largest_gaps_em(geom, ladder, dense, dense_ladder):
     return gaps
 
 
-def timed(geom, ladder, channel):
-    """One `energy_per_length` call, and the seconds of its two `_g_series`
-    calls: the main ladder, then the node-doubling check."""
-    g_series, seconds = energy_module._g_series, []
+def timed(call):
+    """call(), and for each `_g_series` call made through the energy
+    module while it runs, the seconds [in all, in pivot loops, in
+    factored log-dets]."""
+    seconds, saved = [], [getattr(module, name) for module, name in TIMED]
 
-    def timing(*args):
-        start = time.perf_counter()
-        out = g_series(*args)
-        seconds.append(time.perf_counter() - start)
-        return out
+    def timing(column, inner):
+        def wrapper(*args):
+            if column == 0:
+                seconds.append([0.0, 0.0, 0.0])
+            start = time.perf_counter()
+            out = inner(*args)
+            seconds[-1][column] += time.perf_counter() - start
+            return out
+        return wrapper
 
-    energy_module._g_series = timing
+    for column, ((module, name), inner) in enumerate(zip(TIMED, saved)):
+        setattr(module, name, timing(column, inner))
     try:
-        result = energy_per_length(geom, nu_max=ladder, channel=channel)
+        return call(), seconds
     finally:
-        energy_module._g_series = g_series
-    return result, seconds
+        for (module, name), inner in zip(TIMED, saved):
+            setattr(module, name, inner)
 
 
 def check_gaps():
-    print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'loops/steps':>11s} "
+    print(f"{'H/R':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} {'pivot/s':>7s} "
+          f"{'logdet/s':>8s} {'loops/steps':>11s} "
           f"{'rows/step':>9s} {'check/s':>7s} {'rank min/med/max':>17s} {'max |dg|':>9s} "
           f"{'extrapolated':>14s}")
     for h in GAPS:
@@ -147,7 +165,8 @@ def check_gaps():
         for ladder in LADDERS:
             total = 0.0
             for channel in [mode.value for mode in BoundaryMode] + ["em"]:
-                result, seconds = timed(geom, ladder, channel)
+                result, seconds = timed(lambda: energy_per_length(geom, nu_max=ladder,
+                                                                  channel=channel))
                 modes = tuple(BoundaryMode) if channel == "em" else (BoundaryMode(channel),)
                 shapes, loops = factor_shapes(geom, ladder, modes)
                 r = [shape[0] for shape in shapes]
@@ -162,12 +181,29 @@ def check_gaps():
                                             LADDERS[0]), ""
                 per_step = sum(rows * step for rows, step in loops) / max(steps, 1)
                 print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} {channel:>9s} "
-                      f"{seconds[0]:7.2f} {len(loops):5d}/{steps:<5d} "
-                      f"{per_step:9.1f} {seconds[1]:7.2f} "
+                      f"{seconds[0][0]:7.2f} {seconds[0][1]:7.2f} {seconds[0][2]:8.3f} "
+                      f"{len(loops):5d}/{steps:<5d} {per_step:9.1f} {seconds[1][0]:7.2f} "
                       f"{min(r):5d}/{statistics.median(r):5.0f}/{max(r):5d} "
                       f"{gap:9.1e} {result.extrapolated:14.8f} {tail}".rstrip(), flush=True)
             print(f"{h:5.2f} {ladder[0]:>5d}-{ladder[-1]:<5d} E/E_pfa = "
                   f"{total / pfa_energy(h, 1.0):.6f}", flush=True)
+
+
+def check_rungs():
+    geom = Geometry(1.0, 0.1)
+    x, _ = _grid(default_quadrature(geom))
+    seconds = {ladder: [] for ladder in RUNG_LADDERS}
+    for _ in range(5):
+        for ladder in RUNG_LADDERS:
+            seconds[ladder] += timed(lambda: energy_module._g_series(
+                geom, x, list(ladder), "dirichlet"))[1]
+    print(f"\n{'H/R':>5s} {'rungs':>5s} {'ladder':>11s} {'channel':>9s} {'main/s':>7s} "
+          f"{'pivot/s':>7s} {'logdet/s':>8s}")
+    for ladder, rows in seconds.items():
+        main, pivot, logdet = (statistics.median(column) for column in zip(*rows))
+        print(f"{geom.H:5.2f} {len(ladder):5d} {ladder[0]:>5d}-{ladder[-1]:<5d} "
+              f"{'dirichlet':>9s} {main:7.3f} {pivot:7.3f} {logdet:8.3f}",
+              flush=True)
 
 
 def check_tilts():
@@ -177,17 +213,20 @@ def check_tilts():
         geom = Geometry(0.0, 1.0, math.radians(deg))
         for ladder in TILT_LADDERS:
             for mode in BoundaryMode:
-                _, seconds = timed(geom, ladder, mode.value)
+                _, seconds = timed(lambda: energy_per_length(geom, nu_max=ladder,
+                                                             channel=mode.value))
                 shapes, _ = factor_shapes(geom, ladder, (mode,))
                 kept = collections.Counter(shape[1] for shape in shapes)
                 gap = largest_gap(geom, ladder, mode, dense_rungs(geom, mode, ladder), ladder)
                 histogram = " ".join(f"{rows}:{count}" for rows, count in sorted(kept.items()))
                 print(f"{deg:5.1f} {ladder[0]:>5d}-{ladder[-1]:<5d} {mode.value:>9s} "
-                      f"{seconds[0]:7.2f} {seconds[1]:7.2f} {gap:9.1e}  {histogram}", flush=True)
+                      f"{seconds[0][0]:7.2f} {seconds[1][0]:7.2f} {gap:9.1e}  {histogram}",
+                      flush=True)
 
 
 def main() -> int:
     check_gaps()
+    check_rungs()
     check_tilts()
     return 0
 

@@ -85,8 +85,8 @@ the two modes' tau, and every mode keeps the bound.  This halves the
 loop's rows when both modes are asked for at once.  A block's factors
 come as one stack,
 zero rows padding each node's Y to the block's largest rank in the run,
-and one `logdet_one_minus` call factors the Grams of every node and
-rung of the stack: a zero row adds a unit row and column to 1 - G_s,
+and the Grams of every node and rung of the stack are summed and
+factored at once (`_factor_logdets`): a zero row adds a unit row and column to 1 - G_s,
 which leave its determinant as it is, though its Cholesky
 factorization, and with it the rung's last bits, can depend on the
 padded size.
@@ -686,19 +686,25 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray, stacked: bool) -> np.
 
     The stack is taken on its cheaper side.  With 3k < n (the rank
     cut's Y), by Sylvester's identity value j is log det(1 - G_j) of the
-    k x k Gram G_j of F's leading cuts[j] columns, built for the whole
-    stack as partial sums between cuts, made exactly symmetric, and
-    factored in one call; zero rows of F add an exact unit row and
-    column to 1 - G_j, and so a factor of 1.0 to its determinant.
-    Otherwise one dsyrk per factor writes 1 - F^T F into one triangle of
-    an identity, and one Cholesky factorization in place serves every
-    cut.  The Grams cost about 2 k^2 n + k^3 / 3 per cut, the single
-    factorization n^2 k + n^3 / 3, and with one BLAS thread the two take
-    the same time from about k = n / 3 (k = 120 to 150 at n = 401, 300
-    at n = 801).  A failure is raised by the rule of `_cholesky_ladders`,
-    the input's nonfinite entries being F's columns; on the Gram side a
-    leading minor that is not positive becomes kind "gram", at the first
-    factor and cut whose Gram has an eigenvalue of at least one.
+    k x k Gram G_j of F's leading cuts[j] columns.  For the whole stack
+    at once, each segment of columns between cuts adds its Gram in place
+    to the previous cut's sum S, in cut order; 1 - G_j is formed as
+    -(S + S^T) / 2 + 1, exactly symmetric, and every node's and cut's
+    matrix is factored by `_cholesky_ladders` directly.  Zero rows of F
+    add an exact unit row and column to 1 - G_j, and so a factor of 1.0
+    to its determinant.  Otherwise one dsyrk per factor writes
+    1 - F^T F into one triangle of an identity, and one Cholesky
+    factorization in place serves every cut.  The Grams cost 2 k^2 n in
+    all and k^3 / 3 per cut, the single factorization n^2 k + n^3 / 3.
+    With one BLAS thread and four cuts the two take the same time from
+    about k = 0.4 n to 0.5 n (k = 170 at n = 401, 390 at n = 801); 3k < n
+    keeps to the Grams where they are the faster by far.  A failure is
+    raised by the rule of `_cholesky_ladders`, the input's nonfinite
+    entries being F's columns and then, on the Gram side, the Grams'
+    (a finite factor's Gram may overflow), looked at only after a
+    failure; a leading minor that is not positive becomes kind "gram",
+    at the first factor and cut whose Gram has an eigenvalue of at least
+    one.
     """
     run, k, n = factors.shape
     top = int(cuts.max(initial=0))
@@ -707,13 +713,25 @@ def _factor_logdets(factors: np.ndarray, cuts: np.ndarray, stacked: bool) -> np.
         return _nonfinite(~np.all(np.isfinite(factors[:, :, :top]), axis=1))
 
     if 3 * k < n:
-        # sums[j, c]: node j's Gram of F's leading cuts[c] columns.
-        sums = np.stack([s @ s.transpose(0, 2, 1)
-                         for s in np.split(factors, cuts, axis=2)[:cuts.size]], axis=1)
-        np.cumsum(sums, axis=1, out=sums)
-        grams = 0.5 * (sums + sums.transpose(0, 1, 3, 2))
+        # sums[j, c]: node j's Gram S of F's leading cuts[c] columns, each
+        # segment's Gram added to the previous cut's sum in cut order.
+        sums = np.empty((run, cuts.size, k, k))
+        for c, s in enumerate(np.split(factors, cuts, axis=2)[:cuts.size]):
+            gram = s @ s.transpose(0, 2, 1)
+            if c:
+                np.add(sums[:, c - 1], gram, out=sums[:, c])
+            else:
+                sums[:, 0] = gram
+        # 1 - G with G = (S + S^T) / 2, exactly symmetric, in C order; G is
+        # nonfinite where S + S^T is.
+        m = np.add(sums, sums.transpose(0, 1, 3, 2), order="C")
+        m *= -0.5
+        m.reshape(run * cuts.size, k * k)[:, ::k + 1] += 1.0
+        flat = m.reshape(run * cuts.size, k, k)
         try:
-            return logdet_one_minus(grams.reshape(run * cuts.size, k, k)).reshape(run, cuts.size)
+            ladders = _cholesky_ladders(flat, lambda: _nonfinite_square(
+                (sums + sums.transpose(0, 1, 3, 2)).reshape(flat.shape)), True)
+            return ladders[:, k].reshape(run, cuts.size)
         except _PivotFailure as err:
             node, cut = divmod(err.matrix, cuts.size)
             gram = err.kind == "minor"

@@ -205,6 +205,9 @@ def pcf_regular_imag_table(nmax: int, x, with_derivative: bool = False):
 _SEED_DROP = 40.0
 _OUTGOING_PANELS, _OUTGOING_NODES = 4, 24
 _SEED_PANELS, _SEED_NODES = 8, 24
+# The Bateman seeds are summed over at most this many arguments at a time,
+# so that a table's scratch memory does not grow with its argument count.
+_SEED_SLICE = 256
 # The downward recurrence is rescaled by this exact power of two, so the
 # table's logs are formed from a mantissa ratio and an integer exponent.
 # The exponent multiplies log 2 split Cody-Waite style: the high part has
@@ -365,7 +368,8 @@ def bateman_m_log(nmax: int, u):
     u_arr, scalar = _argument_array(u)
     if not np.all(u_arr > 0.0):
         raise DomainError("u must be positive")
-    shift, log_tail = _bateman_seeds(nmax + 1, u_arr)
+    shift, log_tail = np.concatenate([_bateman_seeds(nmax + 1, u_arr[s:s + _SEED_SLICE])
+                                      for s in range(0, u_arr.size, _SEED_SLICE)], axis=1)
     m = np.ones_like(u_arr)
     tail = np.exp(log_tail - shift)
     out = np.empty((nmax + 1, u_arr.size))

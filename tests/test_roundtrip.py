@@ -779,6 +779,84 @@ class TestLogDet:
             logdet_one_minus(stack)
 
 
+class TestGramSide:
+    """With 3k < n, `logdet_one_minus(F, sizes, factored=True)` takes each
+    rung from the k x k Gram of F's leading columns.  Its rungs are bit
+    for bit those of `summed_rungs`: rung c's Gram S summed in order from
+    the Grams of F's columns between rungs, made symmetric as
+    0.5 (S + S^T) and factored by the dense `logdet_one_minus`."""
+
+    LADDER = [100, 200, 300] + list(range(400, 801, 25))
+
+    @staticmethod
+    def summed_rungs(factors, sizes):
+        cuts, where = np.unique(np.asarray(sizes, dtype=int), return_inverse=True)
+        run, k, _ = factors.shape
+        grams = [s @ s.transpose(0, 2, 1) for s in np.split(factors, cuts, axis=2)[:cuts.size]]
+        for c in range(1, cuts.size):
+            grams[c] = grams[c - 1] + grams[c]
+        sym = np.stack([0.5 * (g + g.transpose(0, 2, 1)) for g in grams], axis=1)
+        flat = logdet_one_minus(sym.reshape(run * cuts.size, k, k))
+        return flat.reshape(run, cuts.size)[:, where]
+
+    def assert_bitwise(self, factors, sizes):
+        assert 3 * factors.shape[1] < factors.shape[2]
+        got = logdet_one_minus(factors, sizes, factored=True)
+        want = self.summed_rungs(factors, sizes)
+        assert got.shape == want.shape == (factors.shape[0], len(sizes))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sizes,distinct", [([57, 57], 1), ([30, 0, 57, 9, 30], 4),
+                                                (list(range(57, -1, -3)) + [57], 20)],
+                             ids=["1", "4", "20"])
+    def test_random_ladders(self, sizes, distinct):
+        # Sizes in any order and repeated, 0 among them; node 1 is padded
+        # with two zero rows.
+        rng = np.random.default_rng(19)
+        factors = rng.normal(size=(3, 6, 61)) / 40.0
+        factors[1, 4:] = 0.0
+        assert len(set(sizes)) == distinct
+        self.assert_bitwise(factors, sizes)
+
+    @pytest.mark.parametrize("ladder", [LADDER, TestRankCut.ORDERS, [800]],
+                             ids=["20", "4", "1"])
+    def test_rank_cut_stacks(self, ladder):
+        # The rank cut's own stacks, a run of three nodes at H/R = 0.1, in
+        # which zero rows pad the lower ranks to the run's largest.
+        geom, x = Geometry(1.0, 0.1), np.array([0.02, 0.03, 0.05])
+        (_, blocks), = kernel_blocks(geom, x / geom.H, ladder, tuple(BoundaryMode))
+        factored = [(idx, stack) for idx, stack, factored in blocks if factored]
+        assert len(factored) == 4
+        assert any(np.all(stack == 0.0, axis=2).any() for _, stack in factored)
+        for idx, stack in factored:
+            self.assert_bitwise(stack, np.searchsorted(idx, ladder, side="right"))
+
+    def test_factor_of_no_rows_and_stack_of_no_factors(self):
+        self.assert_bitwise(np.zeros((2, 0, 7)), [0, 3, 7, 7])
+        assert not logdet_one_minus(np.zeros((2, 0, 7)), [0, 3, 7, 7], factored=True).any()
+        self.assert_bitwise(np.zeros((0, 2, 11)), [0, 5, 11])
+
+    @pytest.mark.parametrize("entry", [1e160, 1.1e154], ids=["gram", "symmetrised"])
+    def test_overflowing_gram_is_named_as_nonfinite(self, entry):
+        # A finite factor whose Gram overflows, in its products (1e160
+        # squared) or only as S + S^T (1.1e154 squared is finite, twice it
+        # is not), is named as a nonfinite kernel at its node and rung, even
+        # where an earlier node's Gram has an eigenvalue above one.
+        factor = np.random.default_rng(13).normal(size=(2, 9)) / 10.0
+        stack = np.stack([10.0 * factor, factor, factor])
+        stack[1, 1, 5] = entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PhysicalRegimeError, match="nonfinite entries") as info:
+                logdet_one_minus(stack, [9, 2], factored=True)
+            assert (info.value.kind, info.value.matrix, info.value.rows) == ("nonfinite", 1, 9)
+            with pytest.raises(PhysicalRegimeError) as summed:
+                self.summed_rungs(stack, [9, 2])
+        assert (summed.value.kind, summed.value.matrix) == ("nonfinite", 3)
+        with pytest.raises(PhysicalRegimeError, match="eigenvalue of at least one") as info:
+            logdet_one_minus(stack[[0, 2]], [9, 2], factored=True)
+        assert (info.value.kind, info.value.matrix, info.value.rows) == ("gram", 0, 2)
+
+
 class TestKernelShapeAndDecay:
     def test_monotone_decay_beyond_peak(self):
         qs = np.linspace(0.2, 8.0, 25)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracasimir.specfun import (
+    _SEED_SLICE,
     DomainError,
     bateman_k_table,
     bateman_m_log,
@@ -334,10 +335,11 @@ class TestOverflowContract:
     @pytest.mark.parametrize("nmax", [0, 1, 7, 160])
     def test_bateman_columns_do_not_depend_on_their_neighbours(self, nmax):
         # Drawn log-uniformly: with the seeds summed over all arguments at
-        # once, 15 to 43 of these 200 columns differed in their last bits
-        # from a call of their own.
+        # once, 15 to 43 of the first 200 columns differed in their last
+        # bits from a call of their own.  The seeds are summed over slices
+        # of _SEED_SLICE arguments, and this call crosses a slice boundary.
         rng = np.random.default_rng(1)
-        u = np.exp(rng.uniform(math.log(3e-4), math.log(55.0), 200))
+        u = np.exp(rng.uniform(math.log(3e-4), math.log(55.0), _SEED_SLICE + 200))
         whole = bateman_m_log(nmax, u)
         for k in range(u.size):
             np.testing.assert_array_equal(whole[:, k], bateman_m_log(nmax, u[k:k + 1])[:, 0],
