@@ -83,13 +83,12 @@ each mode's N = Y_mode^T Y_mode + S E S with S <= 1 diagonal: its
 residual is positive semidefinite with trace at most tau, the larger of
 the two modes' tau, and every mode keeps the bound.  This halves the
 loop's rows when both modes are asked for at once.  A block's factors
-come as one stack,
-zero rows padding each node's Y to the block's largest rank in the run,
-and the Grams of every node and rung of the stack are summed and
-factored at once (`_factor_logdets`): a zero row adds a unit row and column to 1 - G_s,
-which leave its determinant as it is, though its Cholesky
-factorization, and with it the rung's last bits, can depend on the
-padded size.
+come as one stack, zero rows padding each node's Y to the block's
+largest rank in the run, and the Grams of every node and rung of the
+stack are summed and factored at once (`_factor_logdets`): a zero row
+adds a unit row and column to 1 - G_s, which leave its determinant as
+it is, though its Cholesky factorization, and with it the rung's last
+bits, can depend on the padded size.
 """
 
 from __future__ import annotations
