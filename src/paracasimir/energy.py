@@ -24,7 +24,6 @@ a ladder of orders and extrapolated by `extrapolate_numax`.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -34,8 +33,7 @@ import numpy as np
 from ._quad import expmap_grid, panel_grid, panel_interp
 from .specfun import DomainError, _check_order
 from .scattering import BoundaryMode, Geometry
-from .roundtrip import (_RUN_BYTES, PhysicalRegimeError, _PivotFailure, kernel_blocks,
-                        logdet_one_minus)
+from .roundtrip import PhysicalRegimeError, _PivotFailure, kernel_blocks, logdet_one_minus
 from .translation import AccuracyError
 
 __all__ = [
@@ -193,7 +191,7 @@ def _g_series(geom: Geometry, x: np.ndarray, orders: list, channel: str) -> np.n
                 cuts = np.searchsorted(idx, orders, side="right")
                 out[:, nodes] += logdet_one_minus(block, cuts, factored=factored).T
             # Let go of this run's blocks before the next run is built.
-            del blocks, block
+            blocks = block = None
     except _PivotFailure as err:
         # A failure inside `kernel_blocks` says where it was; the others
         # were in the block last factored.
@@ -454,12 +452,9 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
     [2 pi T_scaled, qmax_scaled], each at most half as wide as the grid's.
     The grid and the table, O(ln(1/T)) nodes, are evaluated in one
     `_g_series` call.  The terms, about qmax_scaled / (2 pi T_scaled) of
-    them unless the stop test fires first, are read in chunks whose
-    gathered table values, with their interpolation indices and weights,
-    stay within `_RUN_BYTES`: each chunk builds its terms' z-nodes and
-    interpolates them at once, and only each term's z-sum, the running
-    total and the stop test go term by term, in order of n.  So neither
-    memory nor kernel work grows like 1/T.
+    them unless the stop test fires first, are added one at a time in
+    order of n, each from its own z-nodes, so only one term's arrays are
+    alive at once: neither memory nor kernel work grows like 1/T.
     """
     x, w = _grid(spec)
     lo, hi = math.log(2.0 * math.pi * T_scaled), math.log(spec.qmax_scaled)
@@ -471,31 +466,16 @@ def _matsubara_sum(geom: Geometry, T_scaled: float, orders: list,
     g = _g_series(geom, np.concatenate([x, np.exp(panel_grid(edges, nc)[0])]), orders, channel)
     totals = 0.5 * ((g[:, :x.size] @ w) / math.pi)
     table = g[:, x.size:]
-    # Terms per chunk: each of a term's z-nodes, at most nc per panel on
-    # len(_Z_EDGES) + 1 panels, holds nc table values per order, nc
-    # indices and nc weights.
-    size = max(1, _RUN_BYTES // (8 * (len(orders) + 2) * (len(_Z_EDGES) + 1) * nc ** 2))
-    xns = itertools.takewhile(lambda xn: xn < spec.qmax_scaled,
-                              (2.0 * math.pi * n * T_scaled for n in itertools.count(1)))
-    for chunk in iter(lambda: list(itertools.islice(xns, size)), []):
-        zedges = [[0.0, *(e for e in _Z_EDGES if e < zmax), zmax]
-                  for zmax in (math.sqrt(spec.qmax_scaled ** 2 - xn ** 2) for xn in chunk)]
-        # One panel grid over the terms' edges end to end, less the panels
-        # that fall back from one term's zmax to the next term's 0.
-        ends = np.concatenate(zedges)
-        z, wz = panel_grid(ends, nc)
-        keep = np.diff(ends) > 0.0
-        z, wz = z.reshape(-1, nc)[keep].ravel(), wz.reshape(-1, nc)[keep].ravel()
-        counts = [nc * (len(e) - 1) for e in zedges]
-        idx, basis = panel_interp(edges, nc, np.log(np.hypot(np.repeat(chunk, counts), z)))
-        # table[:, idx] puts the orders innermost in memory; the sum over
-        # the nodes follows that layout, and so do the totals' last bits.
-        vals = (table[:, idx] * basis).sum(axis=-1)
-        for stop, count in zip(itertools.accumulate(counts), counts):
-            term = (vals[:, stop - count:stop] @ wz[stop - count:stop]) / math.pi
-            totals = totals + term
-            if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
-                return totals
+    n = 1
+    while (xn := 2.0 * math.pi * n * T_scaled) < spec.qmax_scaled:
+        zmax = math.sqrt(spec.qmax_scaled ** 2 - xn ** 2)
+        z, wz = panel_grid([0.0, *(e for e in _Z_EDGES if e < zmax), zmax], nc)
+        idx, basis = panel_interp(edges, nc, np.log(np.hypot(xn, z)))
+        term = ((table.take(idx, axis=1) * basis).sum(axis=-1) @ wz) / math.pi
+        totals = totals + term
+        if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
+            break
+        n += 1
     return totals
 
 
@@ -514,7 +494,7 @@ def thermal_energy(geom: Geometry, T_scaled: float, nu_max=100,
     terms n >= 1 (fewer when the tolerance stops it first), and they read
     g from one table in ln x, evaluated in one kernel series with the
     n = 0 grid: the kernel sees O(ln(1/T)) nodes, not O(1/T), and only
-    the interpolation, in chunks of bounded memory, grows like 1/T.  The
+    the interpolation, read one term at a time, grows like 1/T.  The
     error budget, and the `AccuracyError` on a failed node-doubling
     check, are those of `energy_per_length`; the check doubles the
     table's nodes too, so ``quad_error`` covers its interpolation.

@@ -136,10 +136,10 @@ def test_primary_3a_pfa_ratio_quarter():
 def test_primary_3b_monotone_pfa_approach():
     """Ratio moves toward 1 as H/R drops, on the branch below the dip.
 
-    The EM ratio lies above 1 at H/R = 0.4 (1.0049) and must end on the
+    The EM ratio lies above 1 at H/R = 0.4 (1.0050) and must end on the
     derivative-expansion line 1 + theta_EM H/R with theta_EM < 0, so it
     has a minimum in between; it sits between H/R = 0.25 and 0.05
-    (0.99662, 0.99328 at 0.1, 0.99459), which is why the ratio falls
+    (0.99679, 0.99333 at 0.1, 0.99475), which is why the ratio falls
     from 0.25 to 0.1.  The approach to 1 is checked where it can be
     monotone, from 0.1 to 0.05: the EM ratio must move toward 1 by more
     than the two points' combined trunc_error + quad_error, and each

@@ -325,6 +325,16 @@ class TestCommandOutput:
         assert float(row["t_scaled"]) == 0.2
         assert float(row["energy"]) < 0.0
 
+    def test_energy_table_at_order_zero(self, tmp_path):
+        # The knife edge's Neumann channel has no block at order 0.
+        out = tmp_path / "energy.csv"
+        code = main(["energy", "--numax", "0", "--channel", "neumann", "--output", str(out)])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["energy"]) == 0.0
+        assert float(row["quad_error"]) == 0.0
+
     def test_pfa_edge_limit_flag(self, tmp_path):
         out = tmp_path / "pfa.csv"
         assert main(["pfa", "--radius", "0", "--output", str(out)]) == 0

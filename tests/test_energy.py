@@ -2,7 +2,6 @@
 
 import importlib
 import importlib.util
-import itertools
 import math
 import sys
 import tracemalloc
@@ -334,6 +333,27 @@ class TestEnergyPerLength:
         # The tilt's own term is there, and is of order theta^2.
         assert np.all(np.abs(rungs[1] - rungs[0]) <= 100.0 * theta ** 2)
 
+    @pytest.mark.parametrize("ladder", [(0, 1, 2, 3), (1, 2, 3, 4)])
+    @pytest.mark.parametrize("channel", ["em", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("geom", [KNIFE, Geometry(0.0, 1.0, 0.5), Geometry(1.0, 1.0),
+                                      Geometry(1.0, 1.0, 0.3)],
+                             ids=["knife", "knife-tilted", "body", "body-tilted"])
+    def test_ladders_from_order_zero(self, geom, channel, ladder):
+        spec = QuadratureSpec(panel_count=3)
+        for result in (energy_per_length(geom, spec, ladder, channel),
+                       thermal_energy(geom, 0.1, ladder, spec, channel)):
+            assert all(math.isfinite(v) for v in (result.value, result.extrapolated,
+                                                  result.trunc_error, result.quad_error))
+
+    def test_neumann_knife_has_no_order_zero(self):
+        # The knife edge's Neumann channel holds odd orders only, tilted or
+        # not, so at order 0 no block is built and the rung is zero.
+        for result in (energy_per_length(KNIFE, nu_max=[0, 1, 3, 5], channel="neumann"),
+                       c_theta(0.5, nu_max=[0, 1], channel="neumann"),
+                       thermal_energy(KNIFE, 0.1, nu_max=0, channel="neumann")):
+            assert result.series[0][1] == 0.0
+            assert result.quad_error == 0.0
+
 
 class TestCTheta:
     def test_zero_tilt_matches_untilted_constant(self):
@@ -395,40 +415,6 @@ def _matsubara_sum_per_term(geom, T_scaled, orders, channel, spec):
         if abs(t[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
             break
         n += 1
-    return totals
-
-
-def _matsubara_sum_term_by_term(geom, T_scaled, orders, channel, spec, seen=None):
-    """The table sum read one term at a time: one `_g_series` call on the
-    n = 0 grid and one on the ln-x table, then per term its own z-panels,
-    interpolation, z-sum and stop test.  ``seen``, if given, receives
-    each term's z-node count and, last, whether the stop test ended the
-    sum before the cutoff."""
-    x, w = _term_grid(0.0, spec)
-    totals = 0.5 * ((energy_module._g_series(geom, x, orders, channel) @ w) / math.pi)
-    lo, hi = math.log(2.0 * math.pi * T_scaled), math.log(spec.qmax_scaled)
-    if lo >= hi:
-        return totals
-    width = math.log(spec.qmax_scaled / spec.qmin_scaled) / (2 * spec.panel_count)
-    edges = np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
-    table = energy_module._g_series(
-        geom, np.exp(panel_grid(edges, spec.node_count)[0]), orders, channel)
-    for n in itertools.count(1):
-        xn = 2.0 * math.pi * n * T_scaled
-        if xn >= spec.qmax_scaled:
-            stopped = False
-            break
-        x, w = _term_grid(xn, spec)
-        idx, basis = panel_interp(edges, spec.node_count, np.log(x))
-        term = ((table[:, idx] * basis).sum(axis=-1) @ w) / math.pi
-        totals = totals + term
-        if seen is not None:
-            seen.append(x.size)
-        if abs(term[-1]) <= 1e-3 * spec.tolerance * abs(totals[-1]):
-            stopped = True
-            break
-    if seen is not None:
-        seen.append(stopped)
     return totals
 
 
@@ -562,58 +548,6 @@ class TestThermal:
             assert deviation <= got.quad_error + 1e-13 * abs(want.value), T_scaled
             seen = max(seen, deviation / abs(want.value))
         assert seen > 1e-12
-
-    # Chunks hold 4 terms on LADDER at the default node count (2 in the
-    # node-doubling check): at T = 0.012 the stop test ends the sum at the
-    # first term of a chunk, at T = 0.011 at the last, on all three
-    # geometries (`test_stop_lands_first_and_last_in_a_chunk`).  The
-    # tilted knife edge runs above T = 0.01 only.
-    @pytest.mark.parametrize("geom,channel,T_scaled", [
-        pytest.param(geom, channel, T_scaled, id=f"{name}-{label}")
-        for name, geom, channel in (("knife", KNIFE, "em"),
-                                    ("tilted-dirichlet", Geometry(0.0, 1.0, 1.0), "dirichlet"),
-                                    ("body", Geometry(1.0, 0.5), "em"))
-        for label, T_scaled in (("0.5", 0.5), ("0.05", 0.05), ("stop-first", 0.012),
-                                ("stop-last", 0.011), ("0.01", 0.01), ("0.001", 0.001),
-                                ("one-panel", 0.999 * _QMAX / (2.0 * math.pi)),
-                                ("no-term", 1.001 * _QMAX / (2.0 * math.pi)))
-        if not (geom.theta and T_scaled <= 0.01)])
-    def test_chunked_sum_is_bitwise_the_term_loop(self, monkeypatch, geom, channel, T_scaled):
-        got = thermal_energy(geom, T_scaled, LADDER, channel=channel)
-        with monkeypatch.context() as patch:
-            patch.setattr(energy_module, "_matsubara_sum", _matsubara_sum_term_by_term)
-            want = thermal_energy(geom, T_scaled, LADDER, channel=channel)
-        assert got.value == want.value
-        assert got.extrapolated == want.extrapolated
-        assert got.quad_error == want.quad_error
-
-    @pytest.mark.parametrize("geom,channel", [
-        (KNIFE, "em"), (Geometry(0.0, 1.0, 1.0), "dirichlet"), (Geometry(1.0, 0.5), "em")],
-        ids=["knife", "tilted-dirichlet", "body"])
-    def test_stop_lands_first_and_last_in_a_chunk(self, monkeypatch, geom, channel):
-        # The premise of the stop-first and stop-last cases above, read
-        # from the chunks' interpolation calls: a sum that tested the stop
-        # once per chunk would add terms after the stop at T = 0.012.
-        spec, orders = default_quadrature(geom), list(LADDER)
-        for T_scaled, first in ((0.012, True), (0.011, False)):
-            chunks, seen = [], []
-
-            def counting(edges, node_count, t):
-                chunks.append(t.size)
-                return panel_interp(edges, node_count, t)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(energy_module, "panel_interp", counting)
-                energy_module._matsubara_sum(geom, T_scaled, orders, channel, spec)
-            _matsubara_sum_term_by_term(geom, T_scaled, orders, channel, spec, seen)
-            *counts, stopped = seen
-            assert stopped, T_scaled
-            ends = np.cumsum(chunks)
-            terms = np.cumsum(counts)
-            if first:
-                assert terms[-2] == ends[-2] and terms[-1] < ends[-1], T_scaled
-            else:
-                assert terms[-1] == ends[-1] and terms[-2] > ends[-2], T_scaled
 
     def test_memory_does_not_grow_like_inverse_temperature(self):
         # About 1,750 terms at T = 0.001 against 175 at T = 0.01; held all
