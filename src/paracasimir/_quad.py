@@ -64,8 +64,10 @@ def panel_interp(edges: np.ndarray, node_count: int, t: np.ndarray):
     outside the edges) and their weights, f(t) ~ (f_nodes[idx] * basis).sum(-1).
     """
     xg, wg = _legendre_rule(node_count)
-    k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
-    d = ((2.0 * t - edges[k] - edges[k + 1]) / (edges[k + 1] - edges[k]))[:, None] - xg
+    # Searching the inner edges alone puts a t outside on an end panel.
+    k = np.searchsorted(edges[1:-1], t, side="right")
+    lo, hi = edges[k], edges[k + 1]
+    d = ((2.0 * t - lo - hi) / (hi - lo))[:, None] - xg
     hit = d == 0.0  # a t on a node takes that node's value alone
     c = (-1.0) ** np.arange(node_count) * np.sqrt((1.0 - xg ** 2) * wg) / np.where(hit, 1.0, d)
     c = np.where(hit.any(axis=1, keepdims=True), hit, c)
