@@ -28,6 +28,17 @@ def _legendre_rule(node_count: int):
     return xg, wg
 
 
+@functools.lru_cache(maxsize=None)
+def _barycentric_weights(node_count: int):
+    """Barycentric weights (-1)^j sqrt((1 - x_j^2) w_j) of Lagrange
+    interpolation through `_legendre_rule`'s nodes x_j, from its weights
+    w_j, computed once per count and read-only like the rule."""
+    xg, wg = _legendre_rule(node_count)
+    c = (-1.0) ** np.arange(node_count) * np.sqrt((1.0 - xg ** 2) * wg)
+    c.flags.writeable = False
+    return c
+
+
 def panel_grid(edges, node_count: int):
     """Gauss-Legendre nodes and weights on consecutive panels.
 
@@ -63,12 +74,12 @@ def panel_interp(edges: np.ndarray, node_count: int, t: np.ndarray):
     of the nodes of the panel that holds each t (an end panel for a t
     outside the edges) and their weights, f(t) ~ (f_nodes[idx] * basis).sum(-1).
     """
-    xg, wg = _legendre_rule(node_count)
+    xg, _ = _legendre_rule(node_count)
     # Searching the inner edges alone puts a t outside on an end panel.
     k = np.searchsorted(edges[1:-1], t, side="right")
     lo, hi = edges[k], edges[k + 1]
     d = ((2.0 * t - lo - hi) / (hi - lo))[:, None] - xg
     hit = d == 0.0  # a t on a node takes that node's value alone
-    c = (-1.0) ** np.arange(node_count) * np.sqrt((1.0 - xg ** 2) * wg) / np.where(hit, 1.0, d)
+    c = _barycentric_weights(node_count) / np.where(hit, 1.0, d)
     c = np.where(hit.any(axis=1, keepdims=True), hit, c)
     return k[:, None] * node_count + np.arange(node_count), c / c.sum(axis=1, keepdims=True)

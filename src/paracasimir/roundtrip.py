@@ -157,26 +157,26 @@ def _nonfinite_square(head: np.ndarray):
 
 _LOG_SQRT_HALF_PI = 0.5 * math.log(math.pi / 2.0)
 
-# Byte budget of one block's stack of nodes in `kernel_blocks`: 4 nodes
-# at 81 orders, 270 at 11, and one node from 129 orders up.  The orders
-# counted are those a run's blocks hold after the rung cut (the module
-# docstring), the same for every node of the run.
-_RUN_BYTES = 256 * 1024
+# Byte budget of a run's largest block in `kernel_blocks`: a dense stack
+# of n orders takes n columns per node, the rank cut's pivot buffer
+# _RANK_COLUMNS.  Dense runs hold 19 nodes at 81 orders, 1083 at 11, and
+# one node from 257 orders up; rank-cut runs 20 at 202 orders, 10 at 401,
+# 5 at 801.  The orders counted are those a run's blocks hold after the
+# rung cut (the module docstring), the same for every node of the run.
+_RUN_BYTES = 1024 * 1024
 
 # 1 - N_nn rounds to exactly 1.0 in float64 below this diagonal entry.
 _NEGLIGIBLE = 2.0 ** -54
 
 # The rank cut (module docstring) takes runs whose blocks keep more than
 # _RANK_FROM orders and factors them to a residual trace of _RANK_TRACE
-# or its rounding.  A run holds as many nodes as _RANK_COLUMNS columns
-# of a block fit in _RANK_BYTES (20 at 202 orders, 10 at 401, 5 at 801).
-# The first run's pivot buffer starts at that many steps, each later one's
-# at the previous run's largest rank plus _RANK_MARGIN, doubling as needed.
+# or its rounding.  The first run's pivot buffer starts at _RANK_COLUMNS
+# steps, which size its runs (_RUN_BYTES), each later one's at the
+# previous run's largest rank plus _RANK_MARGIN, doubling as needed.
 _RANK_FROM = 128
 _RANK_TRACE = 1e-15
 _RANK_COLUMNS = 32
 _RANK_MARGIN = 8
-_RANK_BYTES = 1024 * 1024
 
 
 def _knife_start(mode: BoundaryMode) -> int:
@@ -370,12 +370,12 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     """Yield the kernel's decoupled blocks for runs of frequency nodes.
 
     ``orders`` is the truncation ladder the blocks will be factored on,
-    an increasing sequence of orders, or an int n for the whole blocks
-    up to order n, as `build_kernel` scatters them: a sequence of one
-    rung may still come as rank-cut factors, an int never does.  The
-    nodes of ``q``, a scalar or a nonempty 1-d array of finite
-    nonnegative values (else `DomainError`), are taken in runs of
-    consecutive nodes.
+    a nonempty increasing sequence of orders, or an int n for the whole
+    blocks up to order n, as `build_kernel` scatters them: a sequence of
+    one rung may still come as rank-cut factors, an int never does.  The
+    nodes of ``q``, a scalar or a nonempty 1-d array of finite positive
+    values, are taken in runs of consecutive nodes.  Other nodes, and
+    orders that are not nonnegative ints, raise `DomainError`.
     For each run this yields ``(nodes, blocks)``: ``nodes`` is the slice
     of ``q`` the run covers, and ``blocks`` is one list of (orders,
     block, factored) triples, one per diagonal block, ordered by
@@ -396,14 +396,16 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     higher rung keeps the whole shortened block.  A node whose tables are
     not finite keeps the whole block, and a nonfinite column of a factor
     counts as live.  Runs never mix nodes whose blocks hold different
-    orders, and a run holds as many nodes as keep its largest block's
-    stack within _RUN_BYTES, so small blocks, as in the Matsubara sum,
-    are factored many nodes per call.  Under the rank cut (module
-    docstring) a run's blocks come as stacks of its nodes' factors Y
-    from one pivot loop, zero rows padding each block's ranks to its
-    largest, and blocks of different modes over the same orders are
-    pivoted once and scaled; the loop's buffer starts at the previous
-    run's largest rank plus _RANK_MARGIN steps.  Its failure raises
+    orders, and a run holds as many nodes as keep its largest block
+    within _RUN_BYTES, at least one: n columns of n orders per node for
+    a dense stack, the pivot buffer's first _RANK_COLUMNS under the rank
+    cut.  So small blocks, as in the Matsubara sum, are factored many
+    nodes per call.  Under the rank cut (module docstring) a run's
+    blocks come as stacks of its nodes' factors Y from one pivot loop,
+    zero rows padding each block's ranks to its largest, and blocks of
+    different modes over the same orders are pivoted once and scaled;
+    the loop's buffer starts at the previous run's largest rank plus
+    _RANK_MARGIN steps.  Its failure raises
     `_PivotFailure` with ``where`` set.  At the tilted knife edge a run
     holds one node, whose blocks come as F = sqrt(e^-w / pi) V^T of the
     parity Gram's factor V: the 2U rows of F differ from node to node,
@@ -421,9 +423,13 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     the runs; `build_kernel` scatters the blocks into one matrix and the
     energy integrands factor them block by block.
     """
-    q, _ = _argument_array(q)
+    q, _ = _argument_array(q, signed=True)
+    if not np.all(q > 0.0):
+        raise DomainError("argument must be positive")
     whole = np.ndim(orders) == 0
-    orders = np.atleast_1d(orders)
+    orders = np.array([_check_order(n) for n in ([orders] if whole else orders)], dtype=int)
+    if not orders.size:
+        raise DomainError("the truncation ladder must hold at least one order")
     nu_max = int(orders.max())
     knife, untilted = geom.R == 0.0, geom.theta == 0.0
     table = None
@@ -447,9 +453,8 @@ def kernel_blocks(geom: Geometry, q, orders, modes):
     for start, stop in zip(bounds, bounds[1:]):
         size = int(rows[start].max(initial=1))
         ranked = untilted and not whole and size > _RANK_FROM
-        run = (1 if knife and not untilted
-               else max(1, (_RANK_BYTES // (8 * _RANK_COLUMNS * size)) if ranked
-                        else _RUN_BYTES // (8 * size ** 2)))
+        width = _RANK_COLUMNS if ranked else size
+        run = 1 if knife and not untilted else max(1, _RUN_BYTES // (8 * size * width))
         for lo in range(start, stop, run):
             nodes = slice(lo, min(lo + run, stop))
             kept = [(idx[:s], pairs, half) for (idx, pairs, half), s in zip(layout, rows[lo])]
@@ -551,10 +556,11 @@ def build_kernel(geom: Geometry, q: float, nu_max: int, mode: BoundaryMode | str
     order is left out; ``orders`` lists the orders those blocks cover:
     on the knife edge the mode's parity only, for positive radius all
     orders 0..nu_max.  Entries between different blocks are exact zeros.
+    A ``q`` that is not a scalar raises `DomainError`, as do the nodes
+    and orders `kernel_blocks` refuses.
     """
-    if q <= 0 or not math.isfinite(q):
-        raise DomainError("q must be positive and finite")
-    nu_max = _check_order(nu_max)
+    if np.ndim(q):
+        raise DomainError("q must be a scalar")
     mode = BoundaryMode(mode)
     _, blocks = next(kernel_blocks(geom, q, nu_max, (mode,)))
     orders = np.sort(np.concatenate([np.arange(0)] + [idx for idx, *_ in blocks]))

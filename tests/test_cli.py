@@ -313,6 +313,14 @@ class TestCommandOutput:
         energies = [float(dict(zip(header, r))["energy_h2"]) for r in rows]
         assert all(value < 0.0 for value in energies)
 
+    def test_h_sweep_of_one_point_is_its_start(self, tmp_path):
+        out = tmp_path / "hsweep.csv"
+        code = main(["h-sweep", "--radius", "1", "--from", "0.5", "--to", "2.0",
+                     "--points", "1", "--numax", "8", "--output", str(out)])
+        assert code == 0
+        _, header, rows = read_csv(out)
+        assert [float(dict(zip(header, r))["h_over_r"]) for r in rows] == [0.5]
+
     def test_thermal_row(self, tmp_path):
         out = tmp_path / "thermal.csv"
         code = main([
@@ -403,6 +411,10 @@ class TestExitCodes:
     def test_h_sweep_without_radius_returns_2(self, capsys):
         assert main(["h-sweep"]) == 2
         assert "radius" in capsys.readouterr().err
+
+    def test_h_sweep_reversed_range_returns_2(self, capsys):
+        assert main(["h-sweep", "--radius", "1", "--from", "2", "--to", "1"]) == 2
+        assert "h-sweep range must satisfy 0 < from <= to" in capsys.readouterr().err
 
     def test_failed_run_leaves_output_untouched(self, capsys, tmp_path):
         # The output file is opened only once there is something to write.

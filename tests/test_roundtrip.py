@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import paracasimir.roundtrip as roundtrip_module
-from paracasimir.energy import _g_series
+from paracasimir.energy import _g_series, _grid, default_quadrature
 from paracasimir.roundtrip import (
     PhysicalRegimeError,
     _RANK_COLUMNS,
     _RANK_FROM,
     _RANK_MARGIN,
+    _RUN_BYTES,
     _block_orders,
     _rows_factored,
     build_kernel,
@@ -578,6 +579,38 @@ class TestTiltedFactor:
         assert "matrix" not in message
 
 
+class TestRunRule:
+    @pytest.mark.parametrize("geom, orders", [
+        (KNIFE, [25, 50, 100, 200, 400]),
+        (Geometry(0.0, 1.0, math.radians(85.0)), [25, 50, 100, 200, 400]),
+        (Geometry(1.0, 0.1), [25, 50, 100, 200, 400]),
+        (Geometry(1.0, 1.0, 0.3), [10, 20, 40]),
+    ], ids=["knife-0", "knife-85", "body-0.1", "body-0.3"])
+    def test_runs_end_at_a_change_of_rows_or_at_the_byte_budget(self, geom, orders):
+        # A run ends at a change of kept rows, at the end of the series, or
+        # where one more node would take its largest block past _RUN_BYTES:
+        # n columns of n orders per node for a dense stack, _RANK_COLUMNS
+        # for the rank cut's pivot buffer.  Only a one-node run may exceed
+        # it.  The tilted knife edge's factors do not stack: one node a run.
+        x, _ = _grid(default_quadrature(geom))
+        runs = []
+        for nodes, blocks in kernel_blocks(geom, x / geom.H, orders, tuple(BoundaryMode)):
+            ranked = {factored for *_, factored in blocks} == {True}
+            width = max(idx.size for idx, *_ in blocks)
+            runs.append((nodes.stop - nodes.start, [idx.size for idx, *_ in blocks],
+                         ranked, 8 * width * (_RANK_COLUMNS if ranked else width)))
+        assert sum(size for size, *_ in runs) == x.size
+        if geom.R == 0.0 and geom.theta != 0.0:
+            assert {size for size, *_ in runs} == {1}
+            return
+        if geom.theta == 0.0:
+            assert {ranked for _, _, ranked, _ in runs} == {True, False}
+        for (size, kept, _, node_bytes), (_, after, *_) in zip(runs, runs[1:] + [(0, None)]):
+            assert size == 1 or size * node_bytes <= _RUN_BYTES
+            if after == kept:
+                assert (size + 1) * node_bytes > _RUN_BYTES
+
+
 class TestLogDet:
     def test_zero_kernel(self):
         assert logdet_one_minus(np.zeros((4, 4))) == 0.0
@@ -778,6 +811,10 @@ class TestLogDet:
         with pytest.raises(DomainError, match="matrix 3 of the stack"):
             logdet_one_minus(stack)
 
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(DomainError, match="square matrix"):
+            logdet_one_minus(np.ones((2, 3)))
+
 
 class TestGramSide:
     """With 3k < n, `logdet_one_minus(F, sizes, factored=True)` takes each
@@ -882,6 +919,13 @@ class TestKernelShapeAndDecay:
                 entries, _ = build_kernel(geom, 2.0, 30, mode)
                 assert np.all(np.isfinite(entries))
 
+    def test_overflowed_entries_raise(self, monkeypatch):
+        half_logs = roundtrip_module._body_half_logs
+        monkeypatch.setattr(roundtrip_module, "_body_half_logs",
+                            lambda *args: half_logs(*args) + 400.0)
+        with pytest.raises(PhysicalRegimeError, match="kernel entries overflowed"):
+            build_kernel(Geometry(R=1.0, H=1.0), 1.0, 4, BoundaryMode.DIRICHLET)
+
     def test_kernel_depends_on_q_through_qh(self):
         # In the scaled variable x = q H the kernel depends on geometry
         # ratios only.
@@ -902,8 +946,21 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("geom", [KNIFE, Geometry(0.0, 1.0, math.radians(85.0)),
                                       Geometry(1.0, 1.0), Geometry(1.0, 1.0, 0.3)],
                              ids=["knife-0", "knife-85", "body-0", "body-0.3"])
-    @pytest.mark.parametrize("q", [[], [0.5, math.nan], [-0.5]],
-                             ids=["empty", "nan", "negative"])
+    @pytest.mark.parametrize("q", [[], [0.5, math.nan], [-0.5], [0.5, 0.0]],
+                             ids=["empty", "nan", "negative", "zero"])
     def test_kernel_blocks_rejects_bad_nodes(self, geom, q):
         with pytest.raises(DomainError, match="argument must be"):
             next(kernel_blocks(geom, np.array(q), [20, 40], tuple(BoundaryMode)))
+
+    @pytest.mark.parametrize("geom", [KNIFE, Geometry(1.0, 1.0, 0.3)], ids=["knife-0", "body-0.3"])
+    @pytest.mark.parametrize("orders, message", [([], "at least one order"),
+                                                 ([2.5], "order must be an integer"),
+                                                 ([True, 4], "order must be an integer")],
+                             ids=["empty", "float", "bool"])
+    def test_kernel_blocks_rejects_bad_ladders(self, geom, orders, message):
+        with pytest.raises(DomainError, match=message):
+            next(kernel_blocks(geom, np.array([0.5]), orders, tuple(BoundaryMode)))
+
+    def test_build_kernel_takes_one_node(self):
+        with pytest.raises(DomainError, match="q must be a scalar"):
+            build_kernel(KNIFE, np.array([0.5, 1.0]), 4, BoundaryMode.DIRICHLET)

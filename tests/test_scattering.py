@@ -22,6 +22,10 @@ class TestPlaneAmplitude:
         assert plane_amplitude(BoundaryMode.NEUMANN) == 1.0
         assert plane_amplitude(BoundaryMode.DIRICHLET) == -1.0
 
+    def test_mode_name_is_not_a_mode(self):
+        with pytest.raises(DomainError, match="unknown boundary mode 'dirichlet'"):
+            plane_amplitude("dirichlet")
+
 
 class TestGeometry:
     def test_derived_quantities(self):

@@ -122,6 +122,18 @@ class TestTiltedElement:
             tilted_element(0, 0, -1.0, 1.0, 0.0)
 
 
+class TestOracleGuards:
+    @pytest.mark.parametrize("oracle, args, message", [
+        (theta0_element, (-1, 0, 1.0, 1.0), "orders must be nonnegative"),
+        (tilted_element, (0, -2, 1.0, 1.0, 0.3), "orders must be nonnegative"),
+        (green_parabolic, (ParabolicPoint(0.8, 0.5), ParabolicPoint(-0.3, 1.6), 0.0),
+         "kappa must be positive"),
+    ], ids=["theta0-order", "tilted-order", "green-kappa"])
+    def test_bad_arguments_rejected(self, oracle, args, message):
+        with pytest.raises(DomainError, match=message):
+            oracle(*args)
+
+
 class TestParityGram:
     """The parity quarter of the tilted Gram against the scalar element.
 
